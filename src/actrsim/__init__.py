@@ -9,7 +9,7 @@ bundled rock-paper-scissors model against three opponent profiles.
 """
 
 from .buffers import BufferSystem
-from .chunks import Chunk, ChunkDescription, ChunkStore, ChunkType, NIL
+from .chunks import Chunk, ChunkStore, ChunkType, NIL
 from .engine import Engine, Instantiation, TraceEntry, format_trace_entry
 from .errors import EngineError
 from .model import (
@@ -43,7 +43,6 @@ __all__ = [
     "BufferSystem",
     "BufferTest",
     "Chunk",
-    "ChunkDescription",
     "ChunkStore",
     "ChunkType",
     "Engine",

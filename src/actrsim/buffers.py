@@ -1,13 +1,7 @@
 """Named buffers, each holding at most one chunk from a shared store."""
 
-from .chunks import ChunkDescription, ChunkStore
-from .errors import (
-    DescriptionMismatch,
-    DuplicateBuffer,
-    EmptyBuffer,
-    UnknownBuffer,
-    UnknownSlot,
-)
+from .chunks import ChunkStore
+from .errors import DuplicateBuffer, EmptyBuffer, UnknownBuffer, UnknownSlot
 
 
 class BufferSystem:
@@ -19,9 +13,6 @@ class BufferSystem:
         if name in self._held:
             raise DuplicateBuffer(f"buffer {name!r} already declared")
         self._held[name] = None
-
-    def buffers(self):
-        return self._held.keys()
 
     def held(self, buffer: str) -> str | None:
         """Name of the held chunk, or None for an empty buffer."""
@@ -35,26 +26,17 @@ class BufferSystem:
         self.store.chunk(chunk)  # raises on unknown chunk
         self._held[buffer] = chunk
 
-    def modify_buffer(self, buffer: str, desc: ChunkDescription) -> None:
-        """Overwrite the listed slots of the held chunk; unlisted slots stay."""
+    def modify_buffer(self, buffer: str, updates) -> None:
+        """Overwrite the held chunk's slots in ((slot, value), ...); others stay."""
         chunk_name = self.held(buffer)
         if chunk_name is None:
             raise EmptyBuffer(f"buffer {buffer!r} holds no chunk")
         chunk = self.store.chunk(chunk_name)
-        if desc.name is not None and desc.name != chunk.name:
-            raise DescriptionMismatch(
-                f"description names {desc.name!r} but buffer holds {chunk.name!r}"
-            )
-        if desc.type is not None and desc.type != chunk.type:
-            raise DescriptionMismatch(
-                f"description types {desc.type!r} but chunk is a {chunk.type!r}"
-            )
         ctype = self.store.chunk_type(chunk.type)
-        for slot, _ in desc.slot_values:
+        for slot, _ in updates:
             if slot not in ctype.slots:
                 raise UnknownSlot(f"type {chunk.type!r} has no slot {slot!r}")
-        for slot, value in desc.slot_values:
-            chunk.slot_values[slot] = value
+        chunk.slot_values.update(updates)
 
     def clear_buffer(self, buffer: str) -> None:
         """Empty the buffer; the chunk stays in the store. Idempotent."""

@@ -32,15 +32,6 @@ class Chunk:
     slot_values: dict[str, str]
 
 
-@dataclass(frozen=True)
-class ChunkDescription:
-    """A possibly-incomplete chunk pattern: any field may be unspecified."""
-
-    name: str | None = None
-    type: str | None = None
-    slot_values: tuple[tuple[str, str], ...] = ()
-
-
 class ChunkStore:
     """Holds chunk types and chunks, enforcing type consistency.
 
@@ -106,15 +97,8 @@ class ChunkStore:
     def has_chunk(self, name: str) -> bool:
         return name in self._chunks
 
-    def has_type(self, name: str) -> bool:
-        return name in self._types
-
     def chunks(self):
         return self._chunks.values()
-
-    def describe(self, chunk: str) -> ChunkDescription:
-        c = self.chunk(chunk)
-        return ChunkDescription(c.name, c.type, tuple(c.slot_values.items()))
 
     def check_consistency(self) -> None:
         """Assert the type-consistency conditions; used by property tests."""

@@ -8,6 +8,7 @@ validation errors, 2 on runtime errors such as an exhausted move provider.
 """
 
 import argparse
+import contextlib
 import sys
 from fractions import Fraction
 
@@ -97,6 +98,9 @@ def run_command(args, out=None, err=None) -> int:
         _check_config(args)
         model = _load_model(args)
         samples = _load_samples(args)
+        trace_file = None
+        if args.trace_file:  # opened first, so a bad path fails before the run
+            trace_file = open(args.trace_file, "w", encoding="utf-8")
     except (EngineError, OSError, ValueError, ZeroDivisionError) as exc:
         print(f"actrsim: {exc}", file=err)
         return 1
@@ -111,19 +115,19 @@ def run_command(args, out=None, err=None) -> int:
         t_limit=args.t_limit,
     )
     trace_sink = [] if (args.trace or args.trace_file) else None
-    try:
-        report = experiment.run_experiment(model, config, samples, trace_sink)
-    except EngineError as exc:
-        print(f"actrsim: runtime error: {exc}", file=err)
-        return 2
-    if trace_sink is not None:
-        lines = [f"{run}\t" + format_trace_entry(entry) for run, entry in trace_sink]
-        if args.trace_file:
-            with open(args.trace_file, "w", encoding="utf-8") as handle:
-                handle.write("\n".join(lines) + "\n")
-        else:
-            for line in lines:
-                print(line, file=err)
+    with trace_file or contextlib.nullcontext():
+        try:
+            report = experiment.run_experiment(model, config, samples, trace_sink)
+        except EngineError as exc:
+            print(f"actrsim: runtime error: {exc}", file=err)
+            return 2
+        if trace_sink is not None:
+            lines = [f"{run}\t" + format_trace_entry(entry) for run, entry in trace_sink]
+            if trace_file is not None:
+                trace_file.write("\n".join(lines) + "\n")
+            else:
+                for line in lines:
+                    print(line, file=err)
     if args.format == "json":
         out.write(experiment.report_to_json(report))
     else:

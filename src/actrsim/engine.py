@@ -1,32 +1,39 @@
 """The match-select-apply cycle over buffers, rules, and the event queue.
 
-A match event collects one instantiation per applicable rule, lets the
-strategy pick a winner, and schedules the winner's application 50 ms later.
-While a selected rule is waiting to fire the engine is busy and matching is
-inhibited. Application notifies the strategy, fires annotation triggers,
-schedules the buffer effects at the current instant (modifications before
-clearings), and schedules the next match at the current instant with low
-priority, so all effects land before the next rule can be selected. When
-nothing matches, the next match is scheduled right after the next pending
-event; with an empty queue the run halts.
+Each firing costs two queue events. A match event collects one
+instantiation per applicable rule, lets the strategy pick a winner, and
+schedules the winner's application 50 ms later; until then the engine is
+busy and matching is inhibited. Application notifies the strategy, fires
+annotation triggers, evaluates every ``!bind!`` and slot value, applies all
+modifications and then all clearings directly, and schedules the next match
+at the same instant with low priority. When nothing matches, the next match
+is scheduled right after the next pending event; with an empty queue the
+run halts.
+
+The queue runs on integer millisecond ticks. ``Engine.now()``,
+``TraceEntry.time`` and every time handed to a strategy are exact
+``Fraction`` seconds, and ``run`` compares ticks with the floor of its limit
+in ticks, which is exact for any rational or float limit.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .buffers import BufferSystem
-from .chunks import ChunkDescription, ChunkStore
+from .chunks import ChunkStore
 from .errors import ProviderExhausted
-from .model import CLEAR, MODIFY, ModelAST, is_variable
+from .model import MODIFY, ModelAST, is_variable
 from .scheduler import EventQueue
 from .strategies import refraction_prune
 
-FIRE_LATENCY = Fraction(1, 20)  # 50 ms between selection and firing
+TICKS_PER_SECOND = 1000
+FIRE_LATENCY_TICKS = 50  # 50 ms between selection and firing
 
-PRIORITY_MODIFY = 100
-PRIORITY_CLEAR = 90
 PRIORITY_APPLY = 0
 PRIORITY_MATCH = -10
+
+MATCH = "match"  # payload of a match event; an apply carries its Instantiation
 
 
 @dataclass
@@ -56,29 +63,29 @@ def format_trace_entry(entry: TraceEntry) -> str:
     return f"{float(entry.time):.3f}\t{entry.rule}\t{bindings or '-'}"
 
 
-# event payloads
-@dataclass(frozen=True)
-class _Match:
-    pass
-
-
-@dataclass(frozen=True)
-class _Apply:
-    instantiation: Instantiation
-
-
-@dataclass(frozen=True)
-class _Effect:
-    kind: str
-    buffer: str
-    updates: tuple = ()
-
-
 @dataclass(frozen=True)
 class Callback:
     """Harness hook: fn(engine) runs when the event is popped."""
 
     fn: object
+
+
+def _flagged(pairs):
+    return tuple([(slot, value, is_variable(value)) for slot, value in pairs])
+
+
+def _compile(p):
+    """(name, source_index, tests, actions) in flat tuples, built once per rule.
+
+    tests: ((buffer, type, ((slot, expected, is_var), ...)), ...);
+    actions: ((buffer, binds, ((slot, value, is_var), ...) or None to clear), ...)
+    """
+    tests = tuple([(t.buffer, t.type, _flagged(t.slot_tests)) for t in p.tests])
+    actions = tuple([
+        (a.buffer, a.binds, _flagged(a.slot_updates) if a.kind == MODIFY else None)
+        for a in p.actions
+    ])
+    return p.name, p.source_index, tests, actions
 
 
 class Engine:
@@ -98,53 +105,58 @@ class Engine:
         for buffer, chunk in model.buffer_inits:
             self.buffers.declare_buffer(buffer)
             self.buffers.set_buffer(buffer, chunk)
-        self.productions = model.productions
+        # the matcher reads these dicts directly; both live as long as the engine
+        self._held = self.buffers._held
+        self._chunks = self.store._chunks
+        self.productions = [_compile(p) for p in model.productions]
         self.annotations = model.annotations
         self.queue = EventQueue()
         self.trace: list[TraceEntry] = []
         self.busy = False
         self._pending: Instantiation | None = None
-        self.queue.schedule(Fraction(0), PRIORITY_MATCH, _Match())
+        self._now_tick = 0
+        self._now = Fraction(0)
+        self.queue.schedule(0, PRIORITY_MATCH, MATCH)
 
-    def now(self):
-        return self.queue.now()
+    def now(self) -> Fraction:
+        """The clock in exact seconds."""
+        tick = self.queue.now()
+        if tick != self._now_tick:
+            self._now_tick, self._now = tick, Fraction(tick, TICKS_PER_SECOND)
+        return self._now
 
     # -- matching ---------------------------------------------------------
 
     def find_instantiations(self) -> list[Instantiation]:
         """One instantiation per rule whose every buffer test succeeds."""
+        held, chunks = self._held, self._chunks
         out = []
-        for prod in self.productions:
+        for name, source_index, tests, _ in self.productions:
             bindings: dict = {}
             matched = []
-            for test in prod.tests:
-                if test.buffer not in self.buffers.buffers():
+            for buffer, ctype, slot_tests in tests:
+                chunk_name = held.get(buffer)
+                if chunk_name is None:  # undeclared or empty buffer
                     break
-                chunk_name = self.buffers.held(test.buffer)
-                if chunk_name is None:
+                chunk = chunks[chunk_name]
+                if chunk.type != ctype:
                     break
-                chunk = self.store.chunk(chunk_name)
-                if chunk.type != test.type:
-                    break
+                values = chunk.slot_values
                 snapshot = []
-                for slot, expected in test.slot_tests:
-                    actual = chunk.slot_values.get(slot)
-                    if actual is None:  # unset slots match nothing, not even nil
-                        break
-                    if is_variable(expected):
-                        if bindings.setdefault(expected, actual) != actual:
+                for slot, expected, is_var in slot_tests:
+                    actual = values.get(slot)  # None: unset, matches nothing, not even nil
+                    if is_var:
+                        if actual is None or bindings.setdefault(expected, actual) != actual:
                             break
-                    elif expected != actual:
+                    elif actual != expected:
                         break
                     snapshot.append((slot, actual))
                 else:
-                    matched.append((test.buffer, chunk_name, tuple(snapshot)))
+                    matched.append((buffer, chunk_name, tuple(snapshot)))
                     continue
                 break
             else:
-                out.append(
-                    Instantiation(prod.name, prod.source_index, bindings, tuple(matched))
-                )
+                out.append(Instantiation(name, source_index, bindings, tuple(matched)))
         return out
 
     # -- phases -----------------------------------------------------------
@@ -159,14 +171,17 @@ class Engine:
         if winner is None:
             next_time = self.queue.peek_time()
             if next_time is not None:
-                self.queue.schedule(next_time, PRIORITY_MATCH, _Match())
+                self.queue.schedule(next_time, PRIORITY_MATCH, MATCH)
             return  # empty queue: the run halts
         winner.selection_time = self.now()
-        self.queue.schedule(self.now() + FIRE_LATENCY, PRIORITY_APPLY, _Apply(winner))
+        self.queue.schedule(
+            self.queue.now() + FIRE_LATENCY_TICKS, PRIORITY_APPLY, winner
+        )
         self.busy = True
         self._pending = winner
 
     def _run_apply_phase(self, inst: Instantiation):
+        # applying effects here is exact: all else pending now has priority <= 0
         assert self.busy and inst is self._pending
         now = self.now()
         self.busy = False
@@ -183,30 +198,23 @@ class Engine:
         if self.refraction:
             self.refraction_history.add(inst.identity())
         env = dict(inst.bindings)
-        production = self.productions[inst.source_index]
-        for action in production.actions:
-            for variable, provider in action.binds:
+        modifications, clearings = [], []
+        for buffer, binds, updates in self.productions[inst.source_index][3]:
+            for variable, provider in binds:
                 env[variable] = self._next_value(provider)
-            if action.kind == MODIFY:
-                updates = tuple(
-                    (slot, env[value] if is_variable(value) else value)
-                    for slot, value in action.slot_updates
-                )
-                self.queue.schedule(
-                    now, PRIORITY_MODIFY, _Effect(MODIFY, action.buffer, updates)
-                )
+            if updates is None:
+                clearings.append(buffer)
             else:
-                self.queue.schedule(now, PRIORITY_CLEAR, _Effect(CLEAR, action.buffer))
-        self.queue.schedule(now, PRIORITY_MATCH, _Match())
+                modifications.append((buffer, tuple(
+                    (slot, env[value] if is_var else value)
+                    for slot, value, is_var in updates
+                )))
         self.trace.append(TraceEntry(now, inst.rule, env, inst.identity()))
-
-    def _apply_effect(self, effect: _Effect):
-        if effect.kind == MODIFY:
-            self.buffers.modify_buffer(
-                effect.buffer, ChunkDescription(slot_values=effect.updates)
-            )
-        else:
-            self.buffers.clear_buffer(effect.buffer)
+        for buffer, updates in modifications:
+            self.buffers.modify_buffer(buffer, updates)
+        for buffer in clearings:
+            self.buffers.clear_buffer(buffer)
+        self.queue.schedule(self.queue.now(), PRIORITY_MATCH, MATCH)
 
     def _next_value(self, provider):
         source = self.providers.get(provider)
@@ -221,16 +229,19 @@ class Engine:
 
     def run(self, t_limit) -> list[TraceEntry]:
         """Pop events until the queue is empty or the clock would pass t_limit."""
+        if t_limit == math.inf:
+            limit = math.inf
+        else:
+            limit = math.floor(Fraction(t_limit) * TICKS_PER_SECOND)
+        queue = self.queue
         while True:
-            next_time = self.queue.peek_time()
-            if next_time is None or next_time > t_limit:
+            next_time = queue.peek_time()
+            if next_time is None or next_time > limit:
                 return self.trace
-            payload = self.queue.pop_next().payload
-            if isinstance(payload, _Match):
+            payload = queue.pop_next().payload
+            if payload is MATCH:
                 self._run_match_phase()
-            elif isinstance(payload, _Apply):
-                self._run_apply_phase(payload.instantiation)
-            elif isinstance(payload, Callback):
-                payload.fn(self)
+            elif isinstance(payload, Instantiation):
+                self._run_apply_phase(payload)
             else:
-                self._apply_effect(payload)
+                payload.fn(self)

@@ -45,10 +45,6 @@ class EmptyBuffer(EngineError):
     pass
 
 
-class DescriptionMismatch(EngineError):
-    """A chunk description's name/type field contradicts the chunk it is applied to."""
-
-
 # -- scheduler ------------------------------------------------------------------
 
 class TimeInPast(EngineError):

@@ -583,8 +583,7 @@ def format_model(ast: ModelAST) -> str:
         lines.append(")")
     for rule, ann in ast.annotations.items():
         if ann.reward is not None:
-            amount = str(ann.reward) if ann.reward.denominator == 1 else str(float(ann.reward))
-            lines.append(f"(spp {rule} :reward {amount})")
+            lines.append(f"(spp {rule} :reward {ann.reward})")
         if ann.success:
             lines.append(f"(spp {rule} :success t)")
         if ann.failure:

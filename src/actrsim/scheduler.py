@@ -2,26 +2,24 @@
 
 Pop order: ascending time; within one instant, descending priority (a higher
 number runs earlier); among exact ties, insertion order. The clock never
-moves backwards. Times may be ints, floats, or Fractions; the engine uses
-exact Fractions so that equal instants compare equal without tolerances.
+moves backwards. The heap holds plain ``(time, -priority, seq, payload)``
+tuples, so ordering is one tuple comparison; ``seq`` is unique, so payloads
+are never compared. Times may be any ordered numbers; the engine uses
+integer millisecond ticks, so equal instants compare equal without
+tolerances and without rational arithmetic.
 """
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import TimeInPast
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     time: Any
     priority: int
     seq: int
-    payload: Any = field(compare=False)
-
-    def sort_key(self):
-        return (self.time, -self.priority, self.seq)
+    payload: Any
 
 
 class EventQueue:
@@ -36,24 +34,20 @@ class EventQueue:
     def __len__(self):
         return len(self._heap)
 
-    def schedule(self, time, priority: int, payload) -> Event:
+    def schedule(self, time, priority: int, payload) -> None:
         if time < self._clock:
             raise TimeInPast(f"cannot schedule at {time} before clock {self._clock}")
-        event = Event(time, priority, self._seq, payload)
+        heapq.heappush(self._heap, (time, -priority, self._seq, payload))
         self._seq += 1
-        heapq.heappush(self._heap, (event.sort_key(), event))
-        return event
 
     def peek_time(self):
         """Time of the next event without popping, or None when empty."""
-        if not self._heap:
-            return None
-        return self._heap[0][1].time
+        return self._heap[0][0] if self._heap else None
 
     def pop_next(self) -> Event | None:
         """Pop the least event and advance the clock to its time."""
         if not self._heap:
             return None
-        _, event = heapq.heappop(self._heap)
-        self._clock = event.time
-        return event
+        time, negated, seq, payload = heapq.heappop(self._heap)
+        self._clock = time
+        return Event(time, -negated, seq, payload)

@@ -18,6 +18,7 @@ import math
 import random
 from fractions import Fraction
 
+ZERO = Fraction(0)
 FIRST_DECLARED = "first-declared"
 LAST_DECLARED = "last-declared"
 TIEBREAK_POLICIES = (FIRST_DECLARED, LAST_DECLARED)
@@ -53,16 +54,16 @@ def refraction_prune(candidates, history):
 
 
 def select_winner(candidates, utilities, tiebreak):
-    """Highest-utility candidate; declaration order decides exact ties."""
+    """Highest-utility candidate; declaration order decides exact ties.
+
+    One pass; the result does not depend on the order of `candidates`.
+    """
     if not candidates:
         return None
     if tiebreak not in TIEBREAK_POLICIES:
         raise ValueError(f"unknown tie-break policy {tiebreak!r}")
-    best = max(utilities[c.rule] for c in candidates)
-    tied = [c for c in candidates if utilities[c.rule] == best]
-    if tiebreak == FIRST_DECLARED:
-        return min(tied, key=lambda c: c.source_index)
-    return max(tied, key=lambda c: c.source_index)
+    sign = 1 if tiebreak == LAST_DECLARED else -1
+    return max(candidates, key=lambda c: (utilities[c.rule], sign * c.source_index))
 
 
 # -- strategies ----------------------------------------------------------------
@@ -135,7 +136,7 @@ class ReinforcementUtility(ConflictResolutionStrategy):
         self.applied_log.clear()
 
     def utility(self, rule):
-        return self.utilities.get(rule, Fraction(0))
+        return self.utilities.get(rule, ZERO)
 
 
 class SuccessCostUtility(ConflictResolutionStrategy):
@@ -161,8 +162,11 @@ class SuccessCostUtility(ConflictResolutionStrategy):
     def _entry(self, rule):
         if rule not in self._counters:
             self._counters[rule] = [1, 0, self.INITIAL_EFFORT]
-            self._cached[rule] = sc_recompute(1, 0, self.INITIAL_EFFORT, self.goal_value)
+            self._recompute(rule)
         return self._counters[rule]
+
+    def _recompute(self, rule):
+        self._cached[rule] = sc_recompute(*self._counters[rule], self.goal_value)
 
     def counters(self, rule):
         s, f, e = self._entry(rule)
@@ -177,7 +181,7 @@ class SuccessCostUtility(ConflictResolutionStrategy):
             entry = self._entry(rule)
             entry[index] += 1
             entry[2] += now - selected
-            self._cached[rule] = sc_recompute(*entry, self.goal_value)
+            self._recompute(rule)
         self.applied_log.clear()
 
     def success_probability(self, rule):
@@ -200,7 +204,8 @@ class RandomCostUtility(SuccessCostUtility):
     with an exponential draw around the expected cost theta = efforts /
     successes, recomputed for every conflict-set member on every conflict-
     resolution cycle. The reported utility of a rule is the one from its most
-    recent draw.
+    recent draw. The float theta and P a draw uses are computed once per
+    change of the rule's counters.
     """
 
     name = "random-cost"
@@ -210,20 +215,24 @@ class RandomCostUtility(SuccessCostUtility):
         super().__init__(goal_value, tiebreak)
         self.rng = rng if rng is not None else random.Random(seed)
         self._last_utility: dict[str, float] = {}
+        self._floats: dict[str, tuple] = {}  # rule -> (float theta, float P)
+        self._goal_float = float(goal_value)
 
     def theta(self, rule):
         successes, _, efforts = self._entry(rule)
         return efforts / successes
 
+    def _recompute(self, rule):
+        super()._recompute(rule)
+        self._floats[rule] = (float(self.theta(rule)), float(self._cached[rule][0]))
+
     def score(self, candidates):
         scores = {}
         for c in candidates:
-            zeta = draw_random_cost(float(self.theta(c.rule)), self.rng.random())
-            u = rc_utility(
-                float(self.success_probability(c.rule)), float(self.goal_value), zeta
-            )
-            self._last_utility[c.rule] = u
-            scores[c.rule] = u
+            self._entry(c.rule)
+            theta, p = self._floats[c.rule]
+            u = rc_utility(p, self._goal_float, draw_random_cost(theta, self.rng.random()))
+            self._last_utility[c.rule] = scores[c.rule] = u
         return scores
 
     def utility(self, rule):

@@ -1,17 +1,63 @@
-"""Straight-line replay oracles for the learning strategies.
+"""Straight-line reference paths for the matcher and the learning strategies.
 
-These recompute expected subsymbolic state directly from a firing trace and
-the rule annotations, without the engine, queue, or strategy classes, so
-engine runs can be checked against an independent path. Selection always
-precedes firing by exactly 0.05 s, so selection times are recovered from
-fire times.
+`linear_scan` matches the uncompiled rules of a `ModelAST` against an
+engine's buffers through the public buffer and store calls, one rule and
+one slot test at a time, for differential tests of the engine's compiled
+matcher.
+
+The replay oracles recompute expected subsymbolic state directly from a
+firing trace and the rule annotations, without the engine, queue, or
+strategy classes, so engine runs can be checked against an independent
+path. Selection always precedes firing by exactly 0.05 s, so selection
+times are recovered from fire times.
 """
 
 from fractions import Fraction
 
+from actrsim.engine import Instantiation
+from actrsim.errors import UnknownBuffer
+from actrsim.model import is_variable
 from actrsim.strategies import reinforcement_update, sc_recompute
 
 LATENCY = Fraction(1, 20)
+
+
+def linear_scan(engine, productions):
+    """One instantiation per rule whose every buffer test succeeds."""
+    out = []
+    for prod in productions:
+        bindings: dict = {}
+        matched = []
+        for test in prod.tests:
+            try:
+                chunk_name = engine.buffers.held(test.buffer)
+            except UnknownBuffer:
+                break
+            if chunk_name is None:
+                break
+            chunk = engine.store.chunk(chunk_name)
+            if chunk.type != test.type:
+                break
+            snapshot = []
+            for slot, expected in test.slot_tests:
+                actual = chunk.slot_values.get(slot)
+                if actual is None:  # unset slots match nothing, not even nil
+                    break
+                if is_variable(expected):
+                    if bindings.setdefault(expected, actual) != actual:
+                        break
+                elif expected != actual:
+                    break
+                snapshot.append((slot, actual))
+            else:
+                matched.append((test.buffer, chunk_name, tuple(snapshot)))
+                continue
+            break
+        else:
+            out.append(
+                Instantiation(prod.name, prod.source_index, bindings, tuple(matched))
+            )
+    return out
 
 
 def replay_reinforcement(trace, annotations, alpha=Fraction(1, 5)):

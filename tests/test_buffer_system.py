@@ -3,9 +3,8 @@ from __future__ import annotations
 import pytest
 
 from actrsim.buffers import BufferSystem
-from actrsim.chunks import ChunkDescription, ChunkStore
+from actrsim.chunks import ChunkStore
 from actrsim.errors import (
-    DescriptionMismatch,
     DuplicateBuffer,
     EmptyBuffer,
     UnknownBuffer,
@@ -57,7 +56,7 @@ def test_set_unknown_chunk(system):
 
 def test_modify_buffer_overwrites_listed_slots(system):
     system.set_buffer("goal", "g1")
-    system.modify_buffer("goal", ChunkDescription(slot_values=(("result", "win"),)))
+    system.modify_buffer("goal", (("result", "win"),))
     chunk = system.store.chunk("g1")
     assert chunk.slot_values == {"me": "rock", "opponent": "scissors", "result": "win"}
 
@@ -65,44 +64,26 @@ def test_modify_buffer_overwrites_listed_slots(system):
 def test_modify_buffer_empty_description_is_noop(system):
     system.set_buffer("goal", "g1")
     before = dict(system.store.chunk("g1").slot_values)
-    system.modify_buffer("goal", ChunkDescription())
+    system.modify_buffer("goal", ())
     assert system.store.chunk("g1").slot_values == before
 
 
 def test_modify_buffer_resets_slots(system):
     system.set_buffer("goal", "g1")
-    system.modify_buffer(
-        "goal", ChunkDescription(slot_values=(("me", "nil"), ("opponent", "nil")))
-    )
+    system.modify_buffer("goal", (("me", "nil"), ("opponent", "nil")))
     assert system.store.get_slot("g1", "me") == "nil"
     assert system.store.get_slot("g1", "opponent") == "nil"
 
 
 def test_modify_empty_buffer(system):
     with pytest.raises(EmptyBuffer):
-        system.modify_buffer("goal", ChunkDescription())
+        system.modify_buffer("goal", ())
 
 
 def test_modify_unknown_slot(system):
     system.set_buffer("goal", "g1")
     with pytest.raises(UnknownSlot):
-        system.modify_buffer("goal", ChunkDescription(slot_values=(("score", "3"),)))
-
-
-def test_modify_mismatched_type_or_name(system):
-    system.set_buffer("goal", "g1")
-    with pytest.raises(DescriptionMismatch):
-        system.modify_buffer("goal", ChunkDescription(type="deal"))
-    with pytest.raises(DescriptionMismatch):
-        system.modify_buffer("goal", ChunkDescription(name="g2"))
-
-
-def test_matching_type_and_name_accepted(system):
-    system.set_buffer("goal", "g1")
-    system.modify_buffer(
-        "goal", ChunkDescription(name="g1", type="game", slot_values=(("me", "paper"),))
-    )
-    assert system.store.get_slot("g1", "me") == "paper"
+        system.modify_buffer("goal", (("score", "3"),))
 
 
 def test_clear_buffer(system):
@@ -130,7 +111,7 @@ def test_clear_unknown_buffer(system):
 
 def test_consistency_after_operations(system):
     system.set_buffer("goal", "g1")
-    system.modify_buffer("goal", ChunkDescription(slot_values=(("me", "paper"),)))
+    system.modify_buffer("goal", (("me", "paper"),))
     system.clear_buffer("goal")
     system.set_buffer("goal", "g2")
     system.check_consistency()

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from actrsim.chunks import ChunkDescription, ChunkStore
+from actrsim.chunks import ChunkStore
 from actrsim.errors import (
     DuplicateChunkName,
     DuplicateSlot,
@@ -109,13 +109,6 @@ def test_get_slot_unset_is_empty(store):
 def test_get_slot_unknown_chunk(store):
     with pytest.raises(UnknownChunk):
         store.get_slot("missing", "me")
-
-
-def test_describe_round_trips_creation(store):
-    values = {"me": "rock", "opponent": "scissors"}
-    store.create_chunk("g1", "game", values)
-    desc = store.describe("g1")
-    assert desc == ChunkDescription("g1", "game", tuple(values.items()))
 
 
 def test_consistency_after_random_operations():

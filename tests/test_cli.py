@@ -113,6 +113,16 @@ def test_trace_file(tmp_path, capsys):
     assert len(lines) == 40
 
 
+def test_trace_file_in_missing_directory_exits_1_before_running(tmp_path, capsys):
+    trace_path = tmp_path / "missing" / "run.trace"
+    code, out, err = run_cli(
+        capsys, "run", "--player", "1", "--trace-file", str(trace_path)
+    )
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("actrsim: ")
+
+
 def test_random_cost_output_is_reproducible(capsys):
     args = ("run", "--player", "2", "--strategy", "random-cost",
             "--seed", "9", "--runs", "3")

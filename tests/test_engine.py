@@ -1,22 +1,28 @@
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from actrsim.engine import (
-    FIRE_LATENCY,
+    FIRE_LATENCY_TICKS,
+    MATCH,
     PRIORITY_APPLY,
     PRIORITY_MATCH,
     Callback,
     Engine,
-    _Apply,
-    _Match,
+    Instantiation,
     format_trace_entry,
 )
 from actrsim.errors import ProviderExhausted
+from actrsim.experiment import builtin_samples
 from actrsim.model import parse_model
-from actrsim.strategies import ReinforcementUtility, SuccessCostUtility
+from actrsim.strategies import RandomCostUtility, ReinforcementUtility, SuccessCostUtility
+
+from oracle import linear_scan
+from test_refraction import random_model, strategy_for
 
 
 def goal_model(me="rock", opponent="scissors", extra_rules=""):
@@ -104,15 +110,15 @@ def test_selection_schedules_apply_after_fire_latency(rps_model):
     assert engine._pending.rule == "play-scissors"
     assert engine._pending.selection_time == 0
     event = engine.queue.pop_next()
-    assert event.time == FIRE_LATENCY
+    assert event.time == FIRE_LATENCY_TICKS
     assert event.priority == PRIORITY_APPLY
-    assert isinstance(event.payload, _Apply)
+    assert event.payload is engine._pending
 
 
 def test_no_match_reschedules_after_next_event():
     engine = engine_for(goal_model(me="paper"))
     seen = []
-    engine.queue.schedule(Fraction(1, 5), 0, Callback(lambda e: seen.append(e.now())))
+    engine.queue.schedule(200, 0, Callback(lambda e: seen.append(e.now())))  # 0.2 s
     engine.run(Fraction(1))
     assert seen == [Fraction(1, 5)]
     # the rescheduled match ran at 0.2 after the callback, found nothing, halted
@@ -131,7 +137,7 @@ def test_match_is_inhibited_while_busy(rps_model):
     engine = Engine(rps_model, ReinforcementUtility(), {"next-move": iter(["rock"])})
     engine.run(Fraction(0))
     assert engine.busy
-    engine.queue.schedule(Fraction(1, 40), PRIORITY_MATCH, _Match())
+    engine.queue.schedule(25, PRIORITY_MATCH, MATCH)  # 0.025 s
     engine.run(Fraction(1, 40))  # the injected match pops while busy: no-op
     assert engine.busy
     assert len([e for e in [engine.queue.pop_next(), engine.queue.pop_next()] if e]) == 1
@@ -167,7 +173,7 @@ def test_rule_with_no_actions_only_reschedules_match():
     assert engine.store.get_slot("g1", "me") == "rock"
     assert engine.busy and engine._pending.rule == "idle"
     event = engine.queue.pop_next()
-    assert isinstance(event.payload, _Apply) and event.time == Fraction(1, 10)
+    assert event.payload is engine._pending and event.time == 100  # 0.1 s
 
 
 def test_effects_apply_before_next_match(rps_model):
@@ -212,6 +218,22 @@ def test_clearing_action_empties_buffer():
     assert [e.rule for e in engine.trace] == ["done"]  # cannot rematch, halts
 
 
+# 0.1 as a float lies just above 1/10, its lower neighbour just below
+@pytest.mark.parametrize("limit", [
+    Fraction(1, 10), Fraction(999, 10000), 0.1, 0.09999999999999999, math.inf,
+])
+def test_limits_compare_exactly_with_the_tick_clock(limit):
+    model = parse_model(
+        "(chunk-type count n)(add-dm (c1 isa count n one))(goal-focus goal c1)"
+        "(p one =goal> isa count n one ==> =goal> n two)"
+        "(p two =goal> isa count n two ==> -goal>)"
+    )
+    engine = engine_for(model)
+    trace = engine.run(limit)
+    fired = 2 if limit >= Fraction(1, 10) else 1  # fire at 0.05 s and 0.1 s
+    assert [e.time for e in trace] == [Fraction(1, 20), Fraction(1, 10)][:fired]
+
+
 def test_trace_determinism(rps_model):
     def run_once():
         engine = Engine(
@@ -238,13 +260,88 @@ def test_only_one_apply_pending_at_a_time(rps_model):
     original = engine.queue.schedule
 
     def counting_schedule(time, priority, payload):
-        event = original(time, priority, payload)
-        applies = sum(
-            1 for _, e in engine.queue._heap if isinstance(e.payload, _Apply)
+        original(time, priority, payload)
+        applies = sum(  # heap entries are (tick, -priority, seq, payload)
+            1 for entry in engine.queue._heap if isinstance(entry[3], Instantiation)
         )
         pending_counts.append(applies)
-        return event
 
     engine.queue.schedule = counting_schedule
     engine.run(Fraction(2))
     assert max(pending_counts) == 1
+
+
+def test_modifications_apply_before_clearings():
+    model = parse_model(
+        "(chunk-type game me opponent result)"
+        "(add-dm (g1 isa game me rock))"
+        "(goal-focus goal g1)"
+        "(p reset =goal> isa game me rock ==> -goal> =goal> me paper)"
+    )
+    engine = engine_for(model)
+    engine.run(Fraction(1))
+    assert engine.buffers.held("goal") is None
+    assert engine.store.get_slot("g1", "me") == "paper"
+    assert [e.rule for e in engine.trace] == ["reset"]
+
+
+# -- compiled matcher against the uncompiled linear scan ---------------------------
+
+def check_every_cycle(engine, model):
+    """Make `engine` compare its matcher with the oracle on every match cycle."""
+    compiled = engine.find_instantiations
+    cycles = []
+
+    def both():
+        got = compiled()
+        assert got == linear_scan(engine, model.productions)  # same order, too
+        cycles.append(len(got))
+        return got
+
+    engine.find_instantiations = both
+    return cycles
+
+
+def test_compiled_matcher_equals_oracle_on_random_models():
+    rng = random.Random(31)
+    cycles = []
+    for index in range(500):
+        model = random_model(rng)
+        engine = Engine(model, strategy_for(index, index), refraction=index % 2 == 0)
+        checked = check_every_cycle(engine, model)
+        engine.run(Fraction(1))
+        cycles += checked
+    assert len(cycles) > 5000 and sum(cycles) > len(cycles)  # real conflict sets
+
+
+def test_compiled_matcher_equals_oracle_on_bundled_model(rps_model):
+    moves = [{"r": "rock", "p": "paper", "s": "scissors"}[m]
+             for m in builtin_samples(3)[0].moves]
+    for make in (ReinforcementUtility, SuccessCostUtility,
+                 lambda: RandomCostUtility(seed=3)):
+        for refraction in (False, True):
+            engine = Engine(rps_model, make(), {"next-move": iter(moves)}, refraction)
+            cycles = check_every_cycle(engine, rps_model)
+            engine.run(Fraction(2))
+            assert cycles
+
+
+def test_compiled_matcher_equals_oracle_across_buffers_and_types():
+    # two buffers, clearings, a test on an undeclared buffer and a type mismatch
+    model = parse_model(
+        "(chunk-type game me opponent result)(chunk-type count n)"
+        "(add-dm (g1 isa game me rock) (c1 isa count n one))"
+        "(goal-focus goal g1)(goal-focus counter c1)"
+        "(p step =goal> isa game me =m =counter> isa count n =n"
+        " ==> =goal> result =n =counter> n two)"
+        "(p wrong-type =goal> isa count n one ==> -goal>)"
+        "(p elsewhere =visual> isa game ==> -goal>)"
+        "(p finish =goal> isa game result two =counter> isa count n two"
+        " ==> -goal> =counter> n three)"
+        "(p after =counter> isa count n three ==> -counter>)"
+    )
+    engine = engine_for(model)
+    cycles = check_every_cycle(engine, model)
+    engine.run(Fraction(1))
+    assert [e.rule for e in engine.trace] == ["step", "step", "finish", "after"]
+    assert len(cycles) == 5

@@ -4,6 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from actrsim.errors import (
     DuplicateBufferTest,
@@ -165,6 +166,17 @@ def test_source_index_matches_declaration_order(rps_model):
 
 def test_round_trip_through_pretty_printer(rps_model):
     assert parse_model(format_model(rps_model)) == rps_model
+
+
+@given(st.lists(st.fractions(), min_size=1, max_size=3))
+def test_round_trip_of_rational_rewards(rewards):
+    rules = "".join(
+        f"(p r{i} =goal> isa game me rock ==> -goal>)(spp r{i} :reward {reward})"
+        for i, reward in enumerate(rewards)
+    )
+    ast = parse_model("(chunk-type game me)" + rules)
+    assert [ast.annotations[f"r{i}"].reward for i in range(len(rewards))] == rewards
+    assert parse_model(format_model(ast)) == ast
 
 
 def test_round_trip_of_builtin_text(rps_model):

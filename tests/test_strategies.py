@@ -243,6 +243,30 @@ def test_argmax_invariant_under_common_shift(utilities, shift, last):
             == select_winner(candidates, shifted, policy).rule)
 
 
+def max_min_select(candidates, utilities, tiebreak):
+    """The two-pass formula: the maximum, then the declaration-order extreme."""
+    best = max(utilities[c.rule] for c in candidates)
+    tied = [c for c in candidates if utilities[c.rule] == best]
+    if tiebreak == FIRST_DECLARED:
+        return min(tied, key=lambda c: c.source_index)
+    return max(tied, key=lambda c: c.source_index)
+
+
+@given(
+    utilities=st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=8),
+    order=st.randoms(use_true_random=False),
+    last=st.booleans(),
+)
+def test_one_pass_select_equals_max_min_on_any_order(utilities, order, last):
+    candidates = [inst(f"r{i}", i) for i in range(len(utilities))]
+    policy = LAST_DECLARED if last else FIRST_DECLARED
+    table = {c.rule: Fraction(u, 2) for c, u in zip(candidates, utilities)}
+    expected = max_min_select(candidates, table, policy)
+    order.shuffle(candidates)
+    assert select_winner(candidates, table, policy) is expected
+    assert max_min_select(candidates, table, policy) is expected
+
+
 def test_refraction_prune_removes_applied_identities():
     candidates = [inst("play-rock", 0), inst("play-paper", 1)]
     history = {candidates[0].identity()}
