@@ -10,6 +10,17 @@ at the same instant with low priority. When nothing matches, the next match
 is scheduled right after the next pending event; with an empty queue the
 run halts.
 
+Matching is indexed, after the alpha memories of Rete (Forgy 1982) without
+its beta network: a buffer holds one chunk and there are no requests, so
+nothing needs to be joined across cycles. When the engine is built, rules
+are grouped by their first buffer test, keyed by (buffer, type, slots that
+test compares with constants), and within a group by the tuple of those
+constants. Each match cycle looks up every group's key with the values its
+buffer holds now (one dict lookup; an unset slot reads None and matches no
+constant), merges the surviving rules, and rules without tests, back into
+declaration order, and runs the full tests, variable joins and snapshots on
+those survivors only.
+
 The queue runs on integer millisecond ticks. ``Engine.now()``,
 ``TraceEntry.time`` and every time handed to a strategy are exact
 ``Fraction`` seconds, and ``run`` compares ticks with the floor of its limit
@@ -19,6 +30,8 @@ in ticks, which is exact for any rational or float limit.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import itemgetter
 
 from .buffers import BufferSystem
 from .chunks import ChunkStore
@@ -88,6 +101,29 @@ def _compile(p):
     return p.name, p.source_index, tests, actions
 
 
+def _index(productions):
+    """The compiled rules grouped by the constants of their first buffer test.
+
+    Returns (index, untested). index lists ((buffer, type, slots), table)
+    pairs, one per distinct first test shape, where slots names the slots
+    that test compares with constants and table maps the tuple of those
+    constants to the rules that expect them; untested lists the rules
+    without tests. Every list keeps declaration order.
+    """
+    index: dict = {}
+    untested = []
+    for rule in productions:
+        tests = rule[2]
+        if not tests:
+            untested.append(rule)
+            continue
+        buffer, ctype, slot_tests = tests[0]
+        slots = tuple([slot for slot, _, is_var in slot_tests if not is_var])
+        values = tuple([value for _, value, is_var in slot_tests if not is_var])
+        index.setdefault((buffer, ctype, slots), {}).setdefault(values, []).append(rule)
+    return list(index.items()), untested
+
+
 class Engine:
     """One simulation instance: store, buffers, rules, queue, strategy."""
 
@@ -109,6 +145,7 @@ class Engine:
         self._held = self.buffers._held
         self._chunks = self.store._chunks
         self.productions = [_compile(p) for p in model.productions]
+        self._index, self._untested = _index(self.productions)
         self.annotations = model.annotations
         self.queue = EventQueue()
         self.trace: list[TraceEntry] = []
@@ -130,8 +167,24 @@ class Engine:
     def find_instantiations(self) -> list[Instantiation]:
         """One instantiation per rule whose every buffer test succeeds."""
         held, chunks = self._held, self._chunks
+        groups = [self._untested] if self._untested else []
+        for (buffer, ctype, slots), table in self._index:
+            chunk_name = held.get(buffer)
+            if chunk_name is None:  # undeclared or empty buffer
+                continue
+            chunk = chunks[chunk_name]
+            if chunk.type != ctype:
+                continue
+            # an unset slot reads None, which equals no constant
+            rules = table.get(tuple(map(chunk.slot_values.get, slots)))
+            if rules:
+                groups.append(rules)
+        if len(groups) == 1:
+            survivors = groups[0]
+        else:  # back into declaration order
+            survivors = sorted(chain.from_iterable(groups), key=itemgetter(1))
         out = []
-        for name, source_index, tests, _ in self.productions:
+        for name, source_index, tests, _ in survivors:
             bindings: dict = {}
             matched = []
             for buffer, ctype, slot_tests in tests:

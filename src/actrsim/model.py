@@ -23,6 +23,7 @@ side or by a ``!bind!`` entry.
 """
 
 import logging
+import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -100,41 +101,20 @@ class _Token:
     column: int
 
 
+# a parenthesis, an atom, a comment, or a newline; other whitespace separates
+_LEXEME = re.compile(r"[()]|[^ \t\r\n();]+|;[^\n]*|\n")
+
+
 def _tokenize(text: str):
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    start: _Token | None = None
-
-    def flush():
-        nonlocal start
-        if start is not None:
-            tokens.append(start)
-            start = None
-
-    while i < n:
-        ch = text[i]
-        if ch == ";":
-            flush()
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in "()":
-            flush()
-            tokens.append(_Token(ch, line, col))
-        elif ch in " \t\r\n":
-            flush()
-        elif start is None:
-            start = _Token(ch, line, col)
-        else:
-            start = replace(start, text=start.text + ch)
-        if ch == "\n":
+    line, line_start = 1, 0
+    for match in _LEXEME.finditer(text):
+        lexeme = match.group()
+        if lexeme == "\n":
             line += 1
-            col = 1
-        else:
-            col += 1
-        i += 1
-    flush()
+            line_start = match.end()
+        elif lexeme[0] != ";":
+            tokens.append(_Token(lexeme, line, match.start() - line_start + 1))
     return tokens
 
 
@@ -185,6 +165,7 @@ class _ModelReader:
         self.initial_chunks: list[ChunkSpec] = []
         self.buffer_inits: list[tuple[str, str]] = []
         self.productions: list[Production] = []
+        self.rule_names: set[str] = set()
         self.annotations: dict[str, Annotation] = {}
 
     def read(self, forms) -> ModelAST:
@@ -267,7 +248,7 @@ class _ModelReader:
             raise ModelSyntaxError("rule needs a name", head.line, head.column)
         name_tok = _atom(form[1], "a rule name")
         name = name_tok.text
-        if any(p.name == name for p in self.productions):
+        if name in self.rule_names:
             raise DuplicateRuleName(
                 f"rule {name!r} declared twice", name_tok.line, name_tok.column
             )
@@ -283,6 +264,7 @@ class _ModelReader:
         self.productions.append(
             Production(name, tests, actions, len(self.productions))
         )
+        self.rule_names.add(name)
 
     def _tests(self, rule, items):
         tests = []
@@ -430,7 +412,7 @@ class _ModelReader:
             )
         rule_tok = _atom(form[1], "a rule name")
         rule = rule_tok.text
-        if not any(p.name == rule for p in self.productions):
+        if rule not in self.rule_names:
             raise UnknownAnnotationTarget(
                 f"spp names unknown rule {rule!r}", rule_tok.line, rule_tok.column
             )
@@ -505,16 +487,17 @@ def validate_model(ast: ModelAST) -> list[str]:
             if slot not in ctype.slots:
                 out.append(f"chunk {spec.name!r} fills unknown slot {slot!r}")
 
-    buffers = set()
+    # buffers are typed once, here: goal-focus is the only way to fill one
+    buffers = {}  # buffer -> type of its chunk, None when unknown
     for buffer, chunk in ast.buffer_inits:
         if buffer in buffers:
             out.append(f"buffer {buffer!r} initialized twice")
-        buffers.add(buffer)
-        if chunk not in chunks:
+        spec = chunks.get(chunk)
+        if spec is None:
             out.append(f"buffer {buffer!r} initialized with unknown chunk {chunk!r}")
+        buffers[buffer] = types.get(spec.type) if spec is not None else None
 
     for prod in ast.productions:
-        tested_type = {}
         for test in prod.tests:
             if test.buffer not in buffers:
                 out.append(
@@ -524,7 +507,6 @@ def validate_model(ast: ModelAST) -> list[str]:
             if ctype is None:
                 out.append(f"rule {prod.name!r} tests unknown type {test.type!r}")
                 continue
-            tested_type[test.buffer] = ctype
             for slot, _ in test.slot_tests:
                 if slot not in ctype.slots:
                     out.append(
@@ -536,17 +518,18 @@ def validate_model(ast: ModelAST) -> list[str]:
                 out.append(
                     f"rule {prod.name!r} acts on undeclared buffer {action.buffer!r}"
                 )
-            ctype = tested_type.get(action.buffer)
+            ctype = buffers.get(action.buffer)
             if action.kind == MODIFY and ctype is not None:
                 for slot, _ in action.slot_updates:
                     if slot not in ctype.slots:
                         out.append(
                             f"rule {prod.name!r} updates unknown slot {slot!r} "
-                            f"of type {ctype.name!r}"
+                            f"of type {ctype.name!r} in buffer {action.buffer!r}"
                         )
 
+    rule_names = {p.name for p in ast.productions}
     for rule in ast.annotations:
-        if not any(p.name == rule for p in ast.productions):
+        if rule not in rule_names:
             out.append(f"annotation targets unknown rule {rule!r}")
     return out
 

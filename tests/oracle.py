@@ -1,8 +1,11 @@
-"""Straight-line reference paths for the matcher and the learning strategies.
+"""Straight-line reference paths for the tokenizer, matcher and strategies.
+
+`char_tokenize` is the model tokenizer written one character at a time,
+for differential tests of the regular-expression tokenizer.
 
 `linear_scan` matches the uncompiled rules of a `ModelAST` against an
 engine's buffers through the public buffer and store calls, one rule and
-one slot test at a time, for differential tests of the engine's compiled
+one slot test at a time, for differential tests of the engine's indexed
 matcher.
 
 The replay oracles recompute expected subsymbolic state directly from a
@@ -16,10 +19,49 @@ from fractions import Fraction
 
 from actrsim.engine import Instantiation
 from actrsim.errors import UnknownBuffer
-from actrsim.model import is_variable
+from actrsim.model import _Token, is_variable
 from actrsim.strategies import reinforcement_update, sc_recompute
 
 LATENCY = Fraction(1, 20)
+
+
+def char_tokenize(text: str):
+    """The tokens of model text, read one character at a time."""
+    tokens = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    start = None  # [text, line, column] of the atom being read
+
+    def flush():
+        nonlocal start
+        if start is not None:
+            tokens.append(_Token(*start))
+            start = None
+
+    while i < n:
+        ch = text[i]
+        if ch == ";":
+            flush()
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch in "()":
+            flush()
+            tokens.append(_Token(ch, line, col))
+        elif ch in " \t\r\n":
+            flush()
+        elif start is None:
+            start = [ch, line, col]
+        else:
+            start[0] += ch
+        if ch == "\n":
+            line += 1
+            col = 1
+        else:
+            col += 1
+        i += 1
+    flush()
+    return tokens
 
 
 def linear_scan(engine, productions):

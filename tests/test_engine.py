@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from actrsim.chunks import ChunkType
 from actrsim.engine import (
     FIRE_LATENCY_TICKS,
     MATCH,
@@ -18,7 +19,17 @@ from actrsim.engine import (
 )
 from actrsim.errors import ProviderExhausted
 from actrsim.experiment import builtin_samples
-from actrsim.model import parse_model
+from actrsim.model import (
+    CLEAR,
+    MODIFY,
+    Action,
+    BufferTest,
+    ChunkSpec,
+    ModelAST,
+    Production,
+    is_variable,
+    parse_model,
+)
 from actrsim.strategies import RandomCostUtility, ReinforcementUtility, SuccessCostUtility
 
 from oracle import linear_scan
@@ -285,7 +296,7 @@ def test_modifications_apply_before_clearings():
     assert [e.rule for e in engine.trace] == ["reset"]
 
 
-# -- compiled matcher against the uncompiled linear scan ---------------------------
+# -- indexed matcher against the uncompiled linear scan ----------------------------
 
 def check_every_cycle(engine, model):
     """Make `engine` compare its matcher with the oracle on every match cycle."""
@@ -345,3 +356,94 @@ def test_compiled_matcher_equals_oracle_across_buffers_and_types():
     engine.run(Fraction(1))
     assert [e.rule for e in engine.trace] == ["step", "step", "finish", "after"]
     assert len(cycles) == 5
+
+
+# each buffer's type; the last slot of each type is never set
+TWO_BUFFER_TYPES = {"goal": ChunkType("game", ("me", "opponent", "result")),
+                    "counter": ChunkType("count", ("n", "extra"))}
+
+
+def two_buffer_model(rng: random.Random) -> ModelAST:
+    """Rules with 0-2 tests over two buffers and two types, for the matcher.
+
+    Tests mostly use the buffer's type, sometimes the other one; slots get
+    constants, variables shared across buffers (so a first test may hold
+    only variables), or nothing. Rules modify only buffers they test, with
+    constants or bound variables, and may clear any buffer.
+    """
+    values, variables = ["x", "y"], ["=a", "=b"]
+    buffers = list(TWO_BUFFER_TYPES)
+    productions = []
+    for i in range(rng.randint(4, 10)):
+        tests, bound = [], []
+        for buffer in rng.sample(buffers, rng.choice([0, 1, 1, 2, 2])):
+            ctype = TWO_BUFFER_TYPES[buffer]
+            if rng.random() < 0.15:
+                ctype = TWO_BUFFER_TYPES[buffers[buffers.index(buffer) - 1]]
+            slot_tests = []
+            for slot in ctype.slots:
+                drawn = rng.random()
+                if drawn < 0.35:
+                    slot_tests.append((slot, rng.choice(values)))
+                elif drawn < 0.65:
+                    slot_tests.append((slot, rng.choice(variables)))
+            bound += [v for _, v in slot_tests if is_variable(v)]
+            tests.append(BufferTest(buffer, ctype.name, tuple(slot_tests)))
+        actions = []
+        for test in tests:
+            if rng.random() < 0.7:
+                settable = TWO_BUFFER_TYPES[test.buffer].slots[:-1]
+                updates = tuple(
+                    (slot, rng.choice(values + bound))
+                    for slot in settable if rng.random() < 0.6
+                )
+                actions.append(Action(MODIFY, test.buffer, updates))
+        if rng.random() < 0.3:
+            actions.append(Action(CLEAR, rng.choice(buffers)))
+        productions.append(Production(f"rule{i}", tuple(tests), tuple(actions), i))
+    return ModelAST(
+        chunk_types=tuple(TWO_BUFFER_TYPES.values()),
+        initial_chunks=(
+            ChunkSpec("g1", "game", (("me", rng.choice(values)),
+                                     ("opponent", rng.choice(values)))),
+            ChunkSpec("c1", "count", (("n", rng.choice(values)),)),
+        ),
+        buffer_inits=(("goal", "g1"), ("counter", "c1")),
+        productions=tuple(productions),
+        annotations={},
+    )
+
+
+def test_indexed_matcher_equals_oracle_on_two_buffer_models():
+    rng = random.Random(47)
+    cycles = []
+    merged = 0  # engines whose survivors can come from more than one group
+    for index in range(400):
+        model = two_buffer_model(rng)
+        engine = Engine(model, strategy_for(index, index), refraction=index % 2 == 0)
+        merged += len(engine._index) + bool(engine._untested) > 1
+        checked = check_every_cycle(engine, model)
+        engine.run(Fraction(1))
+        cycles += checked
+    assert merged > 300
+    assert len(cycles) > 4000 and sum(cycles) > len(cycles)
+    assert cycles.count(0) > 40  # and empty ones, where a run halts
+
+
+def test_indexed_matcher_equals_oracle_on_a_shuffled_400_rule_chain():
+    order = list(range(400))
+    random.Random(5).shuffle(order)
+    model = parse_model(
+        "(chunk-type link state tag)(add-dm (c0 isa link state s0 tag t0))"
+        "(goal-focus goal c0)"
+        + "".join(
+            f"(p r{k} =goal> isa link state s{k} tag =v"
+            f" ==> =goal> state s{k + 1} tag t{k + 1})"
+            for k in order
+        )
+    )
+    engine = engine_for(model)
+    cycles = check_every_cycle(engine, model)
+    engine.run(math.inf)
+    assert [e.rule for e in engine.trace] == [f"r{k}" for k in range(400)]
+    assert cycles == [1] * 400 + [0]

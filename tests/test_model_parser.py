@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from actrsim.chunks import ChunkType
 from actrsim.errors import (
     DuplicateBufferTest,
     DuplicateRuleName,
@@ -18,11 +19,20 @@ from actrsim.model import (
     CLEAR,
     MODIFY,
     Action,
+    Annotation,
     BufferTest,
+    ChunkSpec,
+    ModelAST,
+    Production,
+    _ModelReader,
+    _read_forms,
+    _tokenize,
     format_model,
     parse_model,
     validate_model,
 )
+
+from oracle import char_tokenize
 
 WIN_RULE = """
 (p recognize-win
@@ -179,6 +189,69 @@ def test_round_trip_of_rational_rewards(rewards):
     assert parse_model(format_model(ast)) == ast
 
 
+SYMBOLS = st.from_regex(r"[a-z][a-z0-9-]{0,4}", fullmatch=True)
+TEST_VARIABLES = st.sampled_from(["=x", "=y", "=z"])
+BIND_VARIABLES = ["=p", "=q"]  # never tested, so free for !bind!
+
+
+def slot_pairs(values, max_size=3):
+    return st.lists(st.tuples(SYMBOLS, values), max_size=max_size,
+                    unique_by=lambda pair: pair[0]).map(tuple)
+
+
+@st.composite
+def productions(draw, name, index):
+    buffers = draw(st.lists(SYMBOLS, max_size=2, unique=True))
+    tests = tuple(
+        BufferTest(buffer, draw(SYMBOLS), draw(slot_pairs(SYMBOLS | TEST_VARIABLES)))
+        for buffer in buffers
+    )
+    bound = {v for test in tests for _, v in test.slot_tests if v.startswith("=")}
+    actions = []
+    for _ in range(draw(st.integers(0, 3))):
+        buffer = draw(SYMBOLS)
+        if draw(st.booleans()):
+            actions.append(Action(CLEAR, buffer))
+            continue
+        usable = st.sampled_from(sorted(bound) + BIND_VARIABLES)
+        updates = draw(slot_pairs(SYMBOLS | usable))
+        binds = []  # a !bind! belongs to the first action that reads its variable
+        for _, value in updates:
+            if value.startswith("=") and value not in bound:
+                bound.add(value)
+                binds.append((value, draw(SYMBOLS)))
+        actions.append(Action(MODIFY, buffer, updates, tuple(binds)))
+    return Production(name, tests, tuple(actions), index)
+
+
+@st.composite
+def model_asts(draw):
+    names = draw(st.lists(SYMBOLS, max_size=4, unique=True))
+    annotated = draw(st.lists(st.sampled_from(names), unique=True)) if names else []
+    annotations = {}
+    for rule in annotated:
+        annotation = Annotation(draw(st.none() | st.fractions()),
+                                draw(st.booleans()), draw(st.booleans()))
+        if annotation != Annotation():  # an empty annotation has no text
+            annotations[rule] = annotation
+    return ModelAST(
+        chunk_types=tuple(draw(st.lists(st.builds(
+            ChunkType, SYMBOLS, st.lists(SYMBOLS, max_size=3).map(tuple)),
+            max_size=2))),
+        initial_chunks=tuple(draw(st.lists(st.builds(
+            ChunkSpec, SYMBOLS, SYMBOLS, slot_pairs(SYMBOLS)), max_size=2))),
+        buffer_inits=tuple(draw(st.lists(st.tuples(SYMBOLS, SYMBOLS), max_size=2))),
+        productions=tuple(draw(productions(name, index))
+                          for index, name in enumerate(names)),
+        annotations=annotations,
+    )
+
+
+@given(model_asts())
+def test_round_trip_of_any_model_ast(ast):
+    assert parse_model(format_model(ast)) == ast
+
+
 def test_round_trip_of_builtin_text(rps_model):
     assert parse_model(builtin_model_text()) == rps_model
 
@@ -219,3 +292,54 @@ def test_validate_flags_unknown_type_and_chunk():
     diagnostics = validate_model(ast)
     assert any("unknown type" in d for d in diagnostics)
     assert any("unknown chunk" in d for d in diagnostics)
+
+
+def test_validate_checks_updates_on_untested_buffers():
+    # goal-focus fixes each buffer's type, so counter always holds a count
+    ast = parse_model(
+        "(chunk-type game me)(chunk-type count n)"
+        "(add-dm (g1 isa game me rock) (c1 isa count n one))"
+        "(goal-focus goal g1)(goal-focus counter c1)"
+        "(p tally =goal> isa game me rock ==> =counter> bogus two)"
+    )
+    assert validate_model(ast) == [
+        "rule 'tally' updates unknown slot 'bogus' of type 'count' in buffer 'counter'"
+    ]
+
+
+# -- tokenizer against the character-by-character reader ----------------------------
+
+# \f, \v and no-break space are not separators: they belong to atoms
+TOKEN_TEXTS = st.text(alphabet="();\n\r\t\f\v\u00a0ab ", max_size=60)
+MODEL_PIECES = st.lists(st.sampled_from([
+    "(", ")", "p", "r", "isa", "game", "me", "rock", "=x", "=goal>", "==>",
+    "-goal>", "chunk-type", "add-dm", "goal-focus", "spp", ":reward", "2",
+    "; note\n", " ", "\n", "\r", "\t", "\f", "\v", "\u00a0",
+]), max_size=40).map("".join)
+
+
+def spelled(tokens):
+    return [(t.text, t.line, t.column) for t in tokens]
+
+
+def read_outcome(tokens):
+    try:
+        return _ModelReader().read(_read_forms(tokens))
+    except ModelSyntaxError as error:
+        return type(error), str(error), error.line, error.column
+
+
+@given(TOKEN_TEXTS | MODEL_PIECES)
+def test_tokenizer_equals_character_reader(text):
+    assert spelled(_tokenize(text)) == spelled(char_tokenize(text))
+
+
+@given(MODEL_PIECES)
+def test_syntax_error_positions_equal_character_reader(text):
+    assert read_outcome(_tokenize(text)) == read_outcome(char_tokenize(text))
+
+
+def test_unusual_spaces_stay_inside_atoms():
+    assert spelled(_tokenize("(a\fb\vc\u00a0d\r\te ;x y\n f)")) == [
+        ("(", 1, 1), ("a\fb\vc\u00a0d", 1, 2), ("e", 1, 11), ("f", 2, 2), (")", 2, 3),
+    ]
