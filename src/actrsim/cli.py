@@ -19,6 +19,14 @@ from .model import parse_model, validate_model
 from .strategies import TIEBREAK_POLICIES
 
 
+def fraction(text: str) -> Fraction:
+    """An exact number; a zero denominator is a usage error like any bad number."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} divides by zero") from None
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="actrsim",
@@ -37,16 +45,16 @@ def build_arg_parser() -> argparse.ArgumentParser:
                      choices=("reinforcement", "success-cost", "random-cost"))
     run.add_argument("--refraction", action="store_true",
                      help="never fire the same rule instantiation twice")
-    run.add_argument("--alpha", type=Fraction, default=Fraction(1, 5),
+    run.add_argument("--alpha", type=fraction, default=Fraction(1, 5),
                      help="learning rate for the reinforcement strategy")
-    run.add_argument("--goal-value", type=Fraction, default=Fraction(20),
+    run.add_argument("--goal-value", type=fraction, default=Fraction(20),
                      help="goal value G for the cost-based strategies")
     run.add_argument("--tiebreak", choices=TIEBREAK_POLICIES,
                      help="override the strategy's declaration-order tie-break")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--runs", type=int, default=1,
                      help="repeated runs per sample (distinct derived seeds)")
-    run.add_argument("--t-limit", type=Fraction, default=Fraction(2),
+    run.add_argument("--t-limit", type=fraction, default=Fraction(2),
                      help="simulated seconds per run")
     run.add_argument("--format", choices=("csv", "json"), default="csv")
     run.add_argument("--trace", action="store_true",
@@ -101,7 +109,7 @@ def run_command(args, out=None, err=None) -> int:
         trace_file = None
         if args.trace_file:  # opened first, so a bad path fails before the run
             trace_file = open(args.trace_file, "w", encoding="utf-8")
-    except (EngineError, OSError, ValueError, ZeroDivisionError) as exc:
+    except (EngineError, OSError, ValueError) as exc:
         print(f"actrsim: {exc}", file=err)
         return 1
     config = experiment.HarnessConfig(

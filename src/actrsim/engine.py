@@ -1,14 +1,14 @@
 """The match-select-apply cycle over buffers, rules, and the event queue.
 
-Each firing costs two queue events. A match event collects one
+Each firing is one queue event, and at most one is ever pending. Popping it
+applies the rule: the strategy is notified, annotation triggers fire, every
+``!bind!`` and slot value is evaluated, and all modifications and then all
+clearings are applied. At the same instant the engine then collects one
 instantiation per applicable rule, lets the strategy pick a winner, and
-schedules the winner's application 50 ms later; until then the engine is
-busy and matching is inhibited. Application notifies the strategy, fires
-annotation triggers, evaluates every ``!bind!`` and slot value, applies all
-modifications and then all clearings directly, and schedules the next match
-at the same instant with low priority. When nothing matches, the next match
-is scheduled right after the next pending event; with an empty queue the
-run halts.
+schedules the winner 50 ms later. Nothing runs between a selection and its
+application, so the buffers a winner tested still hold what it matched. The
+first event, at tick 0, has nothing to apply. When nothing matches, the
+queue stays empty and the run halts.
 
 Matching is indexed, after the alpha memories of Rete (Forgy 1982) without
 its beta network: a buffer holds one chunk and there are no requests, so
@@ -43,11 +43,6 @@ from .strategies import refraction_prune
 TICKS_PER_SECOND = 1000
 FIRE_LATENCY_TICKS = 50  # 50 ms between selection and firing
 
-PRIORITY_APPLY = 0
-PRIORITY_MATCH = -10
-
-MATCH = "match"  # payload of a match event; an apply carries its Instantiation
-
 
 @dataclass
 class Instantiation:
@@ -74,13 +69,6 @@ class TraceEntry:
 def format_trace_entry(entry: TraceEntry) -> str:
     bindings = ",".join(f"{v}={entry.bindings[v]}" for v in sorted(entry.bindings))
     return f"{float(entry.time):.3f}\t{entry.rule}\t{bindings or '-'}"
-
-
-@dataclass(frozen=True)
-class Callback:
-    """Harness hook: fn(engine) runs when the event is popped."""
-
-    fn: object
 
 
 def _flagged(pairs):
@@ -149,11 +137,9 @@ class Engine:
         self.annotations = model.annotations
         self.queue = EventQueue()
         self.trace: list[TraceEntry] = []
-        self.busy = False
-        self._pending: Instantiation | None = None
         self._now_tick = 0
         self._now = Fraction(0)
-        self.queue.schedule(0, PRIORITY_MATCH, MATCH)
+        self.queue.schedule(0, 0, None)  # the first match: nothing to apply
 
     def now(self) -> Fraction:
         """The clock in exact seconds."""
@@ -212,33 +198,10 @@ class Engine:
                 out.append(Instantiation(name, source_index, bindings, tuple(matched)))
         return out
 
-    # -- phases -----------------------------------------------------------
+    # -- application --------------------------------------------------------
 
-    def _run_match_phase(self):
-        if self.busy:  # matching is inhibited until the selected rule fires
-            return
-        candidates = self.find_instantiations()
-        if self.refraction:
-            candidates = refraction_prune(candidates, self.refraction_history)
-        winner = self.strategy.select(candidates)
-        if winner is None:
-            next_time = self.queue.peek_time()
-            if next_time is not None:
-                self.queue.schedule(next_time, PRIORITY_MATCH, MATCH)
-            return  # empty queue: the run halts
-        winner.selection_time = self.now()
-        self.queue.schedule(
-            self.queue.now() + FIRE_LATENCY_TICKS, PRIORITY_APPLY, winner
-        )
-        self.busy = True
-        self._pending = winner
-
-    def _run_apply_phase(self, inst: Instantiation):
-        # applying effects here is exact: all else pending now has priority <= 0
-        assert self.busy and inst is self._pending
+    def _apply(self, inst: Instantiation):
         now = self.now()
-        self.busy = False
-        self._pending = None
         self.strategy.record_application(inst.rule, inst.selection_time)
         annotation = self.annotations.get(inst.rule)
         if annotation is not None:
@@ -267,7 +230,6 @@ class Engine:
             self.buffers.modify_buffer(buffer, updates)
         for buffer in clearings:
             self.buffers.clear_buffer(buffer)
-        self.queue.schedule(self.queue.now(), PRIORITY_MATCH, MATCH)
 
     def _next_value(self, provider):
         source = self.providers.get(provider)
@@ -281,7 +243,7 @@ class Engine:
     # -- driver --------------------------------------------------------------
 
     def run(self, t_limit) -> list[TraceEntry]:
-        """Pop events until the queue is empty or the clock would pass t_limit."""
+        """Fire until nothing is pending or the clock would pass t_limit."""
         if t_limit == math.inf:
             limit = math.inf
         else:
@@ -291,10 +253,13 @@ class Engine:
             next_time = queue.peek_time()
             if next_time is None or next_time > limit:
                 return self.trace
-            payload = queue.pop_next().payload
-            if payload is MATCH:
-                self._run_match_phase()
-            elif isinstance(payload, Instantiation):
-                self._run_apply_phase(payload)
-            else:
-                payload.fn(self)
+            inst = queue.pop_next().payload
+            if inst is not None:
+                self._apply(inst)
+            candidates = self.find_instantiations()
+            if self.refraction:
+                candidates = refraction_prune(candidates, self.refraction_history)
+            winner = self.strategy.select(candidates)
+            if winner is not None:  # else the queue stays empty: the run halts
+                winner.selection_time = self.now()
+                queue.schedule(next_time + FIRE_LATENCY_TICKS, 0, winner)

@@ -58,8 +58,6 @@ class HarnessConfig:
     seed: int = 0
     runs: int = 1
     t_limit: Fraction = Fraction(2)
-    play_rules: tuple = PLAY_RULES
-    outcome_prefixes: tuple = OUTCOME_PREFIXES
 
 
 @dataclass(frozen=True)
@@ -143,11 +141,11 @@ def run_single(model: ModelAST, config: HarnessConfig, sample: Sample,
         trace_sink.extend((row_index, entry) for entry in trace)
     tally = {"win": 0, "draw": 0, "defeat": 0}
     for entry in trace:
-        for prefix, kind in config.outcome_prefixes:
+        for prefix, kind in OUTCOME_PREFIXES:
             if entry.rule.startswith(prefix):
                 tally[kind] += 1
                 break
-    utilities = tuple(strategy.utility(rule) for rule in config.play_rules)
+    utilities = tuple(strategy.utility(rule) for rule in PLAY_RULES)
     return RunResult(row_index, utilities, tally["win"], tally["draw"], tally["defeat"])
 
 

@@ -422,7 +422,7 @@ class _ModelReader:
         if key == ":reward":
             try:
                 amount = Fraction(value_tok.text)
-            except ValueError:
+            except (ValueError, ZeroDivisionError):
                 raise ModelSyntaxError(
                     f"reward {value_tok.text!r} is not a number",
                     value_tok.line, value_tok.column,
@@ -497,7 +497,11 @@ def validate_model(ast: ModelAST) -> list[str]:
             out.append(f"buffer {buffer!r} initialized with unknown chunk {chunk!r}")
         buffers[buffer] = types.get(spec.type) if spec is not None else None
 
+    # a buffer some rule clears can be empty when a rule fires, so a rule may
+    # modify it only if it tests it (its own clearings apply after its updates)
+    cleared = {a.buffer for p in ast.productions for a in p.actions if a.kind == CLEAR}
     for prod in ast.productions:
+        tested = {test.buffer for test in prod.tests}
         for test in prod.tests:
             if test.buffer not in buffers:
                 out.append(
@@ -517,6 +521,12 @@ def validate_model(ast: ModelAST) -> list[str]:
             if action.buffer not in buffers:
                 out.append(
                     f"rule {prod.name!r} acts on undeclared buffer {action.buffer!r}"
+                )
+            if (action.kind == MODIFY and action.buffer in cleared
+                    and action.buffer not in tested):
+                out.append(
+                    f"rule {prod.name!r} modifies buffer {action.buffer!r} without "
+                    "testing it, but a rule clears that buffer"
                 )
             ctype = buffers.get(action.buffer)
             if action.kind == MODIFY and ctype is not None:

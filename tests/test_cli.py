@@ -2,8 +2,12 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from actrsim.cli import main
 from actrsim.experiment import builtin_model_text
+
+from test_model_parser import CLEAR_THEN_MODIFY
 
 
 def run_cli(capsys, *argv):
@@ -82,6 +86,23 @@ def test_bad_alpha_exits_1(capsys):
     code, _, err = run_cli(capsys, "run", "--player", "1", "--alpha", "3")
     assert code == 1
     assert "alpha" in err
+
+
+@pytest.mark.parametrize("flag", ["--t-limit", "--alpha", "--goal-value"])
+def test_zero_denominator_is_a_usage_error(capsys, flag):
+    with pytest.raises(SystemExit) as excinfo:  # not a ZeroDivisionError
+        main(["run", "--player", "1", flag, "1/0"])
+    assert excinfo.value.code == 2
+    assert f"argument {flag}: invalid" in capsys.readouterr().err
+
+
+def test_clearing_a_buffer_another_rule_modifies_untested_exits_1(tmp_path, capsys):
+    model = tmp_path / "clear.model"
+    model.write_text(CLEAR_THEN_MODIFY, encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", "--model", str(model))
+    assert code == 1
+    assert out == ""
+    assert "rule 'tally' modifies buffer 'counter'" in err
 
 
 def test_json_format(capsys):

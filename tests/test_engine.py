@@ -9,12 +9,7 @@ import pytest
 from actrsim.chunks import ChunkType
 from actrsim.engine import (
     FIRE_LATENCY_TICKS,
-    MATCH,
-    PRIORITY_APPLY,
-    PRIORITY_MATCH,
-    Callback,
     Engine,
-    Instantiation,
     format_trace_entry,
 )
 from actrsim.errors import ProviderExhausted
@@ -113,28 +108,20 @@ def test_type_must_match_exactly():
 
 # -- cycle timing --------------------------------------------------------------------
 
+def pending_firing(engine):
+    """Pop the one pending event; it is the selected instantiation's firing."""
+    assert len(engine.queue) == 1
+    return engine.queue.pop_next()
+
+
 def test_selection_schedules_apply_after_fire_latency(rps_model):
     strategy = ReinforcementUtility()  # last-declared tie-break
     engine = Engine(rps_model, strategy, {"next-move": iter(["rock"])})
     engine.run(Fraction(0))  # processes only the t=0 match
-    assert engine.busy
-    assert engine._pending.rule == "play-scissors"
-    assert engine._pending.selection_time == 0
-    event = engine.queue.pop_next()
+    event = pending_firing(engine)
     assert event.time == FIRE_LATENCY_TICKS
-    assert event.priority == PRIORITY_APPLY
-    assert event.payload is engine._pending
-
-
-def test_no_match_reschedules_after_next_event():
-    engine = engine_for(goal_model(me="paper"))
-    seen = []
-    engine.queue.schedule(200, 0, Callback(lambda e: seen.append(e.now())))  # 0.2 s
-    engine.run(Fraction(1))
-    assert seen == [Fraction(1, 5)]
-    # the rescheduled match ran at 0.2 after the callback, found nothing, halted
-    assert engine.queue.pop_next() is None
-    assert engine.now() == Fraction(1, 5)
+    assert event.payload.rule == "play-scissors"
+    assert event.payload.selection_time == 0
 
 
 def test_halts_when_nothing_matches_and_queue_empty():
@@ -142,16 +129,6 @@ def test_halts_when_nothing_matches_and_queue_empty():
     engine.run(Fraction(10))
     assert engine.now() == 0
     assert engine.trace == []
-
-
-def test_match_is_inhibited_while_busy(rps_model):
-    engine = Engine(rps_model, ReinforcementUtility(), {"next-move": iter(["rock"])})
-    engine.run(Fraction(0))
-    assert engine.busy
-    engine.queue.schedule(25, PRIORITY_MATCH, MATCH)  # 0.025 s
-    engine.run(Fraction(1, 40))  # the injected match pops while busy: no-op
-    assert engine.busy
-    assert len([e for e in [engine.queue.pop_next(), engine.queue.pop_next()] if e]) == 1
 
 
 def test_round_structure_and_latency(rps_model):
@@ -182,9 +159,8 @@ def test_rule_with_no_actions_only_reschedules_match():
     assert [e.rule for e in engine.trace] == ["idle"]
     # buffers untouched; the follow-up match re-selected on the unchanged state
     assert engine.store.get_slot("g1", "me") == "rock"
-    assert engine.busy and engine._pending.rule == "idle"
-    event = engine.queue.pop_next()
-    assert event.payload is engine._pending and event.time == 100  # 0.1 s
+    event = pending_firing(engine)
+    assert event.payload.rule == "idle" and event.time == 100  # 0.1 s
 
 
 def test_effects_apply_before_next_match(rps_model):
@@ -192,8 +168,10 @@ def test_effects_apply_before_next_match(rps_model):
     engine.run(Fraction(1, 20))  # play-scissors fires at 0.05
     assert engine.store.get_slot("g1", "me") == "scissors"
     assert engine.store.get_slot("g1", "opponent") == "rock"
-    assert engine.busy  # the 0.05 match already selected detect-defeat-scissors
-    assert engine._pending.rule == "detect-defeat-scissors"
+    # the 0.05 match already selected detect-defeat-scissors on the new state
+    event = pending_firing(engine)
+    assert event.payload.rule == "detect-defeat-scissors"
+    assert event.payload.selection_time == Fraction(1, 20)
 
 
 def test_provider_consumed_once_per_application(rps_model):
@@ -266,20 +244,31 @@ def test_t_limit_zero_applies_nothing(rps_model):
 
 
 def test_only_one_apply_pending_at_a_time(rps_model):
-    engine = Engine(rps_model, ReinforcementUtility(), {"next-move": iter(["rock"] * 20)})
-    pending_counts = []
-    original = engine.queue.schedule
+    moves = [{"r": "rock", "p": "paper", "s": "scissors"}[m]
+             for m in builtin_samples(3)[0].moves]
+    engines = [
+        Engine(rps_model, make(), {"next-move": iter(moves)}, refraction)
+        for make in (ReinforcementUtility, SuccessCostUtility,
+                     lambda: RandomCostUtility(seed=3))
+        for refraction in (False, True)
+    ]
+    rng = random.Random(11)
+    engines += [
+        Engine(random_model(rng), strategy_for(index, index), refraction=index % 2 == 0)
+        for index in range(200)
+    ]
+    depths = []  # len(engine.queue) after every schedule
+    for engine in engines:
+        original = engine.queue.schedule
 
-    def counting_schedule(time, priority, payload):
-        original(time, priority, payload)
-        applies = sum(  # heap entries are (tick, -priority, seq, payload)
-            1 for entry in engine.queue._heap if isinstance(entry[3], Instantiation)
-        )
-        pending_counts.append(applies)
+        def counting_schedule(time, priority, payload, engine=engine, original=original):
+            original(time, priority, payload)
+            depths.append(len(engine.queue))
 
-    engine.queue.schedule = counting_schedule
-    engine.run(Fraction(2))
-    assert max(pending_counts) == 1
+        engine.queue.schedule = counting_schedule
+        engine.run(Fraction(2))
+    assert max(depths) == 1
+    assert len(depths) > 1000  # the engines genuinely fire
 
 
 def test_modifications_apply_before_clearings():

@@ -133,6 +133,13 @@ def test_annotation_unknown_target():
         parse_model("(spp missing :reward 2)")
 
 
+def test_zero_denominator_reward_is_a_syntax_error():
+    text = WIN_RULE + "(spp recognize-win\n  :reward 1/0)"
+    with pytest.raises(ModelSyntaxError, match="not a number") as excinfo:
+        parse_model(text)
+    assert (excinfo.value.line, excinfo.value.column) == (7, 11)
+
+
 def test_duplicate_reward_annotation_rejected():
     text = WIN_RULE + "(spp recognize-win :reward 2)(spp recognize-win :reward 1)"
     with pytest.raises(ModelSyntaxError, match="two reward"):
@@ -305,6 +312,36 @@ def test_validate_checks_updates_on_untested_buffers():
     assert validate_model(ast) == [
         "rule 'tally' updates unknown slot 'bogus' of type 'count' in buffer 'counter'"
     ]
+
+
+CLEAR_THEN_MODIFY = (
+    "(chunk-type game me)(chunk-type count n)"
+    "(add-dm (g1 isa game me rock) (c1 isa count n one))"
+    "(goal-focus goal g1)(goal-focus counter c1)"
+    "(p drop =goal> isa game me rock ==> -counter> =goal> me paper)"
+    "(p tally =goal> isa game me paper ==> =counter> n two)"
+)
+
+
+def test_validate_flags_modifying_a_cleared_buffer_without_testing_it():
+    # drop empties counter; tally, not testing it, would then modify nothing
+    assert validate_model(parse_model(CLEAR_THEN_MODIFY)) == [
+        "rule 'tally' modifies buffer 'counter' without testing it, "
+        "but a rule clears that buffer"
+    ]
+
+
+def test_validate_accepts_rules_that_test_what_they_modify_and_clear():
+    # updates apply before clearings, and a tested buffer holds a chunk
+    ast = parse_model(
+        "(chunk-type game me)(chunk-type count n)"
+        "(add-dm (g1 isa game me rock) (c1 isa count n one))"
+        "(goal-focus goal g1)(goal-focus counter c1)"
+        "(p tally =goal> isa game me rock =counter> isa count n one"
+        " ==> =counter> n two -counter>)"
+        "(p again =counter> isa count n two ==> =counter> n three)"
+    )
+    assert validate_model(ast) == []
 
 
 # -- tokenizer against the character-by-character reader ----------------------------
