@@ -78,10 +78,6 @@ class ChunkStore:
             raise UnknownSlot(f"type {c.type!r} has no slot {slot!r}")
         c.slot_values[slot] = value
 
-    def get_slot(self, chunk: str, slot: str) -> str | None:
-        """Current value of the slot, or None if it was never set."""
-        return self.chunk(chunk).slot_values.get(slot)
-
     def chunk(self, name: str) -> Chunk:
         try:
             return self._chunks[name]
@@ -96,9 +92,6 @@ class ChunkStore:
 
     def has_chunk(self, name: str) -> bool:
         return name in self._chunks
-
-    def chunks(self):
-        return self._chunks.values()
 
     def check_consistency(self) -> None:
         """Assert the type-consistency conditions; used by property tests."""

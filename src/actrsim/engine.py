@@ -1,5 +1,12 @@
 """The match-select-apply cycle over buffers, rules, and the event queue.
 
+The model is checked once, when the engine is built: ``validate_model``
+diagnostics raise ``ModelSyntaxError``, and a ``!bind!`` naming a provider
+that is not registered raises ``ProviderExhausted``. The cycle then trusts
+the model: every buffer a rule modifies holds a chunk with the updated
+slots, and every right-hand-side variable is bound. Only a provider running
+out of values can fail at run time.
+
 Each firing is one queue event, and at most one is ever pending. Popping it
 applies the rule: the strategy is notified, annotation triggers fire, every
 ``!bind!`` and slot value is evaluated, and all modifications and then all
@@ -35,8 +42,8 @@ from operator import itemgetter
 
 from .buffers import BufferSystem
 from .chunks import ChunkStore
-from .errors import ProviderExhausted
-from .model import MODIFY, ModelAST, is_variable
+from .errors import ModelSyntaxError, ProviderExhausted
+from .model import MODIFY, ModelAST, is_variable, validate_model
 from .scheduler import EventQueue
 from .strategies import refraction_prune
 
@@ -75,7 +82,7 @@ def _flagged(pairs):
     return tuple([(slot, value, is_variable(value)) for slot, value in pairs])
 
 
-def _compile(p):
+def _compile(source_index, p):
     """(name, source_index, tests, actions) in flat tuples, built once per rule.
 
     tests: ((buffer, type, ((slot, expected, is_var), ...)), ...);
@@ -86,7 +93,7 @@ def _compile(p):
         (a.buffer, a.binds, _flagged(a.slot_updates) if a.kind == MODIFY else None)
         for a in p.actions
     ])
-    return p.name, p.source_index, tests, actions
+    return p.name, source_index, tests, actions
 
 
 def _index(productions):
@@ -113,11 +120,23 @@ def _index(productions):
 
 
 class Engine:
-    """One simulation instance: store, buffers, rules, queue, strategy."""
+    """One simulation instance: store, buffers, rules, queue, strategy.
+
+    Raises ModelSyntaxError if validate_model reports anything about the
+    model, and ProviderExhausted if a !bind! names a provider missing from
+    providers, before anything is built.
+    """
 
     def __init__(self, model: ModelAST, strategy, providers=None, refraction=False):
-        self.strategy = strategy
+        diagnostics = validate_model(model)
+        if diagnostics:
+            raise ModelSyntaxError("; ".join(diagnostics))
         self.providers = dict(providers or {})
+        missing = [provider for p in model.productions for action in p.actions
+                   for _, provider in action.binds if provider not in self.providers]
+        if missing:
+            raise ProviderExhausted(f"no provider named {missing[0]!r} registered")
+        self.strategy = strategy
         self.refraction = refraction
         self.refraction_history: set = set()
         self.store = ChunkStore()
@@ -129,10 +148,11 @@ class Engine:
         for buffer, chunk in model.buffer_inits:
             self.buffers.declare_buffer(buffer)
             self.buffers.set_buffer(buffer, chunk)
-        # the matcher reads these dicts directly; both live as long as the engine
+        # the matcher reads and _apply writes these dicts directly
         self._held = self.buffers._held
         self._chunks = self.store._chunks
-        self.productions = [_compile(p) for p in model.productions]
+        # a rule's declaration index is its position, whatever source_index says
+        self.productions = [_compile(i, p) for i, p in enumerate(model.productions)]
         self._index, self._untested = _index(self.productions)
         self.annotations = model.annotations
         self.queue = EventQueue()
@@ -155,8 +175,8 @@ class Engine:
         held, chunks = self._held, self._chunks
         groups = [self._untested] if self._untested else []
         for (buffer, ctype, slots), table in self._index:
-            chunk_name = held.get(buffer)
-            if chunk_name is None:  # undeclared or empty buffer
+            chunk_name = held[buffer]
+            if chunk_name is None:  # a cleared buffer
                 continue
             chunk = chunks[chunk_name]
             if chunk.type != ctype:
@@ -174,8 +194,8 @@ class Engine:
             bindings: dict = {}
             matched = []
             for buffer, ctype, slot_tests in tests:
-                chunk_name = held.get(buffer)
-                if chunk_name is None:  # undeclared or empty buffer
+                chunk_name = held[buffer]
+                if chunk_name is None:  # a cleared buffer
                     break
                 chunk = chunks[chunk_name]
                 if chunk.type != ctype:
@@ -226,17 +246,15 @@ class Engine:
                     for slot, value, is_var in updates
                 )))
         self.trace.append(TraceEntry(now, inst.rule, env, inst.identity()))
+        # validation proved each modified buffer holds a chunk with these slots
         for buffer, updates in modifications:
-            self.buffers.modify_buffer(buffer, updates)
+            self._chunks[self._held[buffer]].slot_values.update(updates)
         for buffer in clearings:
-            self.buffers.clear_buffer(buffer)
+            self._held[buffer] = None  # the chunk stays in the store
 
     def _next_value(self, provider):
-        source = self.providers.get(provider)
-        if source is None:
-            raise ProviderExhausted(f"no provider named {provider!r} registered")
         try:
-            return next(source)
+            return next(self.providers[provider])
         except StopIteration:
             raise ProviderExhausted(f"provider {provider!r} has no next value") from None
 

@@ -41,10 +41,6 @@ class UnknownBuffer(EngineError):
     pass
 
 
-class EmptyBuffer(EngineError):
-    pass
-
-
 # -- scheduler ------------------------------------------------------------------
 
 class TimeInPast(EngineError):

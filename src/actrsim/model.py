@@ -502,6 +502,8 @@ def validate_model(ast: ModelAST) -> list[str]:
     cleared = {a.buffer for p in ast.productions for a in p.actions if a.kind == CLEAR}
     for prod in ast.productions:
         tested = {test.buffer for test in prod.tests}
+        # every tested value: a constant never equals a variable's name
+        bound = {v for test in prod.tests for _, v in test.slot_tests}
         for test in prod.tests:
             if test.buffer not in buffers:
                 out.append(
@@ -518,6 +520,14 @@ def validate_model(ast: ModelAST) -> list[str]:
                         f"of type {test.type!r}"
                     )
         for action in prod.actions:
+            for var, _ in action.binds:  # evaluated in action order
+                bound.add(var)
+            for slot, value in action.slot_updates:
+                if value not in bound and is_variable(value):
+                    out.append(
+                        f"rule {prod.name!r} updates slot {slot!r} with unbound "
+                        f"variable {value!r}"
+                    )
             if action.buffer not in buffers:
                 out.append(
                     f"rule {prod.name!r} acts on undeclared buffer {action.buffer!r}"

@@ -188,10 +188,6 @@ class SuccessCostUtility(ConflictResolutionStrategy):
         self._entry(rule)
         return self._cached[rule][0]
 
-    def cost(self, rule):
-        self._entry(rule)
-        return self._cached[rule][1]
-
     def utility(self, rule):
         self._entry(rule)
         return self._cached[rule][2]

@@ -18,7 +18,6 @@ times are recovered from fire times.
 from fractions import Fraction
 
 from actrsim.engine import Instantiation
-from actrsim.errors import UnknownBuffer
 from actrsim.model import _Token, is_variable
 from actrsim.strategies import reinforcement_update, sc_recompute
 
@@ -67,14 +66,11 @@ def char_tokenize(text: str):
 def linear_scan(engine, productions):
     """One instantiation per rule whose every buffer test succeeds."""
     out = []
-    for prod in productions:
+    for index, prod in enumerate(productions):  # declaration order is position
         bindings: dict = {}
         matched = []
         for test in prod.tests:
-            try:
-                chunk_name = engine.buffers.held(test.buffer)
-            except UnknownBuffer:
-                break
+            chunk_name = engine.buffers.held(test.buffer)
             if chunk_name is None:
                 break
             chunk = engine.store.chunk(chunk_name)
@@ -97,7 +93,7 @@ def linear_scan(engine, productions):
             break
         else:
             out.append(
-                Instantiation(prod.name, prod.source_index, bindings, tuple(matched))
+                Instantiation(prod.name, index, bindings, tuple(matched))
             )
     return out
 

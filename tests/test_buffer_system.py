@@ -1,16 +1,15 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from actrsim.buffers import BufferSystem
 from actrsim.chunks import ChunkStore
-from actrsim.errors import (
-    DuplicateBuffer,
-    EmptyBuffer,
-    UnknownBuffer,
-    UnknownChunk,
-    UnknownSlot,
-)
+from actrsim.engine import Engine
+from actrsim.errors import DuplicateBuffer, ModelSyntaxError, UnknownBuffer, UnknownChunk
+from actrsim.model import parse_model
+from actrsim.strategies import ReinforcementUtility
 
 
 @pytest.fixture
@@ -54,64 +53,87 @@ def test_set_unknown_chunk(system):
         system.set_buffer("goal", "g9")
 
 
-def test_modify_buffer_overwrites_listed_slots(system):
-    system.set_buffer("goal", "g1")
-    system.modify_buffer("goal", (("result", "win"),))
-    chunk = system.store.chunk("g1")
-    assert chunk.slot_values == {"me": "rock", "opponent": "scissors", "result": "win"}
+# -- modifications and clearings, applied by the engine's firing cycle -------------
+
+GAME = (
+    "(chunk-type game me opponent result)"
+    "(add-dm (g1 isa game me rock opponent scissors))"
+    "(goal-focus goal g1)"
+)
 
 
-def test_modify_buffer_empty_description_is_noop(system):
-    system.set_buffer("goal", "g1")
-    before = dict(system.store.chunk("g1").slot_values)
-    system.modify_buffer("goal", ())
-    assert system.store.chunk("g1").slot_values == before
+def fire(model_text, t_limit=Fraction(1)):
+    engine = Engine(parse_model(model_text), ReinforcementUtility())
+    engine.run(t_limit)
+    return engine
 
 
-def test_modify_buffer_resets_slots(system):
-    system.set_buffer("goal", "g1")
-    system.modify_buffer("goal", (("me", "nil"), ("opponent", "nil")))
-    assert system.store.get_slot("g1", "me") == "nil"
-    assert system.store.get_slot("g1", "opponent") == "nil"
+def test_modification_overwrites_listed_slots():
+    engine = fire(GAME + "(p win =goal> isa game me rock ==> =goal> result win)",
+                  Fraction(1, 20))
+    assert engine.store.chunk("g1").slot_values == {
+        "me": "rock", "opponent": "scissors", "result": "win"}
 
 
-def test_modify_empty_buffer(system):
-    with pytest.raises(EmptyBuffer):
-        system.modify_buffer("goal", ())
+def test_empty_modification_is_noop():
+    engine = fire(GAME + "(p idle =goal> isa game me rock ==> =goal>)", Fraction(1, 10))
+    assert [e.rule for e in engine.trace] == ["idle", "idle"]
+    assert engine.store.chunk("g1").slot_values == {"me": "rock", "opponent": "scissors"}
 
 
-def test_modify_unknown_slot(system):
-    system.set_buffer("goal", "g1")
-    with pytest.raises(UnknownSlot):
-        system.modify_buffer("goal", (("score", "3"),))
+def test_modification_resets_slots_to_nil():
+    engine = fire(GAME + "(p reset =goal> isa game me rock ==> =goal> me nil opponent nil)")
+    assert [e.rule for e in engine.trace] == ["reset"]
+    assert engine.store.chunk("g1").slot_values == {"me": "nil", "opponent": "nil"}
 
 
-def test_clear_buffer(system):
-    system.set_buffer("goal", "g1")
-    system.clear_buffer("goal")
-    assert system.held("goal") is None
+def test_modify_empty_buffer():
+    # drop may empty counter before tally, which does not test it, modifies it
+    text = (
+        "(chunk-type game me)(chunk-type count n)"
+        "(add-dm (g1 isa game me rock) (c1 isa count n one))"
+        "(goal-focus goal g1)(goal-focus counter c1)"
+        "(p drop =goal> isa game me rock ==> -counter> =goal> me paper)"
+        "(p tally =goal> isa game me paper ==> =counter> n two)"
+    )
+    with pytest.raises(ModelSyntaxError, match="modifies buffer 'counter' without"):
+        fire(text)
 
 
-def test_clear_is_idempotent(system):
-    system.clear_buffer("goal")
-    system.clear_buffer("goal")
-    assert system.held("goal") is None
+def test_modify_unknown_slot():
+    with pytest.raises(ModelSyntaxError, match="unknown slot 'score'"):
+        fire(GAME + "(p r =goal> isa game me rock ==> =goal> score three)")
 
 
-def test_cleared_chunk_stays_in_store(system):
-    system.set_buffer("goal", "g1")
-    system.clear_buffer("goal")
-    assert system.store.get_slot("g1", "me") == "rock"
+def test_clearing_empties_the_buffer():
+    engine = fire(GAME + "(p done =goal> isa game me rock ==> -goal>)")
+    assert engine.buffers.held("goal") is None
+    assert [e.rule for e in engine.trace] == ["done"]
 
 
-def test_clear_unknown_buffer(system):
-    with pytest.raises(UnknownBuffer):
-        system.clear_buffer("visual")
+def test_clear_is_idempotent():
+    engine = fire(
+        "(chunk-type count n)(add-dm (c1 isa count n one) (c2 isa count n one))"
+        "(goal-focus goal c1)(goal-focus counter c2)"
+        "(p one =goal> isa count n one ==> =goal> n two -counter>)"
+        "(p two =goal> isa count n two ==> -counter> -goal>)"  # counter is empty
+    )
+    assert [e.rule for e in engine.trace] == ["one", "two"]
+    assert engine.buffers.held("goal") is None and engine.buffers.held("counter") is None
 
 
-def test_consistency_after_operations(system):
-    system.set_buffer("goal", "g1")
-    system.modify_buffer("goal", (("me", "paper"),))
-    system.clear_buffer("goal")
-    system.set_buffer("goal", "g2")
-    system.check_consistency()
+def test_cleared_chunk_stays_in_store():
+    engine = fire(GAME + "(p done =goal> isa game me rock ==> -goal>)")
+    assert engine.store.chunk("g1").slot_values == {"me": "rock", "opponent": "scissors"}
+
+
+def test_clear_unknown_buffer():
+    with pytest.raises(ModelSyntaxError, match="acts on undeclared buffer 'visual'"):
+        fire(GAME + "(p r =goal> isa game me rock ==> -visual>)")
+
+
+def test_consistency_after_operations():
+    engine = fire(GAME + "(p reset =goal> isa game me rock ==> =goal> me paper -goal>)")
+    engine.buffers.set_buffer("goal", "g1")
+    engine.buffers.check_consistency()
+    engine.store.check_consistency()

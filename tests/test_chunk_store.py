@@ -45,7 +45,7 @@ def test_duplicate_slot_rejected(store):
 def test_create_chunk(store):
     chunk = store.create_chunk("g1", "game", {"me": "nil", "opponent": "nil"})
     assert chunk.slot_values == {"me": "nil", "opponent": "nil"}
-    assert store.get_slot("g1", "me") == "nil"
+    assert store.chunk("g1").slot_values.get("me") == "nil"
 
 
 def test_create_chunk_generates_fresh_names(store):
@@ -79,14 +79,14 @@ def test_create_chunk_duplicate_name(store):
 def test_set_slot(store):
     store.create_chunk("g1", "game", {})
     store.set_slot("g1", "result", "win")
-    assert store.get_slot("g1", "result") == "win"
+    assert store.chunk("g1").slot_values.get("result") == "win"
 
 
 def test_set_slot_overwrites_single_value(store):
     store.create_chunk("g1", "game", {})
     store.set_slot("g1", "me", "rock")
     store.set_slot("g1", "me", "paper")
-    assert store.get_slot("g1", "me") == "paper"
+    assert store.chunk("g1").slot_values.get("me") == "paper"
     assert list(store.chunk("g1").slot_values.items()) == [("me", "paper")]
 
 
@@ -101,14 +101,14 @@ def test_set_slot_unknown_chunk(store):
         store.set_slot("missing", "me", "rock")
 
 
-def test_get_slot_unset_is_empty(store):
+def test_unset_slot_reads_none(store):
     store.create_chunk("g1", "game", {})
-    assert store.get_slot("g1", "me") is None
+    assert store.chunk("g1").slot_values.get("me") is None
 
 
-def test_get_slot_unknown_chunk(store):
+def test_chunk_lookup_of_unknown_name(store):
     with pytest.raises(UnknownChunk):
-        store.get_slot("missing", "me")
+        store.chunk("missing")
 
 
 def test_consistency_after_random_operations():
@@ -129,6 +129,6 @@ def test_consistency_after_random_operations():
                 store.set_slot(rng.choice(names), "nope", "x")
         store.check_consistency()
     # every chunk still has exactly one type and only declared slots
-    for chunk in store.chunks():
+    for chunk in map(store.chunk, names):
         assert chunk.type == "t"
         assert set(chunk.slot_values) <= set(slots)

@@ -12,7 +12,7 @@ from actrsim.engine import (
     Engine,
     format_trace_entry,
 )
-from actrsim.errors import ProviderExhausted
+from actrsim.errors import ModelSyntaxError, ProviderExhausted
 from actrsim.experiment import builtin_samples
 from actrsim.model import (
     CLEAR,
@@ -24,6 +24,7 @@ from actrsim.model import (
     Production,
     is_variable,
     parse_model,
+    validate_model,
 )
 from actrsim.strategies import RandomCostUtility, ReinforcementUtility, SuccessCostUtility
 
@@ -158,7 +159,7 @@ def test_rule_with_no_actions_only_reschedules_match():
     engine.run(Fraction(1, 20))
     assert [e.rule for e in engine.trace] == ["idle"]
     # buffers untouched; the follow-up match re-selected on the unchanged state
-    assert engine.store.get_slot("g1", "me") == "rock"
+    assert engine.store.chunk("g1").slot_values.get("me") == "rock"
     event = pending_firing(engine)
     assert event.payload.rule == "idle" and event.time == 100  # 0.1 s
 
@@ -166,8 +167,8 @@ def test_rule_with_no_actions_only_reschedules_match():
 def test_effects_apply_before_next_match(rps_model):
     engine = Engine(rps_model, ReinforcementUtility(), {"next-move": iter(["rock"])})
     engine.run(Fraction(1, 20))  # play-scissors fires at 0.05
-    assert engine.store.get_slot("g1", "me") == "scissors"
-    assert engine.store.get_slot("g1", "opponent") == "rock"
+    assert engine.store.chunk("g1").slot_values.get("me") == "scissors"
+    assert engine.store.chunk("g1").slot_values.get("opponent") == "rock"
     # the 0.05 match already selected detect-defeat-scissors on the new state
     event = pending_firing(engine)
     assert event.payload.rule == "detect-defeat-scissors"
@@ -188,9 +189,8 @@ def test_provider_exhausted(rps_model):
 
 
 def test_missing_provider(rps_model):
-    engine = Engine(rps_model, ReinforcementUtility(), {})
     with pytest.raises(ProviderExhausted, match="no provider"):
-        engine.run(Fraction(2))
+        Engine(rps_model, ReinforcementUtility(), {})
 
 
 def test_clearing_action_empties_buffer():
@@ -203,7 +203,7 @@ def test_clearing_action_empties_buffer():
     engine = engine_for(model)
     engine.run(Fraction(1))
     assert engine.buffers.held("goal") is None
-    assert engine.store.get_slot("g1", "me") == "rock"  # chunk survives
+    assert engine.store.chunk("g1").slot_values.get("me") == "rock"  # chunk survives
     assert [e.rule for e in engine.trace] == ["done"]  # cannot rematch, halts
 
 
@@ -281,8 +281,41 @@ def test_modifications_apply_before_clearings():
     engine = engine_for(model)
     engine.run(Fraction(1))
     assert engine.buffers.held("goal") is None
-    assert engine.store.get_slot("g1", "me") == "paper"
+    assert engine.store.chunk("g1").slot_values.get("me") == "paper"
     assert [e.rule for e in engine.trace] == ["reset"]
+
+
+def one_buffer_model(*productions):
+    return ModelAST(
+        chunk_types=(ChunkType("game", ("me",)),),
+        initial_chunks=(ChunkSpec("g1", "game", (("me", "rock"),)),),
+        buffer_inits=(("goal", "g1"),),
+        productions=productions,
+    )
+
+
+def write_me(name, expects, writes, source_index):
+    return Production(name, (BufferTest("goal", "game", (("me", expects),)),),
+                      (Action(MODIFY, "goal", (("me", writes),)),), source_index)
+
+
+def test_rules_apply_their_own_actions_whatever_their_source_index():
+    # the declaration index is the rule's position, not its source_index
+    model = one_buffer_model(write_me("a", "rock", "paper", 1),
+                             write_me("b", "scissors", "scissors", 0))
+    engine = engine_for(model)
+    engine.run(Fraction(1, 20))
+    assert [e.rule for e in engine.trace] == ["a"]
+    assert engine.store.chunk("g1").slot_values == {"me": "paper"}
+
+
+def test_unbound_rhs_variable_is_rejected_when_the_engine_is_built():
+    # built by hand: the parser refuses this rule with UnboundRhsVariable
+    model = one_buffer_model(write_me("r", "rock", "=x", 0))
+    diagnostic = "rule 'r' updates slot 'me' with unbound variable '=x'"
+    assert validate_model(model) == [diagnostic]
+    with pytest.raises(ModelSyntaxError, match=diagnostic):
+        engine_for(model)
 
 
 # -- indexed matcher against the uncompiled linear scan ----------------------------
@@ -326,25 +359,31 @@ def test_compiled_matcher_equals_oracle_on_bundled_model(rps_model):
             assert cycles
 
 
+ACROSS_BUFFERS = (
+    "(chunk-type game me opponent result)(chunk-type count n)"
+    "(add-dm (g1 isa game me rock) (c1 isa count n one))"
+    "(goal-focus goal g1)(goal-focus counter c1)"
+    "(p step =goal> isa game me =m =counter> isa count n =n"
+    " ==> =goal> result =n =counter> n two)"
+    "(p wrong-type =goal> isa count n one ==> -goal>)"
+    "(p finish =goal> isa game result two =counter> isa count n two"
+    " ==> -goal> =counter> n three)"
+    "(p after =counter> isa count n three ==> -counter>)"
+)
+
+
 def test_compiled_matcher_equals_oracle_across_buffers_and_types():
-    # two buffers, clearings, a test on an undeclared buffer and a type mismatch
-    model = parse_model(
-        "(chunk-type game me opponent result)(chunk-type count n)"
-        "(add-dm (g1 isa game me rock) (c1 isa count n one))"
-        "(goal-focus goal g1)(goal-focus counter c1)"
-        "(p step =goal> isa game me =m =counter> isa count n =n"
-        " ==> =goal> result =n =counter> n two)"
-        "(p wrong-type =goal> isa count n one ==> -goal>)"
-        "(p elsewhere =visual> isa game ==> -goal>)"
-        "(p finish =goal> isa game result two =counter> isa count n two"
-        " ==> -goal> =counter> n three)"
-        "(p after =counter> isa count n three ==> -counter>)"
-    )
+    # two buffers, clearings and a type mismatch
+    model = parse_model(ACROSS_BUFFERS)
     engine = engine_for(model)
     cycles = check_every_cycle(engine, model)
     engine.run(Fraction(1))
     assert [e.rule for e in engine.trace] == ["step", "step", "finish", "after"]
     assert len(cycles) == 5
+    # a rule testing an undeclared buffer never reaches the matcher
+    elsewhere = ACROSS_BUFFERS + "(p elsewhere =visual> isa game ==> -goal>)"
+    with pytest.raises(ModelSyntaxError, match="undeclared buffer 'visual'"):
+        engine_for(parse_model(elsewhere))
 
 
 # each buffer's type; the last slot of each type is never set

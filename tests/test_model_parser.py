@@ -292,6 +292,22 @@ def test_validate_flags_undeclared_buffer():
     assert any("undeclared buffer 'visual'" in d for d in diagnostics)
 
 
+def test_validate_flags_variables_bound_only_by_a_later_bind():
+    # the engine evaluates each action's !bind! entries before its updates
+    ast = parse_model(
+        "(chunk-type game me opponent)(add-dm (g1 isa game me rock))(goal-focus goal g1)"
+        "(p r =goal> isa game me =m ==> =goal> me =m !bind! =p next =goal> opponent =p)"
+    )
+    assert validate_model(ast) == []
+    rule = ast.productions[0]
+    early, late = rule.actions
+    early = replace(early, slot_updates=(("me", "=p"),))
+    bad = replace(ast, productions=(replace(rule, actions=(early, late)),))
+    assert validate_model(bad) == [
+        "rule 'r' updates slot 'me' with unbound variable '=p'"
+    ]
+
+
 def test_validate_flags_unknown_type_and_chunk():
     ast = parse_model(
         "(chunk-type game me)(add-dm (g1 isa deal))(goal-focus goal g2)"

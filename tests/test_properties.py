@@ -4,23 +4,29 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from actrsim.engine import Engine, format_trace_entry
+from actrsim.errors import ModelSyntaxError, ProviderExhausted
 from actrsim.experiment import (
     HarnessConfig,
     builtin_samples,
     report_to_csv,
     run_experiment,
 )
+from actrsim.model import validate_model
 from actrsim.strategies import (
+    ReinforcementUtility,
     SuccessCostUtility,
     draw_random_cost,
     sc_recompute,
 )
 
 from oracle import replay_reinforcement, replay_success_cost
-from actrsim.strategies import ReinforcementUtility
+from test_engine import two_buffer_model
+from test_model_parser import model_asts
+from test_refraction import random_model, strategy_for
 
 
 def test_random_cost_draws_are_nonnegative():
@@ -95,3 +101,46 @@ def test_buffers_always_hold_known_chunks(rps_model):
     engine.run(Fraction(2))
     engine.buffers.check_consistency()
     engine.store.check_consistency()
+
+
+# -- a validated model fails at run time only when a provider runs out -------------
+
+def run_under_every_strategy(model) -> int:
+    """Run `model` to 2 s under each strategy, with and without refraction.
+
+    Every !bind! provider yields three moves. Returns how many runs ended
+    with ProviderExhausted; any other error fails the calling test.
+    """
+    providers = {provider for p in model.productions for action in p.actions
+                 for _, provider in action.binds}
+    exhausted = 0
+    for index in range(6):
+        engine = Engine(model, strategy_for(index, index),
+                        {name: iter(["rock", "paper", "rock"]) for name in providers},
+                        refraction=index >= 3)
+        try:
+            engine.run(Fraction(2))
+        except ProviderExhausted:
+            exhausted += 1
+    return exhausted
+
+
+@given(model_asts())
+def test_engine_accepts_exactly_the_validated_models(ast):
+    diagnostics = validate_model(ast)
+    if diagnostics:
+        with pytest.raises(ModelSyntaxError) as error:
+            Engine(ast, ReinforcementUtility())
+        assert str(error.value) == "; ".join(diagnostics)
+    else:
+        run_under_every_strategy(ast)
+
+
+def test_validated_models_raise_only_provider_exhausted(rps_model):
+    rng = random.Random(63)
+    for _ in range(100):
+        for model in (random_model(rng), two_buffer_model(rng)):
+            assert validate_model(model) == []
+            assert run_under_every_strategy(model) == 0  # no !bind! to run out
+    # 3 moves last 3 of 20 rounds; under refraction the game halts after round 3
+    assert run_under_every_strategy(rps_model) == 3
