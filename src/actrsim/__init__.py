@@ -10,7 +10,8 @@ bundled rock-paper-scissors model against three opponent profiles.
 
 from .buffers import BufferSystem
 from .chunks import Chunk, ChunkStore, ChunkType, NIL
-from .engine import Engine, Instantiation, TraceEntry, format_trace_entry
+from .engine import (Engine, Instantiation, Program, TraceEntry, compile_model,
+                     format_trace_entry)
 from .errors import EngineError
 from .model import (
     Action,
@@ -53,10 +54,12 @@ __all__ = [
     "ModelAST",
     "NIL",
     "Production",
+    "Program",
     "RandomCostUtility",
     "ReinforcementUtility",
     "SuccessCostUtility",
     "TraceEntry",
+    "compile_model",
     "draw_random_cost",
     "format_model",
     "format_trace_entry",

@@ -3,8 +3,8 @@
     actrsim run --model rps.model --player 1 --strategy reinforcement
 
 Reports go to standard output as CSV (or JSON with --format json); traces go
-to standard error or --trace-file. Exit codes: 0 on success, 1 on parse or
-validation errors, 2 on runtime errors such as an exhausted move provider.
+to standard error or --trace-file. Exit codes: 0 on success, 1 on bad input
+(found before any run), 2 on runtime errors such as an exhausted move provider.
 """
 
 import argparse
@@ -13,9 +13,9 @@ import sys
 from fractions import Fraction
 
 from . import experiment
-from .engine import format_trace_entry
-from .errors import EngineError, ModelSyntaxError
-from .model import parse_model, validate_model
+from .engine import compile_model, format_trace_entry
+from .errors import EngineError
+from .model import parse_model
 from .strategies import TIEBREAK_POLICIES
 
 
@@ -69,11 +69,9 @@ def _load_model(args):
             text = handle.read()
     else:
         text = experiment.builtin_model_text()
-    ast = parse_model(text)
-    diagnostics = validate_model(ast)
-    if diagnostics:
-        raise ModelSyntaxError("; ".join(diagnostics))
-    return ast
+    program = compile_model(parse_model(text))
+    program.check_providers(experiment.PROVIDERS)  # before --trace-file is opened
+    return program
 
 
 def _load_samples(args):
@@ -104,7 +102,7 @@ def run_command(args, out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     try:
         _check_config(args)
-        model = _load_model(args)
+        program = _load_model(args)
         samples = _load_samples(args)
         trace_file = None
         if args.trace_file:  # opened first, so a bad path fails before the run
@@ -125,7 +123,7 @@ def run_command(args, out=None, err=None) -> int:
     trace_sink = [] if (args.trace or args.trace_file) else None
     with trace_file or contextlib.nullcontext():
         try:
-            report = experiment.run_experiment(model, config, samples, trace_sink)
+            report = experiment.run_experiment(program, config, samples, trace_sink)
         except EngineError as exc:
             print(f"actrsim: runtime error: {exc}", file=err)
             return 2

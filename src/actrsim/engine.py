@@ -1,11 +1,11 @@
 """The match-select-apply cycle over buffers, rules, and the event queue.
 
-The model is checked once, when the engine is built: ``validate_model``
-diagnostics raise ``ModelSyntaxError``, and a ``!bind!`` naming a provider
-that is not registered raises ``ProviderExhausted``. The cycle then trusts
-the model: every buffer a rule modifies holds a chunk with the updated
-slots, and every right-hand-side variable is bound. Only a provider running
-out of values can fail at run time.
+A model is checked and compiled once, by ``compile_model``, into a
+``Program``: the immutable rules, index and initial state its runs share.
+An ``Engine`` is one run, its state the ``held`` and ``chunks`` dicts. It
+checks its providers when built, then trusts the program: every modified
+buffer holds a chunk with the updated slots, and every right-hand-side
+variable is bound. Only a provider running out of values fails at run time.
 
 Each firing is one queue event, and at most one is ever pending. Popping it
 applies the rule: the strategy is notified, annotation triggers fire, every
@@ -19,7 +19,7 @@ queue stays empty and the run halts.
 
 Matching is indexed, after the alpha memories of Rete (Forgy 1982) without
 its beta network: a buffer holds one chunk and there are no requests, so
-nothing needs to be joined across cycles. When the engine is built, rules
+nothing needs to be joined across cycles. When the model is compiled, rules
 are grouped by their first buffer test, keyed by (buffer, type, slots that
 test compares with constants), and within a group by the tuple of those
 constants. Each match cycle looks up every group's key with the values its
@@ -40,8 +40,7 @@ from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
 
-from .buffers import BufferSystem
-from .chunks import ChunkStore
+from .chunks import Chunk
 from .errors import ModelSyntaxError, ProviderExhausted
 from .model import MODIFY, ModelAST, is_variable, validate_model
 from .scheduler import EventQueue
@@ -116,45 +115,62 @@ def _index(productions):
         slots = tuple([slot for slot, _, is_var in slot_tests if not is_var])
         values = tuple([value for _, value, is_var in slot_tests if not is_var])
         index.setdefault((buffer, ctype, slots), {}).setdefault(values, []).append(rule)
-    return list(index.items()), untested
+    return tuple(index.items()), tuple(untested)
+
+
+@dataclass(frozen=True)
+class Program:
+    """A checked, compiled model: all that its runs share, and never write.
+
+    providers names each !bind! provider once; index and untested: see _index.
+    """
+
+    rules: tuple
+    index: tuple
+    untested: tuple
+    annotations: dict  # rule name -> Annotation
+    providers: tuple[str, ...]
+    chunk_specs: tuple  # the initial chunks, ChunkSpec, ...
+    buffer_inits: tuple[tuple[str, str], ...]
+
+    def check_providers(self, names) -> None:
+        """Raise ProviderExhausted unless every provider is among names."""
+        missing = [provider for provider in self.providers if provider not in names]
+        if missing:
+            raise ProviderExhausted(f"no provider named {missing[0]!r} registered")
+
+
+def compile_model(model: ModelAST | Program) -> Program:
+    """The model checked (raising ModelSyntaxError) and compiled; a Program as is."""
+    if isinstance(model, Program):
+        return model
+    diagnostics = validate_model(model)
+    if diagnostics:
+        raise ModelSyntaxError("; ".join(diagnostics))
+    rules = tuple([_compile(i, p) for i, p in enumerate(model.productions)])
+    providers = dict.fromkeys(provider for p in model.productions
+                              for action in p.actions for _, provider in action.binds)
+    return Program(rules, *_index(rules), model.annotations, tuple(providers),
+                   model.initial_chunks, model.buffer_inits)
 
 
 class Engine:
-    """One simulation instance: store, buffers, rules, queue, strategy.
+    """One run of a Program, or of a ModelAST that compile_model compiles first.
 
-    Raises ModelSyntaxError if validate_model reports anything about the
-    model, and ProviderExhausted if a !bind! names a provider missing from
-    providers, before anything is built.
+    held maps each buffer to its chunk's name (None once cleared), and
+    chunks each chunk's name to a Chunk with this run's slot values.
     """
 
-    def __init__(self, model: ModelAST, strategy, providers=None, refraction=False):
-        diagnostics = validate_model(model)
-        if diagnostics:
-            raise ModelSyntaxError("; ".join(diagnostics))
+    def __init__(self, model, strategy, providers=None, refraction=False):
+        self.program = program = compile_model(model)
         self.providers = dict(providers or {})
-        missing = [provider for p in model.productions for action in p.actions
-                   for _, provider in action.binds if provider not in self.providers]
-        if missing:
-            raise ProviderExhausted(f"no provider named {missing[0]!r} registered")
+        program.check_providers(self.providers)
         self.strategy = strategy
         self.refraction = refraction
         self.refraction_history: set = set()
-        self.store = ChunkStore()
-        for ctype in model.chunk_types:
-            self.store.define_chunk_type(ctype.name, ctype.slots)
-        for spec in model.initial_chunks:
-            self.store.create_chunk(spec.name, spec.type, dict(spec.slot_values))
-        self.buffers = BufferSystem(self.store)
-        for buffer, chunk in model.buffer_inits:
-            self.buffers.declare_buffer(buffer)
-            self.buffers.set_buffer(buffer, chunk)
-        # the matcher reads and _apply writes these dicts directly
-        self._held = self.buffers._held
-        self._chunks = self.store._chunks
-        # a rule's declaration index is its position, whatever source_index says
-        self.productions = [_compile(i, p) for i, p in enumerate(model.productions)]
-        self._index, self._untested = _index(self.productions)
-        self.annotations = model.annotations
+        self.held = dict(program.buffer_inits)
+        self.chunks = {spec.name: Chunk(spec.name, spec.type, dict(spec.slot_values))
+                       for spec in program.chunk_specs}
         self.queue = EventQueue()
         self.trace: list[TraceEntry] = []
         self._now_tick = 0
@@ -172,9 +188,9 @@ class Engine:
 
     def find_instantiations(self) -> list[Instantiation]:
         """One instantiation per rule whose every buffer test succeeds."""
-        held, chunks = self._held, self._chunks
-        groups = [self._untested] if self._untested else []
-        for (buffer, ctype, slots), table in self._index:
+        held, chunks, program = self.held, self.chunks, self.program
+        groups = [program.untested] if program.untested else []
+        for (buffer, ctype, slots), table in program.index:
             chunk_name = held[buffer]
             if chunk_name is None:  # a cleared buffer
                 continue
@@ -223,7 +239,7 @@ class Engine:
     def _apply(self, inst: Instantiation):
         now = self.now()
         self.strategy.record_application(inst.rule, inst.selection_time)
-        annotation = self.annotations.get(inst.rule)
+        annotation = self.program.annotations.get(inst.rule)
         if annotation is not None:
             if annotation.reward is not None:
                 self.strategy.trigger_reward(annotation.reward, now)
@@ -235,9 +251,13 @@ class Engine:
             self.refraction_history.add(inst.identity())
         env = dict(inst.bindings)
         modifications, clearings = [], []
-        for buffer, binds, updates in self.productions[inst.source_index][3]:
+        for buffer, binds, updates in self.program.rules[inst.source_index][3]:
             for variable, provider in binds:
-                env[variable] = self._next_value(provider)
+                try:
+                    env[variable] = next(self.providers[provider])
+                except StopIteration:
+                    raise ProviderExhausted(
+                        f"provider {provider!r} has no next value") from None
             if updates is None:
                 clearings.append(buffer)
             else:
@@ -248,15 +268,9 @@ class Engine:
         self.trace.append(TraceEntry(now, inst.rule, env, inst.identity()))
         # validation proved each modified buffer holds a chunk with these slots
         for buffer, updates in modifications:
-            self._chunks[self._held[buffer]].slot_values.update(updates)
+            self.chunks[self.held[buffer]].slot_values.update(updates)
         for buffer in clearings:
-            self._held[buffer] = None  # the chunk stays in the store
-
-    def _next_value(self, provider):
-        try:
-            return next(self.providers[provider])
-        except StopIteration:
-            raise ProviderExhausted(f"provider {provider!r} has no next value") from None
+            self.held[buffer] = None  # the chunk stays in chunks
 
     # -- driver --------------------------------------------------------------
 

@@ -14,13 +14,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
-from .engine import Engine
+from .engine import Engine, Program, compile_model
 from .errors import EmptyResults, MalformedMove, WrongLength
 from .model import ModelAST
 from .strategies import STRATEGIES, RandomCostUtility
 
 MOVES_PER_SAMPLE = 20
 MOVE_NAMES = {"r": "rock", "p": "paper", "s": "scissors"}
+PROVIDERS = ("next-move",)  # the providers a run registers: the opponent's moves
 
 PLAY_RULES = ("play-rock", "play-paper", "play-scissors")
 OUTCOME_PREFIXES = (
@@ -131,10 +132,10 @@ def build_strategy(config: HarnessConfig, run_seed: int):
     return cls(goal_value=config.goal_value, tiebreak=config.tiebreak)
 
 
-def run_single(model: ModelAST, config: HarnessConfig, sample: Sample,
+def run_single(model: Program | ModelAST, config: HarnessConfig, sample: Sample,
                row_index: int, run_seed: int, trace_sink=None) -> RunResult:
     strategy = build_strategy(config, run_seed)
-    providers = {"next-move": iter(MOVE_NAMES[m] for m in sample.moves)}
+    providers = {PROVIDERS[0]: iter(MOVE_NAMES[m] for m in sample.moves)}
     engine = Engine(model, strategy, providers, refraction=config.refraction)
     trace = engine.run(config.t_limit)
     if trace_sink is not None:
@@ -149,14 +150,15 @@ def run_single(model: ModelAST, config: HarnessConfig, sample: Sample,
     return RunResult(row_index, utilities, tally["win"], tally["draw"], tally["defeat"])
 
 
-def run_experiment(model: ModelAST, config: HarnessConfig, samples,
+def run_experiment(model: Program | ModelAST, config: HarnessConfig, samples,
                    trace_sink=None) -> Report:
+    program = compile_model(model)  # once: every run shares it
     rows = []
     for sample in samples:
         for _ in range(config.runs):
             ordinal = len(rows) + 1
             rows.append(run_single(
-                model, config, sample, ordinal, config.seed + ordinal - 1, trace_sink
+                program, config, sample, ordinal, config.seed + ordinal - 1, trace_sink
             ))
     report = summarize(rows)
     return Report(report.rows, report.averages, config_echo(config))

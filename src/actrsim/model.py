@@ -66,7 +66,6 @@ class Production:
     name: str
     tests: tuple[BufferTest, ...]
     actions: tuple[Action, ...]
-    source_index: int
 
 
 @dataclass(frozen=True)
@@ -261,9 +260,7 @@ class _ModelReader:
             )
         tests = self._tests(name, body[: arrow[0]])
         actions = self._actions(name, tests, body[arrow[0] + 1 :])
-        self.productions.append(
-            Production(name, tests, actions, len(self.productions))
-        )
+        self.productions.append(Production(name, tests, actions))
         self.rule_names.add(name)
 
     def _tests(self, rule, items):

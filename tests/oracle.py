@@ -4,9 +4,8 @@
 for differential tests of the regular-expression tokenizer.
 
 `linear_scan` matches the uncompiled rules of a `ModelAST` against an
-engine's buffers through the public buffer and store calls, one rule and
-one slot test at a time, for differential tests of the engine's indexed
-matcher.
+engine's `held` and `chunks` dicts, one rule and one slot test at a time,
+for differential tests of the engine's indexed matcher.
 
 The replay oracles recompute expected subsymbolic state directly from a
 firing trace and the rule annotations, without the engine, queue, or
@@ -70,10 +69,10 @@ def linear_scan(engine, productions):
         bindings: dict = {}
         matched = []
         for test in prod.tests:
-            chunk_name = engine.buffers.held(test.buffer)
+            chunk_name = engine.held[test.buffer]
             if chunk_name is None:
                 break
-            chunk = engine.store.chunk(chunk_name)
+            chunk = engine.chunks[chunk_name]
             if chunk.type != test.type:
                 break
             snapshot = []

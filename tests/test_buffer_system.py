@@ -11,6 +11,8 @@ from actrsim.errors import DuplicateBuffer, ModelSyntaxError, UnknownBuffer, Unk
 from actrsim.model import parse_model
 from actrsim.strategies import ReinforcementUtility
 
+from test_properties import assert_consistent
+
 
 @pytest.fixture
 def system():
@@ -71,20 +73,20 @@ def fire(model_text, t_limit=Fraction(1)):
 def test_modification_overwrites_listed_slots():
     engine = fire(GAME + "(p win =goal> isa game me rock ==> =goal> result win)",
                   Fraction(1, 20))
-    assert engine.store.chunk("g1").slot_values == {
+    assert engine.chunks["g1"].slot_values == {
         "me": "rock", "opponent": "scissors", "result": "win"}
 
 
 def test_empty_modification_is_noop():
     engine = fire(GAME + "(p idle =goal> isa game me rock ==> =goal>)", Fraction(1, 10))
     assert [e.rule for e in engine.trace] == ["idle", "idle"]
-    assert engine.store.chunk("g1").slot_values == {"me": "rock", "opponent": "scissors"}
+    assert engine.chunks["g1"].slot_values == {"me": "rock", "opponent": "scissors"}
 
 
 def test_modification_resets_slots_to_nil():
     engine = fire(GAME + "(p reset =goal> isa game me rock ==> =goal> me nil opponent nil)")
     assert [e.rule for e in engine.trace] == ["reset"]
-    assert engine.store.chunk("g1").slot_values == {"me": "nil", "opponent": "nil"}
+    assert engine.chunks["g1"].slot_values == {"me": "nil", "opponent": "nil"}
 
 
 def test_modify_empty_buffer():
@@ -107,7 +109,7 @@ def test_modify_unknown_slot():
 
 def test_clearing_empties_the_buffer():
     engine = fire(GAME + "(p done =goal> isa game me rock ==> -goal>)")
-    assert engine.buffers.held("goal") is None
+    assert engine.held["goal"] is None
     assert [e.rule for e in engine.trace] == ["done"]
 
 
@@ -119,12 +121,12 @@ def test_clear_is_idempotent():
         "(p two =goal> isa count n two ==> -counter> -goal>)"  # counter is empty
     )
     assert [e.rule for e in engine.trace] == ["one", "two"]
-    assert engine.buffers.held("goal") is None and engine.buffers.held("counter") is None
+    assert engine.held["goal"] is None and engine.held["counter"] is None
 
 
 def test_cleared_chunk_stays_in_store():
     engine = fire(GAME + "(p done =goal> isa game me rock ==> -goal>)")
-    assert engine.store.chunk("g1").slot_values == {"me": "rock", "opponent": "scissors"}
+    assert engine.chunks["g1"].slot_values == {"me": "rock", "opponent": "scissors"}
 
 
 def test_clear_unknown_buffer():
@@ -133,7 +135,10 @@ def test_clear_unknown_buffer():
 
 
 def test_consistency_after_operations():
-    engine = fire(GAME + "(p reset =goal> isa game me rock ==> =goal> me paper -goal>)")
-    engine.buffers.set_buffer("goal", "g1")
-    engine.buffers.check_consistency()
-    engine.store.check_consistency()
+    model = parse_model(
+        GAME + "(p reset =goal> isa game me rock ==> =goal> me paper -goal>)")
+    engine = Engine(model, ReinforcementUtility())
+    engine.run(Fraction(1))
+    assert engine.held == {"goal": None}
+    assert engine.chunks["g1"].slot_values == {"me": "paper", "opponent": "scissors"}
+    assert_consistent(engine, model)

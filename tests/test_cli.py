@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from actrsim.cli import main
 from actrsim.experiment import builtin_model_text
+from actrsim.model import _tokenize
 
 from test_model_parser import CLEAR_THEN_MODIFY
 
@@ -105,6 +111,19 @@ def test_clearing_a_buffer_another_rule_modifies_untested_exits_1(tmp_path, caps
     assert "rule 'tally' modifies buffer 'counter'" in err
 
 
+def test_unknown_provider_exits_1_before_the_trace_file_is_opened(tmp_path, capsys):
+    model = tmp_path / "typo.model"
+    model.write_text(builtin_model_text().replace("next-move", "next-mov"),
+                     encoding="utf-8")
+    trace_path = tmp_path / "run.trace"
+    code, out, err = run_cli(capsys, "run", "--model", str(model), "--player", "2",
+                             "--trace-file", str(trace_path))
+    assert code == 1
+    assert out == ""
+    assert err == "actrsim: no provider named 'next-mov' registered\n"
+    assert not trace_path.exists()
+
+
 def test_json_format(capsys):
     code, out, _ = run_cli(
         capsys, "run", "--player", "1", "--format", "json",
@@ -169,3 +188,71 @@ def test_sample_selector_out_of_range(capsys):
     code, _, err = run_cli(capsys, "run", "--player", "2", "--sample", "21")
     assert code == 1
     assert "out of range" in err
+
+
+# -- fuzz: mutated model text under varied flags ----------------------------------------
+
+MODEL_TOKENS = [token.text for token in _tokenize(builtin_model_text())]
+VALUES = ["rock", "paper", "scissors", "nil", "=x", "=y", "next-move", "next-mov"]
+PIECES = VALUES + ["1/0", "+goal>", "=visual>", "!output!", "add-dm", "(", ")"] + sorted(
+    set(MODEL_TOKENS))
+
+
+@st.composite
+def mutated_models(draw):
+    """The bundled model's tokens with 1-4 deleted, inserted or substituted.
+
+    In half the models every edit swaps one value for another, so that most
+    of those still parse and many run.
+    """
+    tokens = list(MODEL_TOKENS)
+    values_only = draw(st.booleans())
+    for _ in range(draw(st.integers(1, 4))):
+        if values_only:
+            at = draw(st.sampled_from([i for i, t in enumerate(tokens) if t in VALUES]))
+            tokens[at] = draw(st.sampled_from(VALUES))
+            continue
+        at = draw(st.integers(0, len(tokens) - 1))
+        edit = draw(st.sampled_from(["substitute", "insert", "delete"]))
+        if edit == "delete":
+            del tokens[at]
+        elif edit == "insert":
+            tokens.insert(at, draw(st.sampled_from(PIECES)))
+        else:
+            tokens[at] = draw(st.sampled_from(PIECES))
+    return " ".join(tokens)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    text=mutated_models(),
+    player=st.integers(1, 3),
+    strategy=st.sampled_from(["reinforcement", "success-cost", "random-cost"]),
+    refraction=st.booleans(),
+    runs=st.sampled_from([1, 0, 2]),
+    sample=st.sampled_from([None, 1, 0, 21, 2]),
+    t_limit=st.sampled_from(["2", "1/2", "5", "0"]),
+    fmt=st.sampled_from(["csv", "json"]),
+)
+def test_cli_exits_0_1_or_2_with_one_line_on_error(
+        text, player, strategy, refraction, runs, sample, t_limit, fmt):
+    with tempfile.TemporaryDirectory() as directory:
+        model = Path(directory) / "mutated.model"
+        model.write_text(text, encoding="utf-8")
+        argv = ["run", "--model", str(model), "--player", str(player),
+                "--strategy", strategy, "--runs", str(runs), "--t-limit", t_limit,
+                "--format", fmt]
+        argv += ["--refraction"] * refraction
+        argv += [] if sample is None else ["--sample", str(sample)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as stop:  # argparse's usage error
+                assert stop.code == 2
+                return
+    assert code in (0, 1, 2)
+    if code:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("actrsim: ")

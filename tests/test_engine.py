@@ -10,6 +10,7 @@ from actrsim.chunks import ChunkType
 from actrsim.engine import (
     FIRE_LATENCY_TICKS,
     Engine,
+    compile_model,
     format_trace_entry,
 )
 from actrsim.errors import ModelSyntaxError, ProviderExhausted
@@ -159,7 +160,7 @@ def test_rule_with_no_actions_only_reschedules_match():
     engine.run(Fraction(1, 20))
     assert [e.rule for e in engine.trace] == ["idle"]
     # buffers untouched; the follow-up match re-selected on the unchanged state
-    assert engine.store.chunk("g1").slot_values.get("me") == "rock"
+    assert engine.chunks["g1"].slot_values.get("me") == "rock"
     event = pending_firing(engine)
     assert event.payload.rule == "idle" and event.time == 100  # 0.1 s
 
@@ -167,8 +168,8 @@ def test_rule_with_no_actions_only_reschedules_match():
 def test_effects_apply_before_next_match(rps_model):
     engine = Engine(rps_model, ReinforcementUtility(), {"next-move": iter(["rock"])})
     engine.run(Fraction(1, 20))  # play-scissors fires at 0.05
-    assert engine.store.chunk("g1").slot_values.get("me") == "scissors"
-    assert engine.store.chunk("g1").slot_values.get("opponent") == "rock"
+    assert engine.chunks["g1"].slot_values.get("me") == "scissors"
+    assert engine.chunks["g1"].slot_values.get("opponent") == "rock"
     # the 0.05 match already selected detect-defeat-scissors on the new state
     event = pending_firing(engine)
     assert event.payload.rule == "detect-defeat-scissors"
@@ -202,8 +203,8 @@ def test_clearing_action_empties_buffer():
     )
     engine = engine_for(model)
     engine.run(Fraction(1))
-    assert engine.buffers.held("goal") is None
-    assert engine.store.chunk("g1").slot_values.get("me") == "rock"  # chunk survives
+    assert engine.held["goal"] is None
+    assert engine.chunks["g1"].slot_values.get("me") == "rock"  # chunk survives
     assert [e.rule for e in engine.trace] == ["done"]  # cannot rematch, halts
 
 
@@ -280,8 +281,8 @@ def test_modifications_apply_before_clearings():
     )
     engine = engine_for(model)
     engine.run(Fraction(1))
-    assert engine.buffers.held("goal") is None
-    assert engine.store.chunk("g1").slot_values.get("me") == "paper"
+    assert engine.held["goal"] is None
+    assert engine.chunks["g1"].slot_values.get("me") == "paper"
     assert [e.rule for e in engine.trace] == ["reset"]
 
 
@@ -294,24 +295,14 @@ def one_buffer_model(*productions):
     )
 
 
-def write_me(name, expects, writes, source_index):
+def write_me(name, expects, writes):
     return Production(name, (BufferTest("goal", "game", (("me", expects),)),),
-                      (Action(MODIFY, "goal", (("me", writes),)),), source_index)
-
-
-def test_rules_apply_their_own_actions_whatever_their_source_index():
-    # the declaration index is the rule's position, not its source_index
-    model = one_buffer_model(write_me("a", "rock", "paper", 1),
-                             write_me("b", "scissors", "scissors", 0))
-    engine = engine_for(model)
-    engine.run(Fraction(1, 20))
-    assert [e.rule for e in engine.trace] == ["a"]
-    assert engine.store.chunk("g1").slot_values == {"me": "paper"}
+                      (Action(MODIFY, "goal", (("me", writes),)),))
 
 
 def test_unbound_rhs_variable_is_rejected_when_the_engine_is_built():
     # built by hand: the parser refuses this rule with UnboundRhsVariable
-    model = one_buffer_model(write_me("r", "rock", "=x", 0))
+    model = one_buffer_model(write_me("r", "rock", "=x"))
     diagnostic = "rule 'r' updates slot 'me' with unbound variable '=x'"
     assert validate_model(model) == [diagnostic]
     with pytest.raises(ModelSyntaxError, match=diagnostic):
@@ -428,7 +419,7 @@ def two_buffer_model(rng: random.Random) -> ModelAST:
                 actions.append(Action(MODIFY, test.buffer, updates))
         if rng.random() < 0.3:
             actions.append(Action(CLEAR, rng.choice(buffers)))
-        productions.append(Production(f"rule{i}", tuple(tests), tuple(actions), i))
+        productions.append(Production(f"rule{i}", tuple(tests), tuple(actions)))
     return ModelAST(
         chunk_types=tuple(TWO_BUFFER_TYPES.values()),
         initial_chunks=(
@@ -449,7 +440,7 @@ def test_indexed_matcher_equals_oracle_on_two_buffer_models():
     for index in range(400):
         model = two_buffer_model(rng)
         engine = Engine(model, strategy_for(index, index), refraction=index % 2 == 0)
-        merged += len(engine._index) + bool(engine._untested) > 1
+        merged += len(engine.program.index) + bool(engine.program.untested) > 1
         checked = check_every_cycle(engine, model)
         engine.run(Fraction(1))
         cycles += checked
@@ -475,3 +466,36 @@ def test_indexed_matcher_equals_oracle_on_a_shuffled_400_rule_chain():
     engine.run(math.inf)
     assert [e.rule for e in engine.trace] == [f"r{k}" for k in range(400)]
     assert cycles == [1] * 400 + [0]
+
+
+# -- runs sharing one compiled Program against runs from the AST ---------------------
+
+def outcome(engine, rules):
+    """Trace, final buffers and chunk slots, and each rule's utility."""
+    return (
+        [(e.time, e.rule, e.bindings, e.identity) for e in engine.trace],
+        dict(engine.held),
+        {name: dict(chunk.slot_values) for name, chunk in engine.chunks.items()},
+        [engine.strategy.utility(rule) for rule in rules],
+    )
+
+
+def test_runs_sharing_a_program_equal_runs_from_the_ast():
+    rng = random.Random(71)
+    models = ([random_model(rng) for _ in range(100)]
+              + [two_buffer_model(rng) for _ in range(100)])
+    firings = 0
+    for number, model in enumerate(models):
+        program = compile_model(model)
+        rules = [p.name for p in model.productions]
+        for index in range(6):  # three strategies, without and with refraction
+            shared, fresh = (
+                Engine(source, strategy_for(index, number), refraction=index >= 3)
+                for source in (program, model)
+            )
+            shared.run(Fraction(1))
+            fresh.run(Fraction(1))
+            assert outcome(shared, rules) == outcome(fresh, rules)
+            firings += len(shared.trace)
+        assert program == compile_model(model)  # the runs left it as compiled
+    assert firings > 10000  # the runs fire

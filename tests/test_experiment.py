@@ -20,6 +20,7 @@ from actrsim.experiment import (
     run_single,
     summarize,
 )
+from actrsim.model import validate_model
 
 # move frequencies (rock, paper, scissors) per shipped sample, used to
 # cross-check the data files against an independent transcription
@@ -180,3 +181,16 @@ def test_report_determinism_with_fixed_seed(rps_model):
     first = report_to_csv(run_experiment(rps_model, config, builtin_samples(1)))
     second = report_to_csv(run_experiment(rps_model, config, builtin_samples(1)))
     assert first == second
+
+
+def test_an_experiment_validates_its_model_once(rps_model, monkeypatch):
+    calls = []
+
+    def counting(ast):
+        calls.append(ast)
+        return validate_model(ast)
+
+    monkeypatch.setattr("actrsim.engine.validate_model", counting)
+    report = run_experiment(rps_model, HarnessConfig(), builtin_samples(2)[:10])
+    assert len(report.rows) == 10
+    assert calls == [rps_model]

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import string
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from actrsim.chunks import ChunkType
 from actrsim.errors import (
@@ -46,7 +47,6 @@ def test_parse_simple_rule():
     ast = parse_model("(chunk-type game me opponent result)" + WIN_RULE)
     (rule,) = ast.productions
     assert rule.name == "recognize-win"
-    assert rule.source_index == 0
     assert rule.tests == (
         BufferTest("goal", "game", (("me", "rock"), ("opponent", "scissors"))),
     )
@@ -176,11 +176,6 @@ def test_truncated_forms_report_syntax_errors(text):
         parse_model(text)
 
 
-def test_source_index_matches_declaration_order(rps_model):
-    indices = [p.source_index for p in rps_model.productions]
-    assert indices == list(range(len(indices)))
-
-
 def test_round_trip_through_pretty_printer(rps_model):
     assert parse_model(format_model(rps_model)) == rps_model
 
@@ -196,45 +191,87 @@ def test_round_trip_of_rational_rewards(rewards):
     assert parse_model(format_model(ast)) == ast
 
 
-SYMBOLS = st.from_regex(r"[a-z][a-z0-9-]{0,4}", fullmatch=True)
+# [a-z][a-z0-9-]{0,4}, drawn faster than st.from_regex draws it
+SYMBOLS = st.tuples(st.sampled_from(string.ascii_lowercase),
+                    st.text(string.ascii_lowercase + string.digits + "-", max_size=4),
+                    ).map("".join)
+VALUES = st.sampled_from(["x", "y", "nil"]) | SYMBOLS  # a few values recur
 TEST_VARIABLES = st.sampled_from(["=x", "=y", "=z"])
 BIND_VARIABLES = ["=p", "=q"]  # never tested, so free for !bind!
 
 
-def slot_pairs(values, max_size=3):
-    return st.lists(st.tuples(SYMBOLS, values), max_size=max_size,
-                    unique_by=lambda pair: pair[0]).map(tuple)
+def pick(draw, names, sloppy):
+    """One of names; in a sloppy model, or with no names, at times any symbol."""
+    if names and not (sloppy and draw(st.booleans())):
+        return draw(st.sampled_from(names))
+    return draw(SYMBOLS)  # most likely a name the model does not declare
 
 
 @st.composite
-def productions(draw, name, index):
-    buffers = draw(st.lists(SYMBOLS, max_size=2, unique=True))
-    tests = tuple(
-        BufferTest(buffer, draw(SYMBOLS), draw(slot_pairs(SYMBOLS | TEST_VARIABLES)))
-        for buffer in buffers
-    )
+def slot_pairs(draw, slots, values, sloppy, max_size=3):
+    """Distinct slots of `slots` (or any, when sloppy), each with a drawn value."""
+    pairs: dict = {}
+    for _ in range(draw(st.integers(0, max_size)) if slots or sloppy else 0):
+        pairs.setdefault(pick(draw, slots, sloppy), draw(values))
+    return tuple(pairs.items())
+
+
+@st.composite
+def productions(draw, name, types, buffers, sloppy):
+    """A rule over the declared types (name -> slots) and buffers (-> type).
+
+    Tests mostly name a buffer with its own type, and actions mostly a
+    tested buffer. Only a sloppy model names undeclared things.
+    """
+    tests = []
+    for _ in range(draw(st.integers(0, 2))):
+        buffer = pick(draw, sorted(buffers), sloppy)
+        if any(test.buffer == buffer for test in tests):
+            continue  # the parser rejects a second test of a buffer
+        own = [buffers[buffer]] * 3 if buffers.get(buffer) else []
+        ctype = pick(draw, own + sorted(types), sloppy)
+        slot_tests = draw(slot_pairs(types.get(ctype, ()), VALUES | TEST_VARIABLES, sloppy))
+        tests.append(BufferTest(buffer, ctype, slot_tests))
+    tested = [test.buffer for test in tests]
     bound = {v for test in tests for _, v in test.slot_tests if v.startswith("=")}
     actions = []
     for _ in range(draw(st.integers(0, 3))):
-        buffer = draw(SYMBOLS)
-        if draw(st.booleans()):
+        buffer = pick(draw, tested * 3 + sorted(buffers), sloppy)
+        if draw(st.integers(0, 3)) == 0:
             actions.append(Action(CLEAR, buffer))
             continue
         usable = st.sampled_from(sorted(bound) + BIND_VARIABLES)
-        updates = draw(slot_pairs(SYMBOLS | usable))
+        slots = types.get(buffers.get(buffer), ())
+        updates = draw(slot_pairs(slots, VALUES | usable, sloppy))
         binds = []  # a !bind! belongs to the first action that reads its variable
         for _, value in updates:
             if value.startswith("=") and value not in bound:
                 bound.add(value)
                 binds.append((value, draw(SYMBOLS)))
         actions.append(Action(MODIFY, buffer, updates, tuple(binds)))
-    return Production(name, tests, tuple(actions), index)
+    return Production(name, tuple(tests), tuple(actions))
 
 
 @st.composite
 def model_asts(draw):
-    names = draw(st.lists(SYMBOLS, max_size=4, unique=True))
-    annotated = draw(st.lists(st.sampled_from(names), unique=True)) if names else []
+    """Models over their own declarations; one in four is sloppy."""
+    sloppy = draw(st.integers(0, 3)) == 3
+    names = st.lists(SYMBOLS, min_size=1, max_size=2, unique=True)
+    types = {name: tuple(draw(st.lists(SYMBOLS, max_size=3, unique=True)))
+             for name in draw(names)}
+    chunks = []
+    for name in draw(names):
+        ctype = pick(draw, sorted(types), sloppy)
+        slot_values = draw(slot_pairs(types.get(ctype, ()), VALUES, sloppy))
+        chunks.append(ChunkSpec(name, ctype, slot_values))
+    buffer_inits = tuple(
+        (buffer, pick(draw, [chunk.name for chunk in chunks], sloppy))
+        for buffer in draw(names)
+    )
+    chunk_type = {chunk.name: chunk.type for chunk in chunks}
+    buffers = {buffer: chunk_type.get(chunk) for buffer, chunk in buffer_inits}
+    rules = draw(st.lists(SYMBOLS, max_size=4, unique=True))
+    annotated = draw(st.lists(st.sampled_from(rules), unique=True)) if rules else []
     annotations = {}
     for rule in annotated:
         annotation = Annotation(draw(st.none() | st.fractions()),
@@ -242,16 +279,32 @@ def model_asts(draw):
         if annotation != Annotation():  # an empty annotation has no text
             annotations[rule] = annotation
     return ModelAST(
-        chunk_types=tuple(draw(st.lists(st.builds(
-            ChunkType, SYMBOLS, st.lists(SYMBOLS, max_size=3).map(tuple)),
-            max_size=2))),
-        initial_chunks=tuple(draw(st.lists(st.builds(
-            ChunkSpec, SYMBOLS, SYMBOLS, slot_pairs(SYMBOLS)), max_size=2))),
-        buffer_inits=tuple(draw(st.lists(st.tuples(SYMBOLS, SYMBOLS), max_size=2))),
-        productions=tuple(draw(productions(name, index))
-                          for index, name in enumerate(names)),
+        chunk_types=tuple(ChunkType(name, slots) for name, slots in types.items()),
+        initial_chunks=tuple(chunks),
+        buffer_inits=buffer_inits,
+        productions=tuple(draw(productions(name, types, buffers, sloppy))
+                          for name in rules),
         annotations=annotations,
     )
+
+
+def test_model_asts_mostly_validate_and_cover_real_rules():
+    drawn = []
+
+    @settings(max_examples=100, derandomize=True, database=None,
+              phases=[Phase.generate], suppress_health_check=list(HealthCheck))
+    @given(model_asts())
+    def record(ast):
+        drawn.append(ast)
+
+    record()
+    valid = [ast for ast in drawn if not validate_model(ast)]
+    assert len(drawn) == 100
+    assert 3 * len(valid) >= len(drawn)
+    assert len(valid) < len(drawn)  # the invalid branch is drawn too
+    # rules that test a buffer and act, in models the engine accepts
+    real = [p for ast in valid for p in ast.productions if p.tests and p.actions]
+    assert len(real) >= 10
 
 
 @given(model_asts())

@@ -94,13 +94,23 @@ def test_full_report_and_trace_are_byte_deterministic(rps_model):
     assert one_round() == one_round()
 
 
+def assert_consistent(engine, model):
+    """Each buffer holds a known chunk or none; chunks fill only their type's slots."""
+    slots = {ctype.name: set(ctype.slots) for ctype in model.chunk_types}
+    assert set(engine.held) == {buffer for buffer, _ in model.buffer_inits}
+    for chunk in engine.held.values():
+        assert chunk is None or chunk in engine.chunks
+    for name, chunk in engine.chunks.items():
+        assert chunk.name == name and set(chunk.slot_values) <= slots[chunk.type]
+
+
 def test_buffers_always_hold_known_chunks(rps_model):
     engine = Engine(
         rps_model, SuccessCostUtility(), {"next-move": iter(["paper"] * 20)}
     )
     engine.run(Fraction(2))
-    engine.buffers.check_consistency()
-    engine.store.check_consistency()
+    assert engine.held == {"goal": "g1"}
+    assert_consistent(engine, rps_model)
 
 
 # -- a validated model fails at run time only when a provider runs out -------------

@@ -45,7 +45,6 @@ def random_model(rng: random.Random) -> ModelAST:
                 f"rule{i}",
                 (BufferTest("buf", "t", tuple(tests)),),
                 (Action(MODIFY, "buf", tuple(updates)),),
-                i,
             )
         )
     initial = tuple((slot, rng.choice(values)) for slot in slots)
