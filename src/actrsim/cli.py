@@ -77,6 +77,8 @@ def _load_model(args):
 def _load_samples(args):
     if args.samples:
         samples = experiment.load_samples(args.samples)
+        if not samples:  # checked before --trace-file is opened
+            raise ValueError(f"no samples in {args.samples}")
     else:
         samples = experiment.builtin_samples(args.player if args.player else 1)
     if args.sample is not None:

@@ -19,13 +19,16 @@ or ``=variables``. An ACTION is either a modification ``=buffer> SLOT VALUE
 (``+buffer>``) are not supported and rejected at parse time.
 
 Every variable used on the right-hand side must be bound on the left-hand
-side or by a ``!bind!`` entry.
+side or by a ``!bind!`` entry. A slot may appear once per chunk, test or
+modification. Each ``ModelSyntaxError`` from ``parse_model`` carries the line
+and column of the offending token, or of the ``(`` of the offending list.
 """
 
 import logging
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .chunks import ChunkType
 from .errors import (
@@ -93,11 +96,18 @@ class ModelAST:
 
 # -- tokenizer / reader ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     text: str
     line: int
     column: int
+
+
+class _List(list):
+    """A parenthesized list of tokens and lists; knows where its '(' stands."""
+
+    def __init__(self, line, column):
+        super().__init__()
+        self.line, self.column = line, column
 
 
 # a parenthesis, an atom, a comment, or a newline; other whitespace separates
@@ -121,39 +131,59 @@ def _read_forms(tokens):
     """Group tokens into nested lists; returns the top-level forms."""
     forms = []
     stack = [forms]
-    opens = []
     for tok in tokens:
         if tok.text == "(":
-            new: list = []
+            new = _List(tok.line, tok.column)
             stack[-1].append(new)
             stack.append(new)
-            opens.append(tok)
         elif tok.text == ")":
             if len(stack) == 1:
                 raise ModelSyntaxError("unbalanced ')'", tok.line, tok.column)
             stack.pop()
-            opens.pop()
         else:
             if len(stack) == 1:
                 raise ModelSyntaxError(
                     f"top-level token {tok.text!r} outside any form", tok.line, tok.column
                 )
             stack[-1].append(tok)
-    if opens:
-        raise ModelSyntaxError("unclosed '('", opens[-1].line, opens[-1].column)
+    if len(stack) > 1:
+        raise ModelSyntaxError("unclosed '('", stack[-1].line, stack[-1].column)
     return forms
 
 
 def _atom(item, what):
     if not isinstance(item, _Token):
-        line = column = None
-        probe = item
-        while isinstance(probe, list) and probe:
-            probe = probe[0]
-        if isinstance(probe, _Token):
-            line, column = probe.line, probe.column
-        raise ModelSyntaxError(f"expected {what}, found a nested list", line, column)
+        raise ModelSyntaxError(
+            f"expected {what}, found a nested list", item.line, item.column
+        )
     return item
+
+
+def _slot_pairs(items, i, where):
+    """Read SLOT VALUE pairs from items[i:] up to a nested list, a token ending
+    in '>', !bind! or !output!; returns the (slot, value) token pairs and the
+    index after them."""
+    pairs = []
+    while i < len(items):
+        slot = items[i]
+        if (not isinstance(slot, _Token) or slot.text.endswith(">")
+                or slot.text in ("!bind!", "!output!")):
+            break
+        if i + 1 == len(items):
+            raise ModelSyntaxError(
+                f"{where}: slot {slot.text!r} has no value", slot.line, slot.column
+            )
+        if any(s.text == slot.text for s, _ in pairs):
+            raise ModelSyntaxError(
+                f"{where}: slot {slot.text!r} is named twice", slot.line, slot.column
+            )
+        pairs.append((slot, _atom(items[i + 1], "a value")))
+        i += 2
+    return pairs, i
+
+
+def _texts(pairs):
+    return tuple((slot.text, value.text) for slot, value in pairs)
 
 
 # -- form parsers -----------------------------------------------------------------
@@ -170,20 +200,16 @@ class _ModelReader:
     def read(self, forms) -> ModelAST:
         for form in forms:
             if not form or not isinstance(form[0], _Token):
-                raise ModelSyntaxError("form must start with a keyword")
+                raise ModelSyntaxError(
+                    "form must start with a keyword", form.line, form.column
+                )
             head = form[0]
-            handler = {
-                "chunk-type": self._chunk_type,
-                "add-dm": self._add_dm,
-                "goal-focus": self._goal_focus,
-                "p": self._production,
-                "spp": self._annotation,
-            }.get(head.text)
+            handler = self.HANDLERS.get(head.text)
             if handler is None:
                 raise ModelSyntaxError(
                     f"unknown form {head.text!r}", head.line, head.column
                 )
-            handler(form)
+            handler(self, form)
         return ModelAST(
             chunk_types=tuple(self.chunk_types),
             initial_chunks=tuple(self.initial_chunks),
@@ -211,27 +237,24 @@ class _ModelReader:
                 )
             if len(spec) < 3 or _atom(spec[1], "'isa'").text != "isa":
                 raise ModelSyntaxError(
-                    "chunk must read (NAME isa TYPE ...)", head.line, head.column
+                    "chunk must read (NAME isa TYPE ...)", spec.line, spec.column
                 )
             name = _atom(spec[0], "a chunk name").text
             ctype = _atom(spec[2], "a type name").text
-            rest = spec[3:]
-            if len(rest) % 2:
+            pairs, end = _slot_pairs(spec, 3, f"chunk {name!r}")
+            if end < len(spec):
+                tok = _atom(spec[end], "a slot name")
                 raise ModelSyntaxError(
-                    f"chunk {name!r} has a slot without a value", head.line, head.column
+                    f"chunk {name!r}: {tok.text!r} is not a slot name",
+                    tok.line, tok.column,
                 )
-            pairs = []
-            for i in range(0, len(rest), 2):
-                slot = _atom(rest[i], "a slot name").text
-                value = _atom(rest[i + 1], "a value").text
-                if is_variable(value):
+            for _, value in pairs:
+                if is_variable(value.text):
                     raise ModelSyntaxError(
-                        f"chunk {name!r} may not hold the variable {value!r}",
-                        rest[i + 1].line,
-                        rest[i + 1].column,
+                        f"chunk {name!r} may not hold the variable {value.text!r}",
+                        value.line, value.column,
                     )
-                pairs.append((slot, value))
-            self.initial_chunks.append(ChunkSpec(name, ctype, tuple(pairs)))
+            self.initial_chunks.append(ChunkSpec(name, ctype, _texts(pairs)))
 
     def _goal_focus(self, form):
         head = form[0]
@@ -278,45 +301,23 @@ class _ModelReader:
                 raise DuplicateBufferTest(
                     f"rule {rule!r} tests buffer {buffer!r} twice", tok.line, tok.column
                 )
-            i += 1
-            if (i + 1 >= len(items) or _atom(items[i], "'isa'").text != "isa"):
+            if i + 2 >= len(items) or _atom(items[i + 1], "'isa'").text != "isa":
                 raise ModelSyntaxError(
                     f"rule {rule!r}: test on {buffer!r} must start with 'isa TYPE'",
                     tok.line, tok.column,
                 )
-            ctype = _atom(items[i + 1], "a type name").text
-            i += 2
-            pairs = []
-            while i < len(items):
-                slot_tok = _atom(items[i], "a slot name")
-                if slot_tok.text.endswith(">"):
-                    break
-                if i + 1 >= len(items):
-                    raise ModelSyntaxError(
-                        f"rule {rule!r}: slot {slot_tok.text!r} has no value",
-                        slot_tok.line, slot_tok.column,
-                    )
-                value = _atom(items[i + 1], "a value").text
-                if any(s == slot_tok.text for s, _ in pairs):
-                    raise ModelSyntaxError(
-                        f"rule {rule!r} tests slot {slot_tok.text!r} twice",
-                        slot_tok.line, slot_tok.column,
-                    )
-                pairs.append((slot_tok.text, value))
-                i += 2
-            tests.append(BufferTest(buffer, ctype, tuple(pairs)))
+            ctype = _atom(items[i + 2], "a type name").text
+            pairs, i = _slot_pairs(items, i + 3, f"rule {rule!r}: test on {buffer!r}")
+            tests.append(BufferTest(buffer, ctype, _texts(pairs)))
         return tuple(tests)
 
     def _actions(self, rule, tests, items):
-        lhs_vars = {v for t in tests for _, v in t.slot_tests if is_variable(v)}
-        bound = set(lhs_vars)
-        binds: list[tuple[str, str]] = []  # pending, attached to their consumer
+        bound = {v for t in tests for _, v in t.slot_tests if is_variable(v)}
+        pending = {}  # !bind! variable -> (provider, its token), until an update reads it
         actions: list[Action] = []
         i = 0
         while i < len(items):
-            tok = items[i]
-            if not isinstance(tok, _Token):
-                raise ModelSyntaxError(f"rule {rule!r}: unexpected list in actions")
+            tok = _atom(items[i], f"an action in rule {rule!r}")
             if tok.text == "!bind!":
                 if i + 2 >= len(items):
                     raise ModelSyntaxError(
@@ -335,7 +336,7 @@ class _ModelReader:
                         tok.line, tok.column,
                     )
                 bound.add(var)
-                binds.append((var, provider))
+                pending[var] = (provider, tok)
                 i += 3
             elif tok.text == "!output!":
                 if i + 1 >= len(items):
@@ -354,50 +355,30 @@ class _ModelReader:
                 i += 1
             elif tok.text.startswith("=") and tok.text.endswith(">"):
                 buffer = tok.text[1:-1]
-                i += 1
-                pairs = []
-                used_binds = []
-                while i < len(items):
-                    nxt = items[i]
-                    if not isinstance(nxt, _Token) or nxt.text.endswith(">") \
-                            or nxt.text in ("!bind!", "!output!"):
-                        break
-                    if i + 1 >= len(items):
-                        raise ModelSyntaxError(
-                            f"rule {rule!r}: slot {nxt.text!r} has no value",
-                            nxt.line, nxt.column,
+                pairs, i = _slot_pairs(items, i + 1, f"rule {rule!r}: update of {buffer!r}")
+                binds = []  # the !bind! entries this update reads first
+                for _, value in pairs:
+                    if not is_variable(value.text):
+                        continue
+                    if value.text not in bound:
+                        raise UnboundRhsVariable(
+                            f"rule {rule!r}: {value.text!r} is not bound on the "
+                            "left-hand side or by !bind!",
+                            value.line, value.column,
                         )
-                    value_tok = _atom(items[i + 1], "a value")
-                    value = value_tok.text
-                    if any(s == nxt.text for s, _ in pairs):
-                        raise ModelSyntaxError(
-                            f"rule {rule!r} updates slot {nxt.text!r} twice",
-                            nxt.line, nxt.column,
-                        )
-                    if is_variable(value):
-                        if value not in bound:
-                            raise UnboundRhsVariable(
-                                f"rule {rule!r}: {value!r} is not bound on the "
-                                "left-hand side or by !bind!",
-                                value_tok.line, value_tok.column,
-                            )
-                        for entry in binds:
-                            if entry[0] == value and entry not in used_binds:
-                                used_binds.append(entry)
-                    pairs.append((nxt.text, value))
-                    i += 2
-                for entry in used_binds:
-                    binds.remove(entry)
-                actions.append(Action(MODIFY, buffer, tuple(pairs), tuple(used_binds)))
+                    if value.text in pending:
+                        binds.append((value.text, pending.pop(value.text)[0]))
+                actions.append(Action(MODIFY, buffer, _texts(pairs), tuple(binds)))
             else:
                 raise ModelSyntaxError(
                     f"rule {rule!r}: unexpected token {tok.text!r} in actions",
                     tok.line, tok.column,
                 )
-        if binds:
-            var = binds[0][0]
+        if pending:
+            var, (_, tok) = next(iter(pending.items()))
             raise ModelSyntaxError(
-                f"rule {rule!r}: !bind! variable {var!r} is never used by an action"
+                f"rule {rule!r}: !bind! variable {var!r} is never used by an action",
+                tok.line, tok.column,
             )
         return tuple(actions)
 
@@ -445,6 +426,14 @@ class _ModelReader:
                 f"unknown annotation key {key!r}", head.line, head.column
             )
         self.annotations[rule] = current
+
+    HANDLERS = {
+        "chunk-type": _chunk_type,
+        "add-dm": _add_dm,
+        "goal-focus": _goal_focus,
+        "p": _production,
+        "spp": _annotation,
+    }
 
 
 def _format_output(item):

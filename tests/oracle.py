@@ -3,6 +3,11 @@
 `char_tokenize` is the model tokenizer written one character at a time,
 for differential tests of the regular-expression tokenizer.
 
+`reference_read` is the model reader as it stood before every slot list
+was read by one function, kept verbatim (three slot-pair loops, and a
+nested list placed at its first token) for differential tests of
+`parse_model`'s reader.
+
 `linear_scan` matches the uncompiled rules of a `ModelAST` against an
 engine's `held` and `chunks` dicts, one rule and one slot test at a time,
 for differential tests of the engine's indexed matcher.
@@ -14,13 +19,37 @@ path. Selection always precedes firing by exactly 0.05 s, so selection
 times are recovered from fire times.
 """
 
+import logging
+from dataclasses import replace
 from fractions import Fraction
 
+from actrsim.chunks import ChunkType
 from actrsim.engine import Instantiation
-from actrsim.model import _Token, is_variable
+from actrsim.errors import (
+    DuplicateBufferTest,
+    DuplicateRuleName,
+    ModelSyntaxError,
+    UnboundRhsVariable,
+    UnknownAnnotationTarget,
+)
+from actrsim.model import (
+    CLEAR,
+    MODIFY,
+    Action,
+    Annotation,
+    BufferTest,
+    ChunkSpec,
+    ModelAST,
+    Production,
+    _format_output,
+    _Token,
+    is_variable,
+)
 from actrsim.strategies import reinforcement_update, sc_recompute
 
 LATENCY = Fraction(1, 20)
+
+log = logging.getLogger(__name__)
 
 
 def char_tokenize(text: str):
@@ -60,6 +89,312 @@ def char_tokenize(text: str):
         i += 1
     flush()
     return tokens
+
+
+def reference_read(forms):
+    """The AST of the forms `_read_forms` groups, read the reference way."""
+    return _ModelReader().read(forms)
+
+
+def _atom(item, what):
+    if not isinstance(item, _Token):
+        line = column = None
+        probe = item
+        while isinstance(probe, list) and probe:
+            probe = probe[0]
+        if isinstance(probe, _Token):
+            line, column = probe.line, probe.column
+        raise ModelSyntaxError(f"expected {what}, found a nested list", line, column)
+    return item
+
+
+class _ModelReader:
+    def __init__(self):
+        self.chunk_types: list[ChunkType] = []
+        self.initial_chunks: list[ChunkSpec] = []
+        self.buffer_inits: list[tuple[str, str]] = []
+        self.productions: list[Production] = []
+        self.rule_names: set[str] = set()
+        self.annotations: dict[str, Annotation] = {}
+
+    def read(self, forms) -> ModelAST:
+        for form in forms:
+            if not form or not isinstance(form[0], _Token):
+                raise ModelSyntaxError("form must start with a keyword")
+            head = form[0]
+            handler = {
+                "chunk-type": self._chunk_type,
+                "add-dm": self._add_dm,
+                "goal-focus": self._goal_focus,
+                "p": self._production,
+                "spp": self._annotation,
+            }.get(head.text)
+            if handler is None:
+                raise ModelSyntaxError(
+                    f"unknown form {head.text!r}", head.line, head.column
+                )
+            handler(form)
+        return ModelAST(
+            chunk_types=tuple(self.chunk_types),
+            initial_chunks=tuple(self.initial_chunks),
+            buffer_inits=tuple(self.buffer_inits),
+            productions=tuple(self.productions),
+            annotations=self.annotations,
+        )
+
+    def _chunk_type(self, form):
+        head = form[0]
+        if len(form) < 2:
+            raise ModelSyntaxError("chunk-type needs a name", head.line, head.column)
+        name = _atom(form[1], "a type name").text
+        slots = tuple(_atom(item, "a slot name").text for item in form[2:])
+        self.chunk_types.append(ChunkType(name, slots))
+
+    def _add_dm(self, form):
+        head = form[0]
+        if len(form) < 2:
+            raise ModelSyntaxError("add-dm needs at least one chunk", head.line, head.column)
+        for spec in form[1:]:
+            if isinstance(spec, _Token):
+                raise ModelSyntaxError(
+                    "add-dm entries must be parenthesized chunks", spec.line, spec.column
+                )
+            if len(spec) < 3 or _atom(spec[1], "'isa'").text != "isa":
+                raise ModelSyntaxError(
+                    "chunk must read (NAME isa TYPE ...)", head.line, head.column
+                )
+            name = _atom(spec[0], "a chunk name").text
+            ctype = _atom(spec[2], "a type name").text
+            rest = spec[3:]
+            if len(rest) % 2:
+                raise ModelSyntaxError(
+                    f"chunk {name!r} has a slot without a value", head.line, head.column
+                )
+            pairs = []
+            for i in range(0, len(rest), 2):
+                slot = _atom(rest[i], "a slot name").text
+                value = _atom(rest[i + 1], "a value").text
+                if is_variable(value):
+                    raise ModelSyntaxError(
+                        f"chunk {name!r} may not hold the variable {value!r}",
+                        rest[i + 1].line,
+                        rest[i + 1].column,
+                    )
+                pairs.append((slot, value))
+            self.initial_chunks.append(ChunkSpec(name, ctype, tuple(pairs)))
+
+    def _goal_focus(self, form):
+        head = form[0]
+        if len(form) != 3:
+            raise ModelSyntaxError("goal-focus needs BUFFER CHUNK", head.line, head.column)
+        buffer = _atom(form[1], "a buffer name").text
+        chunk = _atom(form[2], "a chunk name").text
+        self.buffer_inits.append((buffer, chunk))
+
+    def _production(self, form):
+        head = form[0]
+        if len(form) < 2:
+            raise ModelSyntaxError("rule needs a name", head.line, head.column)
+        name_tok = _atom(form[1], "a rule name")
+        name = name_tok.text
+        if name in self.rule_names:
+            raise DuplicateRuleName(
+                f"rule {name!r} declared twice", name_tok.line, name_tok.column
+            )
+        body = form[2:]
+        arrow = [i for i, item in enumerate(body)
+                 if isinstance(item, _Token) and item.text == "==>"]
+        if len(arrow) != 1:
+            raise ModelSyntaxError(
+                f"rule {name!r} needs exactly one '==>'", head.line, head.column
+            )
+        tests = self._tests(name, body[: arrow[0]])
+        actions = self._actions(name, tests, body[arrow[0] + 1 :])
+        self.productions.append(Production(name, tests, actions))
+        self.rule_names.add(name)
+
+    def _tests(self, rule, items):
+        tests = []
+        i = 0
+        while i < len(items):
+            tok = _atom(items[i], "a buffer test")
+            if not (tok.text.startswith("=") and tok.text.endswith(">")):
+                raise ModelSyntaxError(
+                    f"rule {rule!r}: expected a '=buffer>' test, found {tok.text!r}",
+                    tok.line, tok.column,
+                )
+            buffer = tok.text[1:-1]
+            if any(t.buffer == buffer for t in tests):
+                raise DuplicateBufferTest(
+                    f"rule {rule!r} tests buffer {buffer!r} twice", tok.line, tok.column
+                )
+            i += 1
+            if (i + 1 >= len(items) or _atom(items[i], "'isa'").text != "isa"):
+                raise ModelSyntaxError(
+                    f"rule {rule!r}: test on {buffer!r} must start with 'isa TYPE'",
+                    tok.line, tok.column,
+                )
+            ctype = _atom(items[i + 1], "a type name").text
+            i += 2
+            pairs = []
+            while i < len(items):
+                slot_tok = _atom(items[i], "a slot name")
+                if slot_tok.text.endswith(">"):
+                    break
+                if i + 1 >= len(items):
+                    raise ModelSyntaxError(
+                        f"rule {rule!r}: slot {slot_tok.text!r} has no value",
+                        slot_tok.line, slot_tok.column,
+                    )
+                value = _atom(items[i + 1], "a value").text
+                if any(s == slot_tok.text for s, _ in pairs):
+                    raise ModelSyntaxError(
+                        f"rule {rule!r} tests slot {slot_tok.text!r} twice",
+                        slot_tok.line, slot_tok.column,
+                    )
+                pairs.append((slot_tok.text, value))
+                i += 2
+            tests.append(BufferTest(buffer, ctype, tuple(pairs)))
+        return tuple(tests)
+
+    def _actions(self, rule, tests, items):
+        lhs_vars = {v for t in tests for _, v in t.slot_tests if is_variable(v)}
+        bound = set(lhs_vars)
+        binds: list[tuple[str, str]] = []  # pending, attached to their consumer
+        actions: list[Action] = []
+        i = 0
+        while i < len(items):
+            tok = items[i]
+            if not isinstance(tok, _Token):
+                raise ModelSyntaxError(f"rule {rule!r}: unexpected list in actions")
+            if tok.text == "!bind!":
+                if i + 2 >= len(items):
+                    raise ModelSyntaxError(
+                        f"rule {rule!r}: !bind! needs =VAR PROVIDER", tok.line, tok.column
+                    )
+                var = _atom(items[i + 1], "a variable").text
+                provider = _atom(items[i + 2], "a provider name").text
+                if not is_variable(var):
+                    raise ModelSyntaxError(
+                        f"rule {rule!r}: !bind! target {var!r} is not a variable",
+                        tok.line, tok.column,
+                    )
+                if var in bound:
+                    raise ModelSyntaxError(
+                        f"rule {rule!r}: variable {var!r} is already bound",
+                        tok.line, tok.column,
+                    )
+                bound.add(var)
+                binds.append((var, provider))
+                i += 3
+            elif tok.text == "!output!":
+                if i + 1 >= len(items):
+                    raise ModelSyntaxError(
+                        f"rule {rule!r}: !output! needs an argument", tok.line, tok.column
+                    )
+                log.debug("rule %s output directive: %s", rule, _format_output(items[i + 1]))
+                i += 2
+            elif tok.text.startswith("+") and tok.text.endswith(">"):
+                raise ModelSyntaxError(
+                    f"rule {rule!r}: buffer requests ({tok.text}) are unsupported",
+                    tok.line, tok.column,
+                )
+            elif tok.text.startswith("-") and tok.text.endswith(">"):
+                actions.append(Action(CLEAR, tok.text[1:-1]))
+                i += 1
+            elif tok.text.startswith("=") and tok.text.endswith(">"):
+                buffer = tok.text[1:-1]
+                i += 1
+                pairs = []
+                used_binds = []
+                while i < len(items):
+                    nxt = items[i]
+                    if not isinstance(nxt, _Token) or nxt.text.endswith(">") \
+                            or nxt.text in ("!bind!", "!output!"):
+                        break
+                    if i + 1 >= len(items):
+                        raise ModelSyntaxError(
+                            f"rule {rule!r}: slot {nxt.text!r} has no value",
+                            nxt.line, nxt.column,
+                        )
+                    value_tok = _atom(items[i + 1], "a value")
+                    value = value_tok.text
+                    if any(s == nxt.text for s, _ in pairs):
+                        raise ModelSyntaxError(
+                            f"rule {rule!r} updates slot {nxt.text!r} twice",
+                            nxt.line, nxt.column,
+                        )
+                    if is_variable(value):
+                        if value not in bound:
+                            raise UnboundRhsVariable(
+                                f"rule {rule!r}: {value!r} is not bound on the "
+                                "left-hand side or by !bind!",
+                                value_tok.line, value_tok.column,
+                            )
+                        for entry in binds:
+                            if entry[0] == value and entry not in used_binds:
+                                used_binds.append(entry)
+                    pairs.append((nxt.text, value))
+                    i += 2
+                for entry in used_binds:
+                    binds.remove(entry)
+                actions.append(Action(MODIFY, buffer, tuple(pairs), tuple(used_binds)))
+            else:
+                raise ModelSyntaxError(
+                    f"rule {rule!r}: unexpected token {tok.text!r} in actions",
+                    tok.line, tok.column,
+                )
+        if binds:
+            var = binds[0][0]
+            raise ModelSyntaxError(
+                f"rule {rule!r}: !bind! variable {var!r} is never used by an action"
+            )
+        return tuple(actions)
+
+    def _annotation(self, form):
+        head = form[0]
+        if len(form) != 4:
+            raise ModelSyntaxError(
+                "spp needs RULE :key VALUE", head.line, head.column
+            )
+        rule_tok = _atom(form[1], "a rule name")
+        rule = rule_tok.text
+        if rule not in self.rule_names:
+            raise UnknownAnnotationTarget(
+                f"spp names unknown rule {rule!r}", rule_tok.line, rule_tok.column
+            )
+        key = _atom(form[2], "an annotation key").text
+        value_tok = _atom(form[3], "an annotation value")
+        current = self.annotations.get(rule, Annotation())
+        if key == ":reward":
+            try:
+                amount = Fraction(value_tok.text)
+            except (ValueError, ZeroDivisionError):
+                raise ModelSyntaxError(
+                    f"reward {value_tok.text!r} is not a number",
+                    value_tok.line, value_tok.column,
+                ) from None
+            if current.reward is not None:
+                raise ModelSyntaxError(
+                    f"rule {rule!r} has two reward annotations",
+                    rule_tok.line, rule_tok.column,
+                )
+            current = replace(current, reward=amount)
+        elif key in (":success", ":failure"):
+            if value_tok.text != "t":
+                raise ModelSyntaxError(
+                    f"{key} takes the literal 't'", value_tok.line, value_tok.column
+                )
+            current = replace(
+                current,
+                success=current.success or key == ":success",
+                failure=current.failure or key == ":failure",
+            )
+        else:
+            raise ModelSyntaxError(
+                f"unknown annotation key {key!r}", head.line, head.column
+            )
+        self.annotations[rule] = current
 
 
 def linear_scan(engine, productions):

@@ -3,17 +3,20 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from actrsim.cli import main
+from actrsim.errors import ModelSyntaxError
 from actrsim.experiment import builtin_model_text
-from actrsim.model import _tokenize
+from actrsim.model import _ModelReader, _read_forms, _tokenize
 
-from test_model_parser import CLEAR_THEN_MODIFY
+from oracle import reference_read
+from test_model_parser import CLEAR_THEN_MODIFY, MODEL_PIECES
 
 
 def run_cli(capsys, *argv):
@@ -121,6 +124,18 @@ def test_unknown_provider_exits_1_before_the_trace_file_is_opened(tmp_path, caps
     assert code == 1
     assert out == ""
     assert err == "actrsim: no provider named 'next-mov' registered\n"
+    assert not trace_path.exists()
+
+
+def test_empty_sample_file_exits_1_before_the_trace_file_is_opened(tmp_path, capsys):
+    samples = tmp_path / "none.txt"
+    samples.write_text("# none\n", encoding="utf-8")
+    trace_path = tmp_path / "run.trace"
+    code, out, err = run_cli(capsys, "run", "--samples", str(samples),
+                             "--trace-file", str(trace_path))
+    assert code == 1
+    assert out == ""
+    assert err == f"actrsim: no samples in {samples}\n"
     assert not trace_path.exists()
 
 
@@ -256,3 +271,34 @@ def test_cli_exits_0_1_or_2_with_one_line_on_error(
         assert out.getvalue() == ""
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("actrsim: ")
+
+
+# -- the reader against the reference reader, on the same texts --------------------------
+
+# the only texts the reference reader accepts and the reader rejects: a slot
+# named twice, or a token that cannot be a slot name where a slot name stands
+TIGHTENED = re.compile(r"is named twice|is not a slot name|test, found '!(bind|output)!'")
+
+
+def read_with(read, text):
+    try:
+        return read(_read_forms(_tokenize(text)))
+    except ModelSyntaxError as error:
+        return error
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_models() | MODEL_PIECES)
+@example("(p r =goal> isa g me x me y ==> -goal>)")  # a slot tested twice
+@example("(add-dm (g1 isa game me nil me rock))")  # a slot filled twice
+@example("(p r =goal> isa g ==> =goal> me rock !output! (me) !bind! =y f =goal> me =y)")
+@example("(p r =goal> isa g ==>\n (foo))")  # a list where an action stands
+def test_reader_equals_the_reference_reader_but_for_the_tightened_rules(text):
+    ast = read_with(lambda forms: _ModelReader().read(forms), text)
+    reference = read_with(reference_read, text)
+    if not isinstance(ast, ModelSyntaxError):
+        assert ast == reference
+        return
+    assert ast.line is not None and ast.column is not None
+    if not isinstance(reference, ModelSyntaxError):
+        assert TIGHTENED.search(str(ast))

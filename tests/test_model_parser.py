@@ -156,6 +156,25 @@ def test_syntax_errors_report_positions():
         parse_model(")")
 
 
+def test_chunk_naming_a_slot_twice_is_rejected_at_the_second():
+    with pytest.raises(ModelSyntaxError, match="'me' is named twice") as excinfo:
+        parse_model("(add-dm (g1 isa game me nil me rock))")
+    assert (excinfo.value.line, excinfo.value.column) == (1, 29)
+
+
+@pytest.mark.parametrize("text, line, column", [
+    ("(chunk-type game)\n  ()", 2, 3),
+    ("\n((a))", 2, 1),
+    ("(p x =goal> isa g ==>\n   (foo))", 2, 4),
+    ("(p play =goal> isa game ==>\n !bind! =x feed =goal> me rock)", 2, 2),
+    ("(add-dm (g1 isa game\n  =goal> x))", 2, 3),
+])
+def test_every_syntax_error_has_a_position(text, line, column):
+    with pytest.raises(ModelSyntaxError) as excinfo:
+        parse_model(text)
+    assert (excinfo.value.line, excinfo.value.column) == (line, column)
+
+
 def test_unknown_form_rejected():
     with pytest.raises(ModelSyntaxError, match="unknown form"):
         parse_model("(sgp :esc t)")
