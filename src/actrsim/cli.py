@@ -12,11 +12,10 @@ import contextlib
 import sys
 from fractions import Fraction
 
-from . import experiment
+from . import experiment, strategies
 from .engine import compile_model, format_trace_entry
 from .errors import EngineError
 from .model import parse_model
-from .strategies import TIEBREAK_POLICIES
 
 
 def fraction(text: str) -> Fraction:
@@ -42,14 +41,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
     run.add_argument("--sample", type=int,
                      help="use only the Nth sample (1-based) of the loaded set")
     run.add_argument("--strategy", default="reinforcement",
-                     choices=("reinforcement", "success-cost", "random-cost"))
+                     choices=tuple(strategies.STRATEGIES))
     run.add_argument("--refraction", action="store_true",
                      help="never fire the same rule instantiation twice")
     run.add_argument("--alpha", type=fraction, default=Fraction(1, 5),
                      help="learning rate for the reinforcement strategy")
     run.add_argument("--goal-value", type=fraction, default=Fraction(20),
                      help="goal value G for the cost-based strategies")
-    run.add_argument("--tiebreak", choices=TIEBREAK_POLICIES,
+    run.add_argument("--tiebreak", choices=strategies.TIEBREAK_POLICIES,
                      help="override the strategy's declaration-order tie-break")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--runs", type=int, default=1,

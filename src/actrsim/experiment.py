@@ -36,9 +36,6 @@ class Sample:
     index: int
     moves: tuple[str, ...]
 
-    def counts(self):
-        return tuple(self.moves.count(m) for m in "rps")
-
 
 @dataclass(frozen=True)
 class RunResult:

@@ -159,17 +159,22 @@ def _atom(item, what):
     return item
 
 
+def _ends_slots(tok):
+    """A token ending in '>', !bind! or !output! ends a slot list."""
+    return tok.text.endswith(">") or tok.text in ("!bind!", "!output!")
+
+
 def _slot_pairs(items, i, where):
-    """Read SLOT VALUE pairs from items[i:] up to a nested list, a token ending
-    in '>', !bind! or !output!; returns the (slot, value) token pairs and the
-    index after them."""
+    """Read SLOT VALUE pairs from items[i:] up to a nested list or a token that
+    ends a slot list; returns the (slot, value) token pairs and the index
+    after them. A slot followed by such a token has no value."""
     pairs = []
     while i < len(items):
         slot = items[i]
-        if (not isinstance(slot, _Token) or slot.text.endswith(">")
-                or slot.text in ("!bind!", "!output!")):
+        if not isinstance(slot, _Token) or _ends_slots(slot):
             break
-        if i + 1 == len(items):
+        value = items[i + 1] if i + 1 < len(items) else None
+        if value is None or isinstance(value, _Token) and _ends_slots(value):
             raise ModelSyntaxError(
                 f"{where}: slot {slot.text!r} has no value", slot.line, slot.column
             )
@@ -177,7 +182,7 @@ def _slot_pairs(items, i, where):
             raise ModelSyntaxError(
                 f"{where}: slot {slot.text!r} is named twice", slot.line, slot.column
             )
-        pairs.append((slot, _atom(items[i + 1], "a value")))
+        pairs.append((slot, _atom(value, "a value")))
         i += 2
     return pairs, i
 

@@ -5,7 +5,9 @@ rule application (with its selection time) into an applied log, and annotated
 rules fire a trigger when applied. A trigger walks the whole log, including
 the entry of the triggering rule itself, updates the subsymbolic state of
 each logged application, and then empties the log. Draw-style rounds with no
-trigger simply leave their entries in the log for the next trigger.
+trigger simply leave their entries in the log for the next trigger. A rule
+has learning state only once a trigger has touched it; until then it reads
+its strategy's initial values.
 
 Deterministic strategies keep all arithmetic in exact rationals so that equal
 utilities are exactly equal; tie-breaking then falls back to declaration
@@ -71,8 +73,9 @@ def select_winner(candidates, utilities, tiebreak):
 class ConflictResolutionStrategy:
     """Scores a conflict set and reacts to applications and triggers.
 
-    Subclasses implement score(); the reward/outcome hooks are no-ops by
-    default so annotations a strategy does not use are simply ignored.
+    Subclasses implement utility(), which the default score() reads for
+    each candidate; the reward/outcome hooks are no-ops by default so
+    annotations a strategy does not use are simply ignored.
     """
 
     name = "base"
@@ -85,11 +88,9 @@ class ConflictResolutionStrategy:
         self.applied_log: list[tuple[str, Fraction]] = []
 
     def score(self, candidates) -> dict:
-        raise NotImplementedError
+        return {c.rule: self.utility(c.rule) for c in candidates}
 
     def select(self, candidates):
-        if not candidates:
-            return None
         return select_winner(candidates, self.score(candidates), self.tiebreak)
 
     def record_application(self, rule, selection_time):
@@ -124,9 +125,6 @@ class ReinforcementUtility(ConflictResolutionStrategy):
         self.alpha = alpha
         self.utilities: dict[str, Fraction] = {}
 
-    def score(self, candidates):
-        return {c.rule: self.utility(c.rule) for c in candidates}
-
     def trigger_reward(self, amount, now):
         for rule, selected in self.applied_log:
             reward = amount - (now - selected)
@@ -145,52 +143,46 @@ class SuccessCostUtility(ConflictResolutionStrategy):
     Counters start at one success, no failures, and 0.05 s of effort (the
     selection time of one firing). A success or failure trigger at time t
     bumps the matching counter once per logged application and adds each
-    application's t - t_sel to its rule's efforts.
+    application's t - t_sel to its rule's efforts, then rescores each rule
+    it touched once. A rule no trigger has touched has no state of its own:
+    it reads the initial counters and the initial utility, computed once.
     """
 
     name = "success-cost"
     default_tiebreak = FIRST_DECLARED
 
-    INITIAL_EFFORT = Fraction(1, 20)
+    INITIAL_COUNTERS = (1, 0, Fraction(1, 20))
 
     def __init__(self, goal_value=Fraction(20), tiebreak=None):
         super().__init__(tiebreak)
         self.goal_value = goal_value
         self._counters: dict[str, list] = {}  # rule -> [successes, failures, efforts]
-        self._cached: dict[str, tuple] = {}  # rule -> (P, C, U)
-
-    def _entry(self, rule):
-        if rule not in self._counters:
-            self._counters[rule] = [1, 0, self.INITIAL_EFFORT]
-            self._recompute(rule)
-        return self._counters[rule]
-
-    def _recompute(self, rule):
-        self._cached[rule] = sc_recompute(*self._counters[rule], self.goal_value)
+        self._utilities: dict[str, Fraction] = {}
+        self._initial_utility = sc_recompute(*self.INITIAL_COUNTERS, goal_value)[2]
 
     def counters(self, rule):
-        s, f, e = self._entry(rule)
-        return s, f, e
-
-    def score(self, candidates):
-        return {c.rule: self.utility(c.rule) for c in candidates}
+        return tuple(self._counters.get(rule, self.INITIAL_COUNTERS))
 
     def trigger_outcome(self, kind, now):
         index = {"success": 0, "failure": 1}[kind]
         for rule, selected in self.applied_log:
-            entry = self._entry(rule)
+            entry = self._counters.setdefault(rule, [*self.INITIAL_COUNTERS])
             entry[index] += 1
             entry[2] += now - selected
-            self._recompute(rule)
+        for rule in dict.fromkeys(rule for rule, _ in self.applied_log):
+            self._rescore(rule, *self._counters[rule])
         self.applied_log.clear()
 
+    def _rescore(self, rule, s, f, e):
+        """Store what score() reads of a rule whose counters a trigger changed."""
+        self._utilities[rule] = sc_recompute(s, f, e, self.goal_value)[2]
+
     def success_probability(self, rule):
-        self._entry(rule)
-        return self._cached[rule][0]
+        s, f, _ = self.counters(rule)
+        return Fraction(s, s + f)
 
     def utility(self, rule):
-        self._entry(rule)
-        return self._cached[rule][2]
+        return self._utilities.get(rule, self._initial_utility)
 
 
 class RandomCostUtility(SuccessCostUtility):
@@ -200,8 +192,8 @@ class RandomCostUtility(SuccessCostUtility):
     with an exponential draw around the expected cost theta = efforts /
     successes, recomputed for every conflict-set member on every conflict-
     resolution cycle. The reported utility of a rule is the one from its most
-    recent draw. The float theta and P a draw uses are computed once per
-    change of the rule's counters.
+    recent draw. A trigger stores only the float theta and P of each rule it
+    touched; a rule no trigger has touched draws with the initial ones.
     """
 
     name = "random-cost"
@@ -212,21 +204,20 @@ class RandomCostUtility(SuccessCostUtility):
         self.rng = rng if rng is not None else random.Random(seed)
         self._last_utility: dict[str, float] = {}
         self._floats: dict[str, tuple] = {}  # rule -> (float theta, float P)
+        self._initial_floats = (float(self.INITIAL_COUNTERS[2]), 1.0)  # initial theta and P
         self._goal_float = float(goal_value)
 
     def theta(self, rule):
-        successes, _, efforts = self._entry(rule)
+        successes, _, efforts = self.counters(rule)
         return efforts / successes
 
-    def _recompute(self, rule):
-        super()._recompute(rule)
-        self._floats[rule] = (float(self.theta(rule)), float(self._cached[rule][0]))
+    def _rescore(self, rule, s, f, e):
+        self._floats[rule] = (float(e / s), s / (s + f))
 
     def score(self, candidates):
         scores = {}
         for c in candidates:
-            self._entry(c.rule)
-            theta, p = self._floats[c.rule]
+            theta, p = self._floats.get(c.rule, self._initial_floats)
             u = rc_utility(p, self._goal_float, draw_random_cost(theta, self.rng.random()))
             self._last_utility[c.rule] = scores[c.rule] = u
         return scores

@@ -17,9 +17,16 @@ firing trace and the rule annotations, without the engine, queue, or
 strategy classes, so engine runs can be checked against an independent
 path. Selection always precedes firing by exactly 0.05 s, so selection
 times are recovered from fire times.
+
+`ReferenceSuccessCost` and `ReferenceRandomCost` are the success-cost and
+random-cost strategies as they stood before each kept only the learning
+state it reads, kept verbatim (a counter entry made on first read, and an
+exact (P, C, U) recomputed once per logged application) for differential
+tests of the strategies.
 """
 
 import logging
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -45,7 +52,14 @@ from actrsim.model import (
     _Token,
     is_variable,
 )
-from actrsim.strategies import reinforcement_update, sc_recompute
+from actrsim.strategies import (
+    FIRST_DECLARED,
+    ConflictResolutionStrategy,
+    draw_random_cost,
+    rc_utility,
+    reinforcement_update,
+    sc_recompute,
+)
 
 LATENCY = Fraction(1, 20)
 
@@ -472,3 +486,103 @@ def expected_sc_utilities(counters, goal_value=Fraction(20)):
         rule: sc_recompute(s, f, e, goal_value)[2]
         for rule, (s, f, e) in counters.items()
     }
+
+
+# -- the strategies before they kept only what they read ---------------------------
+
+class ReferenceSuccessCost(ConflictResolutionStrategy):
+    """Success-probability / average-cost utility learning.
+
+    Counters start at one success, no failures, and 0.05 s of effort (the
+    selection time of one firing). A success or failure trigger at time t
+    bumps the matching counter once per logged application and adds each
+    application's t - t_sel to its rule's efforts.
+    """
+
+    name = "success-cost"
+    default_tiebreak = FIRST_DECLARED
+
+    INITIAL_EFFORT = Fraction(1, 20)
+
+    def __init__(self, goal_value=Fraction(20), tiebreak=None):
+        super().__init__(tiebreak)
+        self.goal_value = goal_value
+        self._counters: dict[str, list] = {}  # rule -> [successes, failures, efforts]
+        self._cached: dict[str, tuple] = {}  # rule -> (P, C, U)
+
+    def _entry(self, rule):
+        if rule not in self._counters:
+            self._counters[rule] = [1, 0, self.INITIAL_EFFORT]
+            self._recompute(rule)
+        return self._counters[rule]
+
+    def _recompute(self, rule):
+        self._cached[rule] = sc_recompute(*self._counters[rule], self.goal_value)
+
+    def counters(self, rule):
+        s, f, e = self._entry(rule)
+        return s, f, e
+
+    def score(self, candidates):
+        return {c.rule: self.utility(c.rule) for c in candidates}
+
+    def trigger_outcome(self, kind, now):
+        index = {"success": 0, "failure": 1}[kind]
+        for rule, selected in self.applied_log:
+            entry = self._entry(rule)
+            entry[index] += 1
+            entry[2] += now - selected
+            self._recompute(rule)
+        self.applied_log.clear()
+
+    def success_probability(self, rule):
+        self._entry(rule)
+        return self._cached[rule][0]
+
+    def utility(self, rule):
+        self._entry(rule)
+        return self._cached[rule][2]
+
+
+class ReferenceRandomCost(ReferenceSuccessCost):
+    """Success/cost learning with per-cycle random estimated costs.
+
+    Shares the success/failure/effort counters but replaces the average cost
+    with an exponential draw around the expected cost theta = efforts /
+    successes, recomputed for every conflict-set member on every conflict-
+    resolution cycle. The reported utility of a rule is the one from its most
+    recent draw. The float theta and P a draw uses are computed once per
+    change of the rule's counters.
+    """
+
+    name = "random-cost"
+    default_tiebreak = FIRST_DECLARED
+
+    def __init__(self, goal_value=Fraction(20), rng=None, seed=0, tiebreak=None):
+        super().__init__(goal_value, tiebreak)
+        self.rng = rng if rng is not None else random.Random(seed)
+        self._last_utility: dict[str, float] = {}
+        self._floats: dict[str, tuple] = {}  # rule -> (float theta, float P)
+        self._goal_float = float(goal_value)
+
+    def theta(self, rule):
+        successes, _, efforts = self._entry(rule)
+        return efforts / successes
+
+    def _recompute(self, rule):
+        super()._recompute(rule)
+        self._floats[rule] = (float(self.theta(rule)), float(self._cached[rule][0]))
+
+    def score(self, candidates):
+        scores = {}
+        for c in candidates:
+            self._entry(c.rule)
+            theta, p = self._floats[c.rule]
+            u = rc_utility(p, self._goal_float, draw_random_cost(theta, self.rng.random()))
+            self._last_utility[c.rule] = scores[c.rule] = u
+        return scores
+
+    def utility(self, rule):
+        if rule in self._last_utility:
+            return self._last_utility[rule]
+        return float(self.success_probability(rule) * self.goal_value)

@@ -276,8 +276,11 @@ def test_cli_exits_0_1_or_2_with_one_line_on_error(
 # -- the reader against the reference reader, on the same texts --------------------------
 
 # the only texts the reference reader accepts and the reader rejects: a slot
-# named twice, or a token that cannot be a slot name where a slot name stands
-TIGHTENED = re.compile(r"is named twice|is not a slot name|test, found '!(bind|output)!'")
+# named twice, a token that cannot be a slot name where a slot name stands,
+# or a token that ends a slot list where a value stands
+TIGHTENED = re.compile(
+    r"is named twice|is not a slot name|test, found '!(bind|output)!'|has no value"
+)
 
 
 def read_with(read, text):
@@ -293,6 +296,7 @@ def read_with(read, text):
 @example("(add-dm (g1 isa game me nil me rock))")  # a slot filled twice
 @example("(p r =goal> isa g ==> =goal> me rock !output! (me) !bind! =y f =goal> me =y)")
 @example("(p r =goal> isa g ==>\n (foo))")  # a list where an action stands
+@example("(p r =goal> isa g me =retrieval> isa g ==> -goal>)")  # a value missing
 def test_reader_equals_the_reference_reader_but_for_the_tightened_rules(text):
     ast = read_with(lambda forms: _ModelReader().read(forms), text)
     reference = read_with(reference_read, text)

@@ -162,6 +162,19 @@ def test_chunk_naming_a_slot_twice_is_rejected_at_the_second():
     assert (excinfo.value.line, excinfo.value.column) == (1, 29)
 
 
+@pytest.mark.parametrize("text, where, line, column", [
+    ("(p r =goal> isa g me =retrieval> isa g ==> -goal>)", "test on 'goal'", 1, 19),
+    ("(p r =goal> isa g ==>\n =goal> me !output! (me))", "update of 'goal'", 2, 9),
+    ("(p r =goal> isa g ==> =goal> me -goal>)", "update of 'goal'", 1, 30),
+    ("(add-dm (g1 isa game me !bind!))", "chunk 'g1'", 1, 22),
+    ("(add-dm (g1 isa game me =goal>))", "chunk 'g1'", 1, 22),
+], ids=["test", "update-then-output", "update-then-clear", "chunk-then-bind", "chunk-then-test"])
+def test_a_slot_list_ending_where_a_value_stands_is_a_missing_value(text, where, line, column):
+    with pytest.raises(ModelSyntaxError, match=f"{where}: slot 'me' has no value") as excinfo:
+        parse_model(text)
+    assert (excinfo.value.line, excinfo.value.column) == (line, column)
+
+
 @pytest.mark.parametrize("text, line, column", [
     ("(chunk-type game)\n  ()", 2, 3),
     ("\n((a))", 2, 1),

@@ -4,9 +4,11 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from actrsim.engine import Instantiation
+from actrsim import strategies
+from actrsim.engine import Engine, Instantiation
+from actrsim.experiment import PLAY_RULES
 from actrsim.strategies import (
     FIRST_DECLARED,
     LAST_DECLARED,
@@ -20,6 +22,7 @@ from actrsim.strategies import (
     sc_recompute,
     select_winner,
 )
+from oracle import ReferenceRandomCost, ReferenceSuccessCost
 
 
 def inst(rule, index):
@@ -163,6 +166,52 @@ def test_incremental_state_matches_recompute():
     assert strategy.utility("a") == sc_recompute(s, f, e, strategy.goal_value)[2]
 
 
+@pytest.fixture
+def sc_calls(monkeypatch):
+    """The argument tuples of every sc_recompute call the strategies make."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return sc_recompute(*args)
+
+    monkeypatch.setattr(strategies, "sc_recompute", spy)
+    return calls
+
+
+@pytest.mark.parametrize("log", [["a"], ["a", "a"], ["a", "b", "a", "c", "b"]])
+def test_success_cost_trigger_rescores_each_distinct_rule_once(sc_calls, log):
+    strategy = SuccessCostUtility()
+    sc_calls.clear()
+    for i, rule in enumerate(log):
+        strategy.record_application(rule, Fraction(i, 10))
+    strategy.trigger_outcome("success", Fraction(1))
+    assert sorted(args[:3] for args in sc_calls) == sorted(
+        strategy.counters(rule) for rule in set(log)
+    )
+
+
+def test_scoring_untouched_rules_rescores_nothing(sc_calls):
+    strategy = SuccessCostUtility()
+    sc_calls.clear()
+    assert strategy.score([inst("a", 0), inst("b", 1)]) == {
+        "a": Fraction("19.95"), "b": Fraction("19.95"),
+    }
+    assert strategy.success_probability("a") == 1
+    assert strategy.counters("b") == (1, 0, Fraction(1, 20))
+    assert sc_calls == []
+
+
+def test_random_cost_run_never_computes_the_exact_triple(sc_calls, rps_model):
+    strategy = RandomCostUtility(seed=3)
+    sc_calls.clear()
+    engine = Engine(rps_model, strategy, {"next-move": iter(["rock", "paper"] * 10)})
+    engine.run(Fraction(2))
+    # triggers ran: some play rule's counters moved
+    assert [r for r in PLAY_RULES if strategy.counters(r) != (1, 0, Fraction(1, 20))]
+    assert sc_calls == []
+
+
 # -- random costs ----------------------------------------------------------------------
 
 def test_draw_random_cost_edges():
@@ -290,3 +339,50 @@ def test_applied_log_times_are_nondecreasing():
         strategy.record_application("r", Fraction(i, 10))
     times = [t for _, t in strategy.applied_log]
     assert times == sorted(times)
+
+
+# -- against the strategies before they kept only what they read ---------------------------
+
+RULES = ("a", "b", "c")
+STEPS = st.fractions(min_value=0, max_value=1)
+OPERATIONS = st.lists(
+    st.tuples(st.just("record"), st.sampled_from(RULES), STEPS)
+    | st.tuples(st.sampled_from(("success", "failure")), st.none(), STEPS)
+    | st.tuples(st.just("score"), st.sets(st.sampled_from(RULES)), st.none()),
+    max_size=40,
+)
+
+
+def learning_state(strategy):
+    """Everything a reader can ask a strategy about each rule."""
+    state = {r: (strategy.counters(r), strategy.utility(r), strategy.success_probability(r))
+             for r in RULES}
+    if hasattr(strategy, "theta"):
+        state["theta"] = tuple(strategy.theta(r) for r in RULES)
+    return state, list(strategy.applied_log)
+
+
+PAIRS = {
+    "success-cost": lambda seed: (SuccessCostUtility(), ReferenceSuccessCost()),
+    "random-cost": lambda seed: (RandomCostUtility(seed=seed), ReferenceRandomCost(seed=seed)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PAIRS))
+@settings(max_examples=300, deadline=None)
+@given(operations=OPERATIONS, seed=st.integers(min_value=0, max_value=2**32))
+def test_strategy_equals_the_reference_strategy(kind, operations, seed):
+    strategy, reference = PAIRS[kind](seed)
+    now = Fraction(0)
+    for op, arg, step in operations:
+        if op == "score":
+            candidates = [inst(r, RULES.index(r)) for r in sorted(arg)]
+            assert strategy.score(candidates) == reference.score(candidates)
+        else:
+            now += step
+            for side in (strategy, reference):
+                if op == "record":
+                    side.record_application(arg, now)
+                else:
+                    side.trigger_outcome(op, now)
+        assert learning_state(strategy) == learning_state(reference)
