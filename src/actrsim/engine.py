@@ -8,14 +8,13 @@ buffer holds a chunk with the updated slots, and every right-hand-side
 variable is bound. Only a provider running out of values fails at run time.
 
 Each firing is one queue event, and at most one is ever pending. Popping it
-applies the rule: the strategy is notified, annotation triggers fire, every
-``!bind!`` and slot value is evaluated, and all modifications and then all
-clearings are applied. At the same instant the engine then collects one
-instantiation per applicable rule, lets the strategy pick a winner, and
-schedules the winner 50 ms later. Nothing runs between a selection and its
-application, so the buffers a winner tested still hold what it matched. The
-first event, at tick 0, has nothing to apply. When nothing matches, the
-queue stays empty and the run halts.
+applies the rule in one pass: the strategy is notified, annotation triggers
+fire, and each action (modifications before clearings) evaluates its
+``!bind!`` entries and is applied in place. At the same instant the engine
+matches, the strategy picks a winner, and the winner is scheduled 50 ms
+later, so a firing's tick also gives its selection time. Nothing runs in
+between: the buffers a winner tested still hold what it matched. The first
+event, at tick 0, applies nothing; when nothing matches, the run halts.
 
 Matching is indexed, after the alpha memories of Rete (Forgy 1982) without
 its beta network: a buffer holds one chunk and there are no requests, so
@@ -39,6 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
+from typing import NamedTuple
 
 from .chunks import Chunk
 from .errors import ModelSyntaxError, ProviderExhausted
@@ -50,22 +50,19 @@ TICKS_PER_SECOND = 1000
 FIRE_LATENCY_TICKS = 50  # 50 ms between selection and firing
 
 
-@dataclass
-class Instantiation:
+class Instantiation(NamedTuple):
     """A rule plus the concrete bindings and buffer snapshot it matched."""
 
     rule: str
     source_index: int
     bindings: dict
     matched: tuple  # ((buffer, chunk, ((slot, value), ...)), ...)
-    selection_time: Fraction | None = None
 
     def identity(self):
-        return (self.rule, tuple(sorted(self.bindings.items())), self.matched)
+        return (self.rule, self.matched)  # the snapshot holds every bound value
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     time: Fraction
     rule: str
     bindings: dict
@@ -85,14 +82,15 @@ def _compile(source_index, p):
     """(name, source_index, tests, actions) in flat tuples, built once per rule.
 
     tests: ((buffer, type, ((slot, expected, is_var), ...)), ...);
-    actions: ((buffer, binds, ((slot, value, is_var), ...) or None to clear), ...)
+    actions: ((buffer, binds, ((slot, value, is_var), ...) or None to clear), ...),
+    the modifications first, then the clearings, each in declaration order.
     """
     tests = tuple([(t.buffer, t.type, _flagged(t.slot_tests)) for t in p.tests])
-    actions = tuple([
+    actions = [
         (a.buffer, a.binds, _flagged(a.slot_updates) if a.kind == MODIFY else None)
         for a in p.actions
-    ])
-    return p.name, source_index, tests, actions
+    ]
+    return p.name, source_index, tests, tuple(sorted(actions, key=lambda a: a[2] is None))
 
 
 def _index(productions):
@@ -173,16 +171,11 @@ class Engine:
                        for spec in program.chunk_specs}
         self.queue = EventQueue()
         self.trace: list[TraceEntry] = []
-        self._now_tick = 0
-        self._now = Fraction(0)
         self.queue.schedule(0, 0, None)  # the first match: nothing to apply
 
     def now(self) -> Fraction:
         """The clock in exact seconds."""
-        tick = self.queue.now()
-        if tick != self._now_tick:
-            self._now_tick, self._now = tick, Fraction(tick, TICKS_PER_SECOND)
-        return self._now
+        return Fraction(self.queue.now(), TICKS_PER_SECOND)
 
     # -- matching ---------------------------------------------------------
 
@@ -236,9 +229,15 @@ class Engine:
 
     # -- application --------------------------------------------------------
 
-    def _apply(self, inst: Instantiation):
-        now = self.now()
-        self.strategy.record_application(inst.rule, inst.selection_time)
+    def _apply(self, inst: Instantiation, tick: int):
+        """Fire inst at tick, FIRE_LATENCY_TICKS after its selection.
+
+        Not atomic: a !bind! that runs out raises ProviderExhausted after the
+        strategy, the refraction history and the earlier actions were updated.
+        """
+        now = Fraction(tick, TICKS_PER_SECOND)
+        selected = Fraction(tick - FIRE_LATENCY_TICKS, TICKS_PER_SECOND)
+        self.strategy.record_application(inst.rule, selected)
         annotation = self.program.annotations.get(inst.rule)
         if annotation is not None:
             if annotation.reward is not None:
@@ -249,8 +248,7 @@ class Engine:
                 self.strategy.trigger_outcome("failure", now)
         if self.refraction:
             self.refraction_history.add(inst.identity())
-        env = dict(inst.bindings)
-        modifications, clearings = [], []
+        held, env = self.held, dict(inst.bindings)
         for buffer, binds, updates in self.program.rules[inst.source_index][3]:
             for variable, provider in binds:
                 try:
@@ -259,18 +257,12 @@ class Engine:
                     raise ProviderExhausted(
                         f"provider {provider!r} has no next value") from None
             if updates is None:
-                clearings.append(buffer)
-            else:
-                modifications.append((buffer, tuple(
-                    (slot, env[value] if is_var else value)
-                    for slot, value, is_var in updates
-                )))
+                held[buffer] = None  # the chunk stays in chunks
+            else:  # validation proved the buffer holds a chunk with these slots
+                values = self.chunks[held[buffer]].slot_values
+                for slot, value, is_var in updates:
+                    values[slot] = env[value] if is_var else value
         self.trace.append(TraceEntry(now, inst.rule, env, inst.identity()))
-        # validation proved each modified buffer holds a chunk with these slots
-        for buffer, updates in modifications:
-            self.chunks[self.held[buffer]].slot_values.update(updates)
-        for buffer in clearings:
-            self.held[buffer] = None  # the chunk stays in chunks
 
     # -- driver --------------------------------------------------------------
 
@@ -287,11 +279,10 @@ class Engine:
                 return self.trace
             inst = queue.pop_next().payload
             if inst is not None:
-                self._apply(inst)
+                self._apply(inst, next_time)
             candidates = self.find_instantiations()
             if self.refraction:
                 candidates = refraction_prune(candidates, self.refraction_history)
             winner = self.strategy.select(candidates)
             if winner is not None:  # else the queue stays empty: the run halts
-                winner.selection_time = self.now()
                 queue.schedule(next_time + FIRE_LATENCY_TICKS, 0, winner)

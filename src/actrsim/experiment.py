@@ -215,13 +215,8 @@ def format_utility(value) -> str:
 
 
 def format_count(value) -> str:
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        value = float(value)
-    if value == int(value):
-        return str(int(value))
-    return f"{value:.3f}".rstrip("0").rstrip(".")
+    """format_utility without trailing zeros: 2, 8.9, 0.063."""
+    return format_utility(value).rstrip("0").rstrip(".")
 
 
 def report_to_csv(report: Report) -> str:

@@ -489,9 +489,13 @@ def validate_model(ast: ModelAST) -> list[str]:
         buffers[buffer] = types.get(spec.type) if spec is not None else None
 
     # a buffer some rule clears can be empty when a rule fires, so a rule may
-    # modify it only if it tests it (its own clearings apply after its updates)
+    # modify it only if it tests it (compile_model applies clearings last)
     cleared = {a.buffer for p in ast.productions for a in p.actions if a.kind == CLEAR}
+    rule_names = set()
     for prod in ast.productions:
+        if prod.name in rule_names:
+            out.append(f"rule {prod.name!r} declared twice")
+        rule_names.add(prod.name)
         tested = {test.buffer for test in prod.tests}
         # every tested value: a constant never equals a variable's name
         bound = {v for test in prod.tests for _, v in test.slot_tests}
@@ -511,6 +515,9 @@ def validate_model(ast: ModelAST) -> list[str]:
                         f"of type {test.type!r}"
                     )
         for action in prod.actions:
+            if action.kind == CLEAR and action.binds:
+                out.append(f"rule {prod.name!r} binds a variable where it clears "
+                           f"buffer {action.buffer!r}")
             for var, _ in action.binds:  # evaluated in action order
                 bound.add(var)
             for slot, value in action.slot_updates:
@@ -538,7 +545,6 @@ def validate_model(ast: ModelAST) -> list[str]:
                             f"of type {ctype.name!r} in buffer {action.buffer!r}"
                         )
 
-    rule_names = {p.name for p in ast.productions}
     for rule in ast.annotations:
         if rule not in rule_names:
             out.append(f"annotation targets unknown rule {rule!r}")

@@ -145,7 +145,7 @@ class SuccessCostUtility(ConflictResolutionStrategy):
     bumps the matching counter once per logged application and adds each
     application's t - t_sel to its rule's efforts, then rescores each rule
     it touched once. A rule no trigger has touched has no state of its own:
-    it reads the initial counters and the initial utility, computed once.
+    it reads the initial counters and the state they give, computed once.
     """
 
     name = "success-cost"
@@ -157,8 +157,8 @@ class SuccessCostUtility(ConflictResolutionStrategy):
         super().__init__(tiebreak)
         self.goal_value = goal_value
         self._counters: dict[str, list] = {}  # rule -> [successes, failures, efforts]
-        self._utilities: dict[str, Fraction] = {}
-        self._initial_utility = sc_recompute(*self.INITIAL_COUNTERS, goal_value)[2]
+        self._states: dict = {}  # rule -> _state of its counters
+        self._initial_state = self._state(*self.INITIAL_COUNTERS)
 
     def counters(self, rule):
         return tuple(self._counters.get(rule, self.INITIAL_COUNTERS))
@@ -170,19 +170,19 @@ class SuccessCostUtility(ConflictResolutionStrategy):
             entry[index] += 1
             entry[2] += now - selected
         for rule in dict.fromkeys(rule for rule, _ in self.applied_log):
-            self._rescore(rule, *self._counters[rule])
+            self._states[rule] = self._state(*self._counters[rule])
         self.applied_log.clear()
 
-    def _rescore(self, rule, s, f, e):
-        """Store what score() reads of a rule whose counters a trigger changed."""
-        self._utilities[rule] = sc_recompute(s, f, e, self.goal_value)[2]
+    def _state(self, s, f, e):
+        """What score() reads of a rule with these counters: its exact U."""
+        return sc_recompute(s, f, e, self.goal_value)[2]
 
     def success_probability(self, rule):
         s, f, _ = self.counters(rule)
         return Fraction(s, s + f)
 
     def utility(self, rule):
-        return self._utilities.get(rule, self._initial_utility)
+        return self._states.get(rule, self._initial_state)
 
 
 class RandomCostUtility(SuccessCostUtility):
@@ -203,21 +203,20 @@ class RandomCostUtility(SuccessCostUtility):
         super().__init__(goal_value, tiebreak)
         self.rng = rng if rng is not None else random.Random(seed)
         self._last_utility: dict[str, float] = {}
-        self._floats: dict[str, tuple] = {}  # rule -> (float theta, float P)
-        self._initial_floats = (float(self.INITIAL_COUNTERS[2]), 1.0)  # initial theta and P
         self._goal_float = float(goal_value)
 
     def theta(self, rule):
         successes, _, efforts = self.counters(rule)
         return efforts / successes
 
-    def _rescore(self, rule, s, f, e):
-        self._floats[rule] = (float(e / s), s / (s + f))
+    def _state(self, s, f, e):
+        """What score() reads of a rule with these counters: float theta and P."""
+        return float(e / s), s / (s + f)
 
     def score(self, candidates):
         scores = {}
         for c in candidates:
-            theta, p = self._floats.get(c.rule, self._initial_floats)
+            theta, p = self._states.get(c.rule, self._initial_state)
             u = rc_utility(p, self._goal_float, draw_random_cost(theta, self.rng.random()))
             self._last_utility[c.rule] = scores[c.rule] = u
         return scores

@@ -23,14 +23,18 @@ random-cost strategies as they stood before each kept only the learning
 state it reads, kept verbatim (a counter entry made on first read, and an
 exact (P, C, U) recomputed once per logged application) for differential
 tests of the strategies.
+
+`reference_run` is a whole run read straight off the semantics, with no
+queue, compiled rules or index, for differential tests of `Engine`.
 """
 
 import logging
 import random
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
-from actrsim.chunks import ChunkType
+from actrsim.chunks import Chunk, ChunkType
 from actrsim.engine import Instantiation
 from actrsim.errors import (
     DuplicateBufferTest,
@@ -586,3 +590,72 @@ class ReferenceRandomCost(ReferenceSuccessCost):
         if rule in self._last_utility:
             return self._last_utility[rule]
         return float(self.success_probability(rule) * self.goal_value)
+
+
+# -- a whole run, straight from the semantics ---------------------------------------
+
+def reference_identity(inst):
+    """What refraction remembers of an application: rule, bindings, snapshot."""
+    return (inst.rule, tuple(sorted(inst.bindings.items())), inst.matched)
+
+
+def reference_select(candidates, scores, tiebreak):
+    """A best-scored candidate; among exact ties the first or last declared."""
+    best = max(scores[c.rule] for c in candidates)
+    tied = [c for c in candidates if scores[c.rule] == best]
+    pick = min if tiebreak == FIRST_DECLARED else max
+    return pick(tied, key=lambda c: c.source_index)
+
+
+def reference_run(model, strategy, providers, refraction, t_limit):
+    """Run model from its initial state; returns (trace, held, chunks).
+
+    The clock is an exact Fraction and there is no queue. Each cycle
+    matches every rule with linear_scan, drops each instantiation whose
+    identity was applied before (under refraction), scores the rest with
+    strategy and picks one with reference_select. The winner fires LATENCY
+    later, unless that passes t_limit: the strategy logs it with its
+    selection time, its annotation's triggers run, every !bind! is
+    evaluated in action order, then all modifications are applied, then all
+    clearings. trace lists (time, rule, bindings) per firing.
+    """
+    state = SimpleNamespace(  # what linear_scan reads of an engine
+        held=dict(model.buffer_inits),
+        chunks={spec.name: Chunk(spec.name, spec.type, dict(spec.slot_values))
+                for spec in model.initial_chunks},
+    )
+    applied, trace, clock = set(), [], Fraction(0)
+    while True:
+        candidates = [c for c in linear_scan(state, model.productions)
+                      if not (refraction and reference_identity(c) in applied)]
+        if not candidates:
+            break
+        winner = reference_select(candidates, strategy.score(candidates), strategy.tiebreak)
+        if clock + LATENCY > t_limit:
+            break
+        selected, clock = clock, clock + LATENCY
+        strategy.record_application(winner.rule, selected)
+        annotation = model.annotations.get(winner.rule)
+        if annotation is not None:
+            if annotation.reward is not None:
+                strategy.trigger_reward(annotation.reward, clock)
+            if annotation.success:
+                strategy.trigger_outcome("success", clock)
+            if annotation.failure:
+                strategy.trigger_outcome("failure", clock)
+        applied.add(reference_identity(winner))
+        env = dict(winner.bindings)
+        actions = model.productions[winner.source_index].actions
+        for action in actions:
+            for variable, provider in action.binds:
+                env[variable] = next(providers[provider])
+        trace.append((clock, winner.rule, env))
+        for action in actions:
+            if action.kind == MODIFY:
+                chunk = state.chunks[state.held[action.buffer]]
+                for slot, value in action.slot_updates:
+                    chunk.slot_values[slot] = env[value] if is_variable(value) else value
+        for action in actions:
+            if action.kind == CLEAR:
+                state.held[action.buffer] = None
+    return trace, state.held, state.chunks

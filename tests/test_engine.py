@@ -123,7 +123,9 @@ def test_selection_schedules_apply_after_fire_latency(rps_model):
     event = pending_firing(engine)
     assert event.time == FIRE_LATENCY_TICKS
     assert event.payload.rule == "play-scissors"
-    assert event.payload.selection_time == 0
+    engine.queue.schedule(event.time, 0, event.payload)  # put it back, then fire it
+    engine.run(Fraction(1, 20))
+    assert strategy.applied_log == [("play-scissors", 0)]  # selected at t=0
 
 
 def test_halts_when_nothing_matches_and_queue_empty():
@@ -165,15 +167,25 @@ def test_rule_with_no_actions_only_reschedules_match():
     assert event.payload.rule == "idle" and event.time == 100  # 0.1 s
 
 
+class KeepsLog(ReinforcementUtility):
+    """Reinforcement whose rewards leave the applied log as it is."""
+
+    def trigger_reward(self, amount, now):
+        pass
+
+
 def test_effects_apply_before_next_match(rps_model):
-    engine = Engine(rps_model, ReinforcementUtility(), {"next-move": iter(["rock"])})
+    strategy = KeepsLog()
+    engine = Engine(rps_model, strategy, {"next-move": iter(["rock"])})
     engine.run(Fraction(1, 20))  # play-scissors fires at 0.05
     assert engine.chunks["g1"].slot_values.get("me") == "scissors"
     assert engine.chunks["g1"].slot_values.get("opponent") == "rock"
     # the 0.05 match already selected detect-defeat-scissors on the new state
     event = pending_firing(engine)
     assert event.payload.rule == "detect-defeat-scissors"
-    assert event.payload.selection_time == Fraction(1, 20)
+    engine.queue.schedule(event.time, 0, event.payload)  # put it back, then fire it
+    engine.run(Fraction(1, 10))
+    assert strategy.applied_log[-1] == ("detect-defeat-scissors", Fraction(1, 20))
 
 
 def test_provider_consumed_once_per_application(rps_model):

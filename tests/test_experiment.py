@@ -151,6 +151,14 @@ def test_format_count():
     assert format_count(5) == "5"
 
 
+def test_averages_of_sixteen_rows_round_half_away_from_zero():
+    # one win in sixteen rows is 0.0625 wins: half away from zero, as utilities
+    rows = [RunResult(i, (Fraction(1, 16),) * 3, int(i == 1), 5 * (i <= 1), 0)
+            for i in range(1, 17)]
+    avg_line = report_to_csv(summarize(rows)).splitlines()[-1]
+    assert avg_line == "avg,0.063,0.063,0.063,0.063,0.313,0"
+
+
 def test_csv_report_shape(rps_model):
     report = run_experiment(
         rps_model, HarnessConfig(strategy="reinforcement"), builtin_samples(1)

@@ -445,6 +445,26 @@ def test_validate_accepts_rules_that_test_what_they_modify_and_clear():
     assert validate_model(ast) == []
 
 
+def test_validate_flags_shapes_the_reader_never_produces():
+    ast = parse_model(
+        "(chunk-type game me)(add-dm (g1 isa game me rock))(goal-focus goal g1)"
+        "(p r =goal> isa game me rock ==> !bind! =m next =goal> me =m)"
+    )
+    assert validate_model(ast) == []
+    rule = ast.productions[0]
+    (modify,) = rule.actions
+    # the !bind! moved onto a clearing: format_model would print it before -goal>
+    bound_clear = replace(rule, actions=(Action(CLEAR, "goal", binds=modify.binds),
+                                         replace(modify, binds=())))
+    assert validate_model(replace(ast, productions=(bound_clear,))) == [
+        "rule 'r' binds a variable where it clears buffer 'goal'"
+    ]
+    # format_model would print a text the reader rejects
+    assert validate_model(replace(ast, productions=(rule, rule))) == [
+        "rule 'r' declared twice"
+    ]
+
+
 # -- tokenizer against the character-by-character reader ----------------------------
 
 # \f, \v and no-break space are not separators: they belong to atoms

@@ -203,8 +203,7 @@ def test_scoring_untouched_rules_rescores_nothing(sc_calls):
 
 
 def test_random_cost_run_never_computes_the_exact_triple(sc_calls, rps_model):
-    strategy = RandomCostUtility(seed=3)
-    sc_calls.clear()
+    strategy = RandomCostUtility(seed=3)  # building it computes none either
     engine = Engine(rps_model, strategy, {"next-move": iter(["rock", "paper"] * 10)})
     engine.run(Fraction(2))
     # triggers ran: some play rule's counters moved

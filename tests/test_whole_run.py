@@ -1,0 +1,98 @@
+"""Engine runs against reference_run, the run read straight off the semantics."""
+
+from __future__ import annotations
+
+import random
+from dataclasses import replace
+from fractions import Fraction
+
+from actrsim.engine import Engine
+from actrsim.model import CLEAR, MODIFY, Action
+from actrsim.strategies import RandomCostUtility, ReinforcementUtility, SuccessCostUtility
+
+from oracle import ReferenceRandomCost, ReferenceSuccessCost, reference_run
+from test_engine import two_buffer_model
+from test_refraction import random_model
+
+MOVES = ("rock", "paper", "scissors")
+
+
+def strategy_pair(index, seed):
+    """The engine's strategy and the reference run's, drawing alike."""
+    kind = index % 3
+    if kind == 0:
+        return ReinforcementUtility(), ReinforcementUtility()
+    if kind == 1:
+        return SuccessCostUtility(), ReferenceSuccessCost()
+    return RandomCostUtility(seed=seed), ReferenceRandomCost(seed=seed)
+
+
+def chunk_state(chunks):
+    return {name: (chunk.type, dict(chunk.slot_values)) for name, chunk in chunks.items()}
+
+
+def clearing_model(rng):
+    """A two_buffer_model where some rules also clear a buffer they modify.
+
+    The clearing goes anywhere in the action list, before the modification
+    too: whatever the order, modifications apply first.
+    """
+    model = two_buffer_model(rng)
+    productions = []
+    for production in model.productions:
+        actions = list(production.actions)
+        modified = [action.buffer for action in actions if action.kind == MODIFY]
+        if modified and rng.random() < 0.5:
+            actions.insert(rng.randint(0, len(actions)), Action(CLEAR, rng.choice(modified)))
+        productions.append(replace(production, actions=tuple(actions)))
+    return replace(model, productions=tuple(productions))
+
+
+def modifies_and_clears(production):
+    """Whether a rule modifies a buffer and also clears it."""
+    kinds = {}
+    for action in production.actions:
+        kinds.setdefault(action.buffer, set()).add(action.kind)
+    return any(both == {MODIFY, CLEAR} for both in kinds.values())
+
+
+def compare(model, index, seed, t_limit, moves=()):
+    """Run model on the engine and on the reference; return the engine's trace."""
+    rules = [p.name for p in model.productions]
+    ours, theirs = strategy_pair(index, seed)
+    refraction = index >= 3
+    engine = Engine(model, ours, {"next-move": iter(moves)}, refraction)
+    engine.run(t_limit)
+    trace, held, chunks = reference_run(
+        model, theirs, {"next-move": iter(moves)}, refraction, t_limit)
+    assert [(e.time, e.rule, e.bindings) for e in engine.trace] == trace
+    assert engine.held == held
+    assert chunk_state(engine.chunks) == chunk_state(chunks)
+    assert [ours.utility(r) for r in rules] == [theirs.utility(r) for r in rules]
+    return engine.trace
+
+
+def test_engine_equals_the_reference_run_on_generated_models():
+    rng = random.Random(1010)
+    models = ([random_model(rng) for _ in range(100)]
+              + [two_buffer_model(rng) for _ in range(100)]
+              + [clearing_model(rng) for _ in range(150)])
+    firings = both = 0
+    for number, model in enumerate(models):
+        shapes = {p.name: modifies_and_clears(p) for p in model.productions}
+        for index in range(6):  # three strategies, without and with refraction
+            trace = compare(model, index, number, Fraction(1))
+            firings += len(trace)
+            both += sum(shapes[entry.rule] for entry in trace)
+    assert firings > 18000
+    assert both > 150  # rules that modify and clear one buffer do fire
+
+
+def test_engine_equals_the_reference_run_on_the_bundled_model(rps_model):
+    rng = random.Random(2020)
+    firings = 0
+    for number in range(12):
+        moves = [rng.choice(MOVES) for _ in range(20)]
+        for index in range(6):
+            firings += len(compare(rps_model, index, number, Fraction(2), moves))
+    assert firings > 12 * 3 * 40  # without refraction every run plays 20 rounds
