@@ -29,13 +29,16 @@ those survivors only.
 
 The queue runs on integer millisecond ticks. ``Engine.now()``,
 ``TraceEntry.time`` and every time handed to a strategy are exact
-``Fraction`` seconds, and ``run`` compares ticks with the floor of its limit
-in ticks, which is exact for any rational or float limit.
+``Fraction`` seconds, all read from ``seconds(tick)``: one bounded table of
+the ticks' Fractions, shared by every run in the process, so a firing builds
+no Fraction for its two times. ``run`` compares ticks with the floor of its
+limit in ticks, which is exact for any rational or float limit.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
@@ -48,6 +51,12 @@ from .strategies import refraction_prune
 
 TICKS_PER_SECOND = 1000
 FIRE_LATENCY_TICKS = 50  # 50 ms between selection and firing
+
+
+@lru_cache(maxsize=4096)  # 4,096 ticks 50 ms apart span 204 s of a run
+def seconds(tick: int) -> Fraction:
+    """The exact time of tick in seconds."""
+    return Fraction(tick, TICKS_PER_SECOND)
 
 
 class Instantiation(NamedTuple):
@@ -175,7 +184,7 @@ class Engine:
 
     def now(self) -> Fraction:
         """The clock in exact seconds."""
-        return Fraction(self.queue.now(), TICKS_PER_SECOND)
+        return seconds(self.queue.now())
 
     # -- matching ---------------------------------------------------------
 
@@ -235,8 +244,8 @@ class Engine:
         Not atomic: a !bind! that runs out raises ProviderExhausted after the
         strategy, the refraction history and the earlier actions were updated.
         """
-        now = Fraction(tick, TICKS_PER_SECOND)
-        selected = Fraction(tick - FIRE_LATENCY_TICKS, TICKS_PER_SECOND)
+        now = seconds(tick)
+        selected = seconds(tick - FIRE_LATENCY_TICKS)
         self.strategy.record_application(inst.rule, selected)
         annotation = self.program.annotations.get(inst.rule)
         if annotation is not None:

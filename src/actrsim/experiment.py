@@ -232,16 +232,18 @@ def report_to_csv(report: Report) -> str:
 
 
 def report_to_json(report: Report) -> str:
+    def count(value):  # a row's counts are ints; the averages' round as in CSV
+        return value if isinstance(value, int) else float(round_thousandths(value))
+
     def row_obj(row, index):
         return {
             "sample": index,
             "U_r": float(round_thousandths(row.utilities[0])),
             "U_p": float(round_thousandths(row.utilities[1])),
             "U_s": float(round_thousandths(row.utilities[2])),
-            "wins": float(row.wins) if isinstance(row.wins, Fraction) else row.wins,
-            "draws": float(row.draws) if isinstance(row.draws, Fraction) else row.draws,
-            "defeats": float(row.defeats)
-            if isinstance(row.defeats, Fraction) else row.defeats,
+            "wins": count(row.wins),
+            "draws": count(row.draws),
+            "defeats": count(row.defeats),
         }
 
     payload = {

@@ -14,6 +14,15 @@ utilities are exactly equal; tie-breaking then falls back to declaration
 order (first- or last-declared). The random-cost strategy draws a fresh
 estimated cost for every conflict-set member on every cycle from a seedable
 uniform generator.
+
+The exact arithmetic is the cost of a run, so each step is written with the
+fewest operations on the numbers that grow. A reinforcement utility's
+denominator gains a factor of 1/alpha with every update (over a thousand
+bits after 2,000 firings), so the update is (1 - alpha) U + alpha R, two
+operations on U, and a trigger computes R = amount - (t - t_sel) as
+(amount - t) + t_sel. Success-cost adds t - t_sel to the efforts and
+rescores each touched rule once per trigger. Random-cost reads theta =
+efforts / successes as one correctly rounded integer division into a float.
 """
 
 import math
@@ -29,8 +38,12 @@ TIEBREAK_POLICIES = (FIRST_DECLARED, LAST_DECLARED)
 # -- update math -------------------------------------------------------------
 
 def reinforcement_update(utility, alpha, reward):
-    """One learning step: move the utility toward the reward by factor alpha."""
-    return utility + alpha * (reward - utility)
+    """One learning step: move the utility toward the reward by factor alpha.
+
+    U + alpha (R - U), written as (1 - alpha) U + alpha R: two operations on
+    U, whose denominator grows with every step, instead of three.
+    """
+    return (1 - alpha) * utility + alpha * reward
 
 
 def sc_recompute(successes, failures, efforts, goal_value):
@@ -126,10 +139,10 @@ class ReinforcementUtility(ConflictResolutionStrategy):
         self.utilities: dict[str, Fraction] = {}
 
     def trigger_reward(self, amount, now):
+        base = amount - now  # each application's reward is base + its selection time
         for rule, selected in self.applied_log:
-            reward = amount - (now - selected)
             self.utilities[rule] = reinforcement_update(
-                self.utility(rule), self.alpha, reward
+                self.utility(rule), self.alpha, base + selected
             )
         self.applied_log.clear()
 
@@ -211,7 +224,7 @@ class RandomCostUtility(SuccessCostUtility):
 
     def _state(self, s, f, e):
         """What score() reads of a rule with these counters: float theta and P."""
-        return float(e / s), s / (s + f)
+        return e.numerator / (e.denominator * s), s / (s + f)  # float(e / s), no Fraction
 
     def score(self, candidates):
         scores = {}

@@ -12,17 +12,24 @@ nested list placed at its first token) for differential tests of
 engine's `held` and `chunks` dicts, one rule and one slot test at a time,
 for differential tests of the engine's indexed matcher.
 
+`textbook_reinforcement` and `textbook_success_cost` are the learning
+formulas as the paper states them, U + alpha (R - (t - t_sel) - U) and
+P G - C from the counters, written out here rather than imported, so that a
+rewrite of the strategies' arithmetic is checked by arithmetic of its own.
+Every oracle below learns through these two.
+
 The replay oracles recompute expected subsymbolic state directly from a
 firing trace and the rule annotations, without the engine, queue, or
 strategy classes, so engine runs can be checked against an independent
 path. Selection always precedes firing by exactly 0.05 s, so selection
 times are recovered from fire times.
 
+`ReferenceReinforcement` is reinforcement learning on the textbook formula.
 `ReferenceSuccessCost` and `ReferenceRandomCost` are the success-cost and
 random-cost strategies as they stood before each kept only the learning
-state it reads, kept verbatim (a counter entry made on first read, and an
-exact (P, C, U) recomputed once per logged application) for differential
-tests of the strategies.
+state it reads (a counter entry made on first read, and an exact (P, C, U)
+recomputed once per logged application) for differential tests of the
+strategies.
 
 `reference_run` is a whole run read straight off the semantics, with no
 queue, compiled rules or index, for differential tests of `Engine`.
@@ -58,11 +65,10 @@ from actrsim.model import (
 )
 from actrsim.strategies import (
     FIRST_DECLARED,
+    LAST_DECLARED,
     ConflictResolutionStrategy,
     draw_random_cost,
     rc_utility,
-    reinforcement_update,
-    sc_recompute,
 )
 
 LATENCY = Fraction(1, 20)
@@ -450,6 +456,18 @@ def linear_scan(engine, productions):
     return out
 
 
+def textbook_reinforcement(utility, alpha, reward, now, selected):
+    """U + alpha (R - (t - t_sel) - U): one application rewarded R at t."""
+    return utility + alpha * (reward - (now - selected) - utility)
+
+
+def textbook_success_cost(s, f, e, goal_value):
+    """(P, C, U): P = s / (s + f), C = e / (s + f), U = P G - C."""
+    p = Fraction(s, s + f)
+    c = e / (s + f)
+    return p, c, p * goal_value - c
+
+
 def replay_reinforcement(trace, annotations, alpha=Fraction(1, 5)):
     """Expected utility table after replaying the fired-rule sequence."""
     utilities: dict = {}
@@ -459,9 +477,8 @@ def replay_reinforcement(trace, annotations, alpha=Fraction(1, 5)):
         ann = annotations.get(entry.rule)
         if ann is not None and ann.reward is not None:
             for rule, selected in log:
-                reward = ann.reward - (entry.time - selected)
-                utilities[rule] = reinforcement_update(
-                    utilities.get(rule, Fraction(0)), alpha, reward
+                utilities[rule] = textbook_reinforcement(
+                    utilities.get(rule, Fraction(0)), alpha, ann.reward, entry.time, selected
                 )
             log.clear()
     return utilities
@@ -487,12 +504,40 @@ def replay_success_cost(trace, annotations):
 
 def expected_sc_utilities(counters, goal_value=Fraction(20)):
     return {
-        rule: sc_recompute(s, f, e, goal_value)[2]
+        rule: textbook_success_cost(s, f, e, goal_value)[2]
         for rule, (s, f, e) in counters.items()
     }
 
 
-# -- the strategies before they kept only what they read ---------------------------
+# -- reference strategies ------------------------------------------------------------
+
+class ReferenceReinforcement(ConflictResolutionStrategy):
+    """Reward-propagating utility learning on the textbook formula.
+
+    A reward R triggered at t updates each logged application, in order,
+    to U + alpha (R - (t - t_sel) - U), then empties the log. Utilities
+    start at 0.
+    """
+
+    name = "reinforcement"
+    default_tiebreak = LAST_DECLARED
+
+    def __init__(self, alpha=Fraction(1, 5), tiebreak=None):
+        super().__init__(tiebreak)
+        self.alpha = alpha
+        self.utilities: dict[str, Fraction] = {}
+
+    def trigger_reward(self, amount, now):
+        for rule, selected in self.applied_log:
+            self.utilities[rule] = textbook_reinforcement(
+                self.utility(rule), self.alpha, amount, now, selected
+            )
+        self.applied_log.clear()
+
+    def utility(self, rule):
+        return self.utilities.get(rule, Fraction(0))
+
+
 
 class ReferenceSuccessCost(ConflictResolutionStrategy):
     """Success-probability / average-cost utility learning.
@@ -521,7 +566,7 @@ class ReferenceSuccessCost(ConflictResolutionStrategy):
         return self._counters[rule]
 
     def _recompute(self, rule):
-        self._cached[rule] = sc_recompute(*self._counters[rule], self.goal_value)
+        self._cached[rule] = textbook_success_cost(*self._counters[rule], self.goal_value)
 
     def counters(self, rule):
         s, f, e = self._entry(rule)

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from actrsim.chunks import ChunkType
 from actrsim.engine import (
@@ -12,6 +13,7 @@ from actrsim.engine import (
     Engine,
     compile_model,
     format_trace_entry,
+    seconds,
 )
 from actrsim.errors import ModelSyntaxError, ProviderExhausted
 from actrsim.experiment import builtin_samples
@@ -126,6 +128,16 @@ def test_selection_schedules_apply_after_fire_latency(rps_model):
     engine.queue.schedule(event.time, 0, event.payload)  # put it back, then fire it
     engine.run(Fraction(1, 20))
     assert strategy.applied_log == [("play-scissors", 0)]  # selected at t=0
+
+
+@given(tick=st.integers(min_value=-FIRE_LATENCY_TICKS, max_value=10**7))
+def test_seconds_is_the_exact_time_of_a_tick(tick):
+    assert seconds(tick) == Fraction(tick, 1000)
+    assert type(seconds(tick)) is Fraction
+
+
+def test_seconds_table_is_bounded():
+    assert seconds.cache_info().maxsize == 4096
 
 
 def test_halts_when_nothing_matches_and_queue_empty():

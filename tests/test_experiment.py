@@ -159,6 +159,15 @@ def test_averages_of_sixteen_rows_round_half_away_from_zero():
     assert avg_line == "avg,0.063,0.063,0.063,0.063,0.313,0"
 
 
+def test_json_averages_of_sixteen_rows_round_as_in_csv():
+    rows = [RunResult(i, (Fraction(1, 16),) * 3, int(i == 1), 5 * (i <= 1), 0)
+            for i in range(1, 17)]
+    payload = json.loads(report_to_json(summarize(rows)))
+    assert payload["average"] == {"sample": "avg", "U_r": 0.063, "U_p": 0.063, "U_s": 0.063,
+                                  "wins": 0.063, "draws": 0.313, "defeats": 0.0}
+    assert payload["rows"][0]["wins"] == 1 and type(payload["rows"][0]["wins"]) is int
+
+
 def test_csv_report_shape(rps_model):
     report = run_experiment(
         rps_model, HarnessConfig(strategy="reinforcement"), builtin_samples(1)

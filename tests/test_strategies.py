@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from actrsim import strategies
 from actrsim.engine import Engine, Instantiation
@@ -22,7 +23,7 @@ from actrsim.strategies import (
     sc_recompute,
     select_winner,
 )
-from oracle import ReferenceRandomCost, ReferenceSuccessCost
+from oracle import ReferenceRandomCost, ReferenceReinforcement, ReferenceSuccessCost
 
 
 def inst(rule, index):
@@ -62,6 +63,23 @@ def test_repeated_updates_converge_geometrically(u, r, n):
     for _ in range(n):
         current = reinforcement_update(current, alpha, r)
     assert abs(current - r) == (1 - alpha) ** n * abs(u - r)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    u=st.fractions(min_value=-5, max_value=5, max_denominator=100),
+    alpha=st.fractions(min_value=0, max_value=1, max_denominator=100).filter(bool),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_chained_updates_equal_the_three_operation_form(u, alpha, seed):
+    # the update as it was written before, U + alpha (R - U), step for step
+    rng = random.Random(seed)
+    current = previous = u
+    for _ in range(400):
+        reward = Fraction(rng.randint(-100, 100), 20)
+        current = reinforcement_update(current, alpha, reward)
+        previous = previous + alpha * (reward - previous)
+        assert current == previous
 
 
 def test_trigger_reward_walks_log_in_order():
@@ -233,6 +251,18 @@ def test_random_cost_theta_tracks_counters():
     assert strategy.theta("play-rock") == Fraction("0.15") / 2
 
 
+BIG = st.integers(min_value=2**64 + 1, max_value=2**512)
+
+
+@given(n=BIG, d=BIG, s=st.integers(min_value=1, max_value=10**6))
+def test_random_cost_theta_is_the_float_of_the_exact_quotient(n, d, s):
+    assume(math.gcd(n, d) == 1)  # numerator and denominator both above 2**64
+    e = Fraction(n, d)
+    assert e.numerator / (e.denominator * s) == float(e / s)
+    theta, p = RandomCostUtility()._state(s, 0, e)
+    assert theta == float(e / s) and p == 1
+
+
 def test_random_cost_scores_every_candidate_each_cycle():
     strategy = RandomCostUtility(seed=5)
     candidates = [inst("a", 0), inst("b", 1)]
@@ -347,21 +377,22 @@ STEPS = st.fractions(min_value=0, max_value=1)
 OPERATIONS = st.lists(
     st.tuples(st.just("record"), st.sampled_from(RULES), STEPS)
     | st.tuples(st.sampled_from(("success", "failure")), st.none(), STEPS)
+    | st.tuples(st.just("reward"), st.fractions(min_value=-2, max_value=2), STEPS)
     | st.tuples(st.just("score"), st.sets(st.sampled_from(RULES)), st.none()),
     max_size=40,
 )
+READERS = ("counters", "utility", "success_probability", "theta")
 
 
 def learning_state(strategy):
     """Everything a reader can ask a strategy about each rule."""
-    state = {r: (strategy.counters(r), strategy.utility(r), strategy.success_probability(r))
-             for r in RULES}
-    if hasattr(strategy, "theta"):
-        state["theta"] = tuple(strategy.theta(r) for r in RULES)
+    readers = [getattr(strategy, name) for name in READERS if hasattr(strategy, name)]
+    state = {r: tuple(read(r) for read in readers) for r in RULES}
     return state, list(strategy.applied_log)
 
 
 PAIRS = {
+    "reinforcement": lambda seed: (ReinforcementUtility(), ReferenceReinforcement()),
     "success-cost": lambda seed: (SuccessCostUtility(), ReferenceSuccessCost()),
     "random-cost": lambda seed: (RandomCostUtility(seed=seed), ReferenceRandomCost(seed=seed)),
 }
@@ -382,6 +413,8 @@ def test_strategy_equals_the_reference_strategy(kind, operations, seed):
             for side in (strategy, reference):
                 if op == "record":
                     side.record_application(arg, now)
+                elif op == "reward":
+                    side.trigger_reward(arg, now)
                 else:
                     side.trigger_outcome(op, now)
         assert learning_state(strategy) == learning_state(reference)

@@ -10,7 +10,12 @@ from actrsim.engine import Engine
 from actrsim.model import CLEAR, MODIFY, Action
 from actrsim.strategies import RandomCostUtility, ReinforcementUtility, SuccessCostUtility
 
-from oracle import ReferenceRandomCost, ReferenceSuccessCost, reference_run
+from oracle import (
+    ReferenceRandomCost,
+    ReferenceReinforcement,
+    ReferenceSuccessCost,
+    reference_run,
+)
 from test_engine import two_buffer_model
 from test_refraction import random_model
 
@@ -21,7 +26,7 @@ def strategy_pair(index, seed):
     """The engine's strategy and the reference run's, drawing alike."""
     kind = index % 3
     if kind == 0:
-        return ReinforcementUtility(), ReinforcementUtility()
+        return ReinforcementUtility(), ReferenceReinforcement()
     if kind == 1:
         return SuccessCostUtility(), ReferenceSuccessCost()
     return RandomCostUtility(seed=seed), ReferenceRandomCost(seed=seed)
