@@ -60,22 +60,6 @@ class ModelSyntaxError(EngineError):
         super().__init__(message)
 
 
-class DuplicateRuleName(ModelSyntaxError):
-    pass
-
-
-class DuplicateBufferTest(ModelSyntaxError):
-    pass
-
-
-class UnboundRhsVariable(ModelSyntaxError):
-    pass
-
-
-class UnknownAnnotationTarget(ModelSyntaxError):
-    pass
-
-
 # -- engine -----------------------------------------------------------------------
 
 class ProviderExhausted(EngineError):

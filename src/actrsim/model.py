@@ -18,26 +18,21 @@ or ``=variables``. An ACTION is either a modification ``=buffer> SLOT VALUE
 ``!output!`` directive, which is parsed and ignored (logged). Buffer requests
 (``+buffer>``) are not supported and rejected at parse time.
 
-Every variable used on the right-hand side must be bound on the left-hand
-side or by a ``!bind!`` entry. A slot may appear once per chunk, test or
-modification. Each ``ModelSyntaxError`` from ``parse_model`` carries the line
-and column of the offending token, or of the ``(`` of the offending list.
+``parse_model`` handles syntax: each ``ModelSyntaxError`` carries the line and
+column of the offending token, or of the ``(`` of the offending list.
+``validate_model`` handles semantics, each rule once; its diagnostics name the
+rule, chunk or slot but carry no position. A model it accepts round-trips.
 """
 
 import logging
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple
 
 from .chunks import ChunkType
-from .errors import (
-    DuplicateBufferTest,
-    DuplicateRuleName,
-    ModelSyntaxError,
-    UnboundRhsVariable,
-    UnknownAnnotationTarget,
-)
+from .errors import ModelSyntaxError
 
 log = logging.getLogger(__name__)
 
@@ -110,8 +105,9 @@ class _List(list):
         self.line, self.column = line, column
 
 
+_ATOM = re.compile(r"[^ \t\r\n();]+")
 # a parenthesis, an atom, a comment, or a newline; other whitespace separates
-_LEXEME = re.compile(r"[()]|[^ \t\r\n();]+|;[^\n]*|\n")
+_LEXEME = re.compile(rf"[()]|{_ATOM.pattern}|;[^\n]*|\n")
 
 
 def _tokenize(text: str):
@@ -159,9 +155,9 @@ def _atom(item, what):
     return item
 
 
-def _ends_slots(tok):
-    """A token ending in '>', !bind! or !output! ends a slot list."""
-    return tok.text.endswith(">") or tok.text in ("!bind!", "!output!")
+def _ends_slots(text):
+    """A token ending in '>' (so also '==>'), !bind! or !output! ends a slot list."""
+    return text.endswith(">") or text in ("!bind!", "!output!")
 
 
 def _slot_pairs(items, i, where):
@@ -171,16 +167,12 @@ def _slot_pairs(items, i, where):
     pairs = []
     while i < len(items):
         slot = items[i]
-        if not isinstance(slot, _Token) or _ends_slots(slot):
+        if not isinstance(slot, _Token) or _ends_slots(slot.text):
             break
         value = items[i + 1] if i + 1 < len(items) else None
-        if value is None or isinstance(value, _Token) and _ends_slots(value):
+        if value is None or isinstance(value, _Token) and _ends_slots(value.text):
             raise ModelSyntaxError(
                 f"{where}: slot {slot.text!r} has no value", slot.line, slot.column
-            )
-        if any(s.text == slot.text for s, _ in pairs):
-            raise ModelSyntaxError(
-                f"{where}: slot {slot.text!r} is named twice", slot.line, slot.column
             )
         pairs.append((slot, _atom(value, "a value")))
         i += 2
@@ -199,7 +191,6 @@ class _ModelReader:
         self.initial_chunks: list[ChunkSpec] = []
         self.buffer_inits: list[tuple[str, str]] = []
         self.productions: list[Production] = []
-        self.rule_names: set[str] = set()
         self.annotations: dict[str, Annotation] = {}
 
     def read(self, forms) -> ModelAST:
@@ -253,12 +244,6 @@ class _ModelReader:
                     f"chunk {name!r}: {tok.text!r} is not a slot name",
                     tok.line, tok.column,
                 )
-            for _, value in pairs:
-                if is_variable(value.text):
-                    raise ModelSyntaxError(
-                        f"chunk {name!r} may not hold the variable {value.text!r}",
-                        value.line, value.column,
-                    )
             self.initial_chunks.append(ChunkSpec(name, ctype, _texts(pairs)))
 
     def _goal_focus(self, form):
@@ -273,12 +258,7 @@ class _ModelReader:
         head = form[0]
         if len(form) < 2:
             raise ModelSyntaxError("rule needs a name", head.line, head.column)
-        name_tok = _atom(form[1], "a rule name")
-        name = name_tok.text
-        if name in self.rule_names:
-            raise DuplicateRuleName(
-                f"rule {name!r} declared twice", name_tok.line, name_tok.column
-            )
+        name = _atom(form[1], "a rule name").text
         body = form[2:]
         arrow = [i for i, item in enumerate(body)
                  if isinstance(item, _Token) and item.text == "==>"]
@@ -287,9 +267,8 @@ class _ModelReader:
                 f"rule {name!r} needs exactly one '==>'", head.line, head.column
             )
         tests = self._tests(name, body[: arrow[0]])
-        actions = self._actions(name, tests, body[arrow[0] + 1 :])
+        actions = self._actions(name, body[arrow[0] + 1 :])
         self.productions.append(Production(name, tests, actions))
-        self.rule_names.add(name)
 
     def _tests(self, rule, items):
         tests = []
@@ -302,10 +281,6 @@ class _ModelReader:
                     tok.line, tok.column,
                 )
             buffer = tok.text[1:-1]
-            if any(t.buffer == buffer for t in tests):
-                raise DuplicateBufferTest(
-                    f"rule {rule!r} tests buffer {buffer!r} twice", tok.line, tok.column
-                )
             if i + 2 >= len(items) or _atom(items[i + 1], "'isa'").text != "isa":
                 raise ModelSyntaxError(
                     f"rule {rule!r}: test on {buffer!r} must start with 'isa TYPE'",
@@ -316,9 +291,8 @@ class _ModelReader:
             tests.append(BufferTest(buffer, ctype, _texts(pairs)))
         return tuple(tests)
 
-    def _actions(self, rule, tests, items):
-        bound = {v for t in tests for _, v in t.slot_tests if is_variable(v)}
-        pending = {}  # !bind! variable -> (provider, its token), until an update reads it
+    def _actions(self, rule, items):
+        pending = {}  # !bind! variable -> [(provider, token), ...] until an update reads it
         actions: list[Action] = []
         i = 0
         while i < len(items):
@@ -330,18 +304,7 @@ class _ModelReader:
                     )
                 var = _atom(items[i + 1], "a variable").text
                 provider = _atom(items[i + 2], "a provider name").text
-                if not is_variable(var):
-                    raise ModelSyntaxError(
-                        f"rule {rule!r}: !bind! target {var!r} is not a variable",
-                        tok.line, tok.column,
-                    )
-                if var in bound:
-                    raise ModelSyntaxError(
-                        f"rule {rule!r}: variable {var!r} is already bound",
-                        tok.line, tok.column,
-                    )
-                bound.add(var)
-                pending[var] = (provider, tok)
+                pending.setdefault(var, []).append((provider, tok))
                 i += 3
             elif tok.text == "!output!":
                 if i + 1 >= len(items):
@@ -361,18 +324,9 @@ class _ModelReader:
             elif tok.text.startswith("=") and tok.text.endswith(">"):
                 buffer = tok.text[1:-1]
                 pairs, i = _slot_pairs(items, i + 1, f"rule {rule!r}: update of {buffer!r}")
-                binds = []  # the !bind! entries this update reads first
-                for _, value in pairs:
-                    if not is_variable(value.text):
-                        continue
-                    if value.text not in bound:
-                        raise UnboundRhsVariable(
-                            f"rule {rule!r}: {value.text!r} is not bound on the "
-                            "left-hand side or by !bind!",
-                            value.line, value.column,
-                        )
-                    if value.text in pending:
-                        binds.append((value.text, pending.pop(value.text)[0]))
+                binds = [(value.text, provider)  # the !bind! entries this update reads first
+                         for _, value in pairs
+                         for provider, _ in pending.pop(value.text, ())]
                 actions.append(Action(MODIFY, buffer, _texts(pairs), tuple(binds)))
             else:
                 raise ModelSyntaxError(
@@ -380,7 +334,7 @@ class _ModelReader:
                     tok.line, tok.column,
                 )
         if pending:
-            var, (_, tok) = next(iter(pending.items()))
+            var, [(_, tok), *_] = next(iter(pending.items()))
             raise ModelSyntaxError(
                 f"rule {rule!r}: !bind! variable {var!r} is never used by an action",
                 tok.line, tok.column,
@@ -395,10 +349,6 @@ class _ModelReader:
             )
         rule_tok = _atom(form[1], "a rule name")
         rule = rule_tok.text
-        if rule not in self.rule_names:
-            raise UnknownAnnotationTarget(
-                f"spp names unknown rule {rule!r}", rule_tok.line, rule_tok.column
-            )
         key = _atom(form[2], "an annotation key").text
         value_tok = _atom(form[3], "an annotation value")
         current = self.annotations.get(rule, Annotation())
@@ -454,28 +404,41 @@ def parse_model(text: str) -> ModelAST:
 
 # -- validation ----------------------------------------------------------------------
 
+def _twice(what, names):
+    """A diagnostic for each of names that repeats an earlier one."""
+    return [f"{what} {name!r} twice" for i, name in enumerate(names) if name in names[:i]]
+
+
 def validate_model(ast: ModelAST) -> list[str]:
-    """Cross-reference checks; returns diagnostics instead of raising."""
+    """Diagnostics for every rule about what a model means, each stated once; a
+    model with none round-trips: parse_model(format_model(ast)) == ast."""
     out = []
+    # declared names and values must be symbols; other names must match a declaration
+    symbols, pairs = set(), []  # pairs: the (slot, value) lists, values to check
     types = {}
     for ctype in ast.chunk_types:
         if ctype.name in types:
             out.append(f"chunk type {ctype.name!r} declared twice")
-        if len(set(ctype.slots)) != len(ctype.slots):
-            out.append(f"chunk type {ctype.name!r} repeats a slot")
+        out += _twice(f"chunk type {ctype.name!r} names slot", ctype.slots)
         types[ctype.name] = ctype
+        symbols.update((ctype.name,), ctype.slots)
 
     chunks = {}
     for spec in ast.initial_chunks:
         if spec.name in chunks:
             out.append(f"chunk {spec.name!r} declared twice")
         chunks[spec.name] = spec
+        symbols.add(spec.name)
+        pairs.append(spec.slot_values)
+        if len(dict(spec.slot_values)) < len(spec.slot_values):
+            out += _twice(f"chunk {spec.name!r} names slot", [s for s, _ in spec.slot_values])
         ctype = types.get(spec.type)
         if ctype is None:
             out.append(f"chunk {spec.name!r} has unknown type {spec.type!r}")
-            continue
-        for slot, _ in spec.slot_values:
-            if slot not in ctype.slots:
+        for slot, value in spec.slot_values:
+            if is_variable(value):
+                out.append(f"chunk {spec.name!r} may not hold the variable {value!r}")
+            if ctype is not None and slot not in ctype.slots:
                 out.append(f"chunk {spec.name!r} fills unknown slot {slot!r}")
 
     # buffers are typed once, here: goal-focus is the only way to fill one
@@ -483,10 +446,13 @@ def validate_model(ast: ModelAST) -> list[str]:
     for buffer, chunk in ast.buffer_inits:
         if buffer in buffers:
             out.append(f"buffer {buffer!r} initialized twice")
+        if buffer == "=":  # a test or update of it would print as '==>'
+            out.append("buffer '=' would print as the rule arrow")
         spec = chunks.get(chunk)
         if spec is None:
             out.append(f"buffer {buffer!r} initialized with unknown chunk {chunk!r}")
         buffers[buffer] = types.get(spec.type) if spec is not None else None
+    pairs.append(ast.buffer_inits)
 
     # a buffer some rule clears can be empty when a rule fires, so a rule may
     # modify it only if it tests it (compile_model applies clearings last)
@@ -497,9 +463,14 @@ def validate_model(ast: ModelAST) -> list[str]:
             out.append(f"rule {prod.name!r} declared twice")
         rule_names.add(prod.name)
         tested = {test.buffer for test in prod.tests}
+        if len(tested) < len(prod.tests):
+            out += _twice(f"rule {prod.name!r} tests buffer", [t.buffer for t in prod.tests])
         # every tested value: a constant never equals a variable's name
         bound = {v for test in prod.tests for _, v in test.slot_tests}
         for test in prod.tests:
+            if len(dict(test.slot_tests)) < len(test.slot_tests):
+                out += _twice(f"rule {prod.name!r} test on {test.buffer!r} names slot",
+                              [s for s, _ in test.slot_tests])
             if test.buffer not in buffers:
                 out.append(
                     f"rule {prod.name!r} tests undeclared buffer {test.buffer!r}"
@@ -515,10 +486,29 @@ def validate_model(ast: ModelAST) -> list[str]:
                         f"of type {test.type!r}"
                     )
         for action in prod.actions:
-            if action.kind == CLEAR and action.binds:
-                out.append(f"rule {prod.name!r} binds a variable where it clears "
+            pairs.append(action.slot_updates)
+            if action.kind == CLEAR and action.slot_updates:
+                out.append(f"rule {prod.name!r} updates slots where it clears "
                            f"buffer {action.buffer!r}")
-            for var, _ in action.binds:  # evaluated in action order
+            if len(dict(action.slot_updates)) < len(action.slot_updates):
+                out += _twice(f"rule {prod.name!r} update of {action.buffer!r} names slot",
+                              [s for s, _ in action.slot_updates])
+            # the reader puts each !bind! on the first action to read it, in read order
+            reads = [*dict.fromkeys(v for _, v in action.slot_updates)] if action.binds else []
+            at = 0
+            for var, provider in action.binds:  # evaluated in order, before the updates
+                symbols.add(provider)
+                what = f"rule {prod.name!r} binds {var!r}"
+                if not is_variable(var):
+                    out.append(f"{what}, which is not a variable")
+                elif var in bound:
+                    out.append(f"{what}, which is already bound")
+                elif var not in reads:
+                    out.append(f"{what}, which its action on {action.buffer!r} does not read")
+                elif var not in reads[at:]:
+                    out.append(f"{what} after a variable its action reads later")
+                else:
+                    at = reads.index(var, at) + 1
                 bound.add(var)
             for slot, value in action.slot_updates:
                 if value not in bound and is_variable(value):
@@ -544,17 +534,25 @@ def validate_model(ast: ModelAST) -> list[str]:
                             f"rule {prod.name!r} updates unknown slot {slot!r} "
                             f"of type {ctype.name!r} in buffer {action.buffer!r}"
                         )
+        symbols |= bound  # the tested values and the !bind! variables
 
-    for rule in ast.annotations:
+    for rule, annotation in ast.annotations.items():
         if rule not in rule_names:
             out.append(f"annotation targets unknown rule {rule!r}")
+        if annotation == Annotation():
+            out.append(f"annotation of rule {rule!r} is empty")
+    # a symbol is one atom that does not end a slot list (so is not '==>')
+    symbols.update(rule_names, chain.from_iterable(chain.from_iterable(pairs)))
+    out += sorted(f"{symbol!r} is not a symbol" for symbol in symbols
+                  if not _ATOM.fullmatch(symbol) or _ends_slots(symbol))
     return out
 
 
 # -- pretty printer --------------------------------------------------------------------
 
 def format_model(ast: ModelAST) -> str:
-    """Emit canonical model text; parse(format_model(ast)) == ast."""
+    """Emit canonical model text; parse_model reads it back to any AST that
+    validate_model accepts."""
     lines = []
     for ctype in ast.chunk_types:
         lines.append("(chunk-type " + " ".join((ctype.name,) + ctype.slots) + ")")

@@ -6,7 +6,9 @@ for differential tests of the regular-expression tokenizer.
 `reference_read` is the model reader as it stood before every slot list
 was read by one function, kept verbatim (three slot-pair loops, and a
 nested list placed at its first token) for differential tests of
-`parse_model`'s reader.
+`parse_model`'s reader. It still makes the semantic checks that reader has
+since left to `validate_model` (a rule declared twice, an unbound variable,
+...), and raises a plain `ModelSyntaxError` for each.
 
 `linear_scan` matches the uncompiled rules of a `ModelAST` against an
 engine's `held` and `chunks` dicts, one rule and one slot test at a time,
@@ -43,13 +45,7 @@ from types import SimpleNamespace
 
 from actrsim.chunks import Chunk, ChunkType
 from actrsim.engine import Instantiation
-from actrsim.errors import (
-    DuplicateBufferTest,
-    DuplicateRuleName,
-    ModelSyntaxError,
-    UnboundRhsVariable,
-    UnknownAnnotationTarget,
-)
+from actrsim.errors import ModelSyntaxError
 from actrsim.model import (
     CLEAR,
     MODIFY,
@@ -222,7 +218,7 @@ class _ModelReader:
         name_tok = _atom(form[1], "a rule name")
         name = name_tok.text
         if name in self.rule_names:
-            raise DuplicateRuleName(
+            raise ModelSyntaxError(
                 f"rule {name!r} declared twice", name_tok.line, name_tok.column
             )
         body = form[2:]
@@ -249,7 +245,7 @@ class _ModelReader:
                 )
             buffer = tok.text[1:-1]
             if any(t.buffer == buffer for t in tests):
-                raise DuplicateBufferTest(
+                raise ModelSyntaxError(
                     f"rule {rule!r} tests buffer {buffer!r} twice", tok.line, tok.column
                 )
             i += 1
@@ -350,7 +346,7 @@ class _ModelReader:
                         )
                     if is_variable(value):
                         if value not in bound:
-                            raise UnboundRhsVariable(
+                            raise ModelSyntaxError(
                                 f"rule {rule!r}: {value!r} is not bound on the "
                                 "left-hand side or by !bind!",
                                 value_tok.line, value_tok.column,
@@ -384,7 +380,7 @@ class _ModelReader:
         rule_tok = _atom(form[1], "a rule name")
         rule = rule_tok.text
         if rule not in self.rule_names:
-            raise UnknownAnnotationTarget(
+            raise ModelSyntaxError(
                 f"spp names unknown rule {rule!r}", rule_tok.line, rule_tok.column
             )
         key = _atom(form[2], "an annotation key").text

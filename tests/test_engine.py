@@ -325,7 +325,7 @@ def write_me(name, expects, writes):
 
 
 def test_unbound_rhs_variable_is_rejected_when_the_engine_is_built():
-    # built by hand: the parser refuses this rule with UnboundRhsVariable
+    # parse_model reads this rule from text too: validate_model is what rejects it
     model = one_buffer_model(write_me("r", "rock", "=x"))
     diagnostic = "rule 'r' updates slot 'me' with unbound variable '=x'"
     assert validate_model(model) == [diagnostic]

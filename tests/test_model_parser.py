@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import string
 from dataclasses import replace
 from fractions import Fraction
@@ -8,13 +9,8 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from actrsim.chunks import ChunkType
-from actrsim.errors import (
-    DuplicateBufferTest,
-    DuplicateRuleName,
-    ModelSyntaxError,
-    UnboundRhsVariable,
-    UnknownAnnotationTarget,
-)
+from actrsim.engine import compile_model
+from actrsim.errors import ModelSyntaxError
 from actrsim.experiment import builtin_model_text
 from actrsim.model import (
     CLEAR,
@@ -94,9 +90,22 @@ def test_request_action_rejected():
         parse_model("(p ask =goal> isa game ==> +retrieval> isa game)")
 
 
+# declarations every rule below can test and modify
+DECLARED = "(chunk-type game me)(add-dm (g1 isa game me rock))(goal-focus goal g1)"
+
+
+def rejected(text, diagnostic):
+    """text parses, validate_model reports exactly diagnostic, and compile_model
+    raises it."""
+    ast = parse_model(DECLARED + text)
+    assert validate_model(ast) == [diagnostic]
+    with pytest.raises(ModelSyntaxError, match=re.escape(diagnostic)):
+        compile_model(ast)
+
+
 def test_unbound_rhs_variable_rejected():
-    with pytest.raises(UnboundRhsVariable):
-        parse_model("(p play =goal> isa game me nil ==> =goal> me =x)")
+    rejected("(p play =goal> isa game me nil ==> =goal> me =x)",
+             "rule 'play' updates slot 'me' with unbound variable '=x'")
 
 
 def test_unused_bind_rejected():
@@ -105,19 +114,18 @@ def test_unused_bind_rejected():
 
 
 def test_rebinding_lhs_variable_rejected():
-    with pytest.raises(ModelSyntaxError, match="already bound"):
-        parse_model("(p play =goal> isa game me =x ==> !bind! =x feed =goal> me =x)")
+    rejected("(p play =goal> isa game me =x ==> !bind! =x feed =goal> me =x)",
+             "rule 'play' binds '=x', which is already bound")
 
 
 def test_duplicate_buffer_test_rejected():
-    with pytest.raises(DuplicateBufferTest):
-        parse_model("(p two =goal> isa game =goal> isa game ==> -goal>)")
+    rejected("(p two =goal> isa game =goal> isa game ==> -goal>)",
+             "rule 'two' tests buffer 'goal' twice")
 
 
 def test_duplicate_rule_name_rejected():
     rule = "(p same =goal> isa game ==> -goal>)"
-    with pytest.raises(DuplicateRuleName):
-        parse_model(rule + rule)
+    rejected(rule + rule, "rule 'same' declared twice")
 
 
 def test_annotation_parsing():
@@ -129,8 +137,12 @@ def test_annotation_parsing():
 
 
 def test_annotation_unknown_target():
-    with pytest.raises(UnknownAnnotationTarget):
-        parse_model("(spp missing :reward 2)")
+    rejected("(spp missing :reward 2)", "annotation targets unknown rule 'missing'")
+
+
+def test_annotation_may_precede_its_rule():
+    text = "(spp recognize-win :success t)(chunk-type game me opponent result)" + WIN_RULE
+    assert parse_model(text).annotations == {"recognize-win": Annotation(success=True)}
 
 
 def test_zero_denominator_reward_is_a_syntax_error():
@@ -156,10 +168,17 @@ def test_syntax_errors_report_positions():
         parse_model(")")
 
 
+@pytest.mark.parametrize("text, diagnostic", [
+    ("(p play =goal> isa game ==> !bind! x feed =goal> me x)",
+     "rule 'play' binds 'x', which is not a variable"),
+    ("(goal-focus = g1)", "buffer '=' would print as the rule arrow"),
+], ids=["bind-of-a-constant", "buffer-that-prints-as-the-arrow"])
+def test_reader_reads_what_validation_rejects(text, diagnostic):
+    rejected(text, diagnostic)
+
+
 def test_chunk_naming_a_slot_twice_is_rejected_at_the_second():
-    with pytest.raises(ModelSyntaxError, match="'me' is named twice") as excinfo:
-        parse_model("(add-dm (g1 isa game me nil me rock))")
-    assert (excinfo.value.line, excinfo.value.column) == (1, 29)
+    rejected("(add-dm (g2 isa game me nil me rock))", "chunk 'g2' names slot 'me' twice")
 
 
 @pytest.mark.parametrize("text, where, line, column", [
@@ -447,22 +466,180 @@ def test_validate_accepts_rules_that_test_what_they_modify_and_clear():
 
 def test_validate_flags_shapes_the_reader_never_produces():
     ast = parse_model(
-        "(chunk-type game me)(add-dm (g1 isa game me rock))(goal-focus goal g1)"
-        "(p r =goal> isa game me rock ==> !bind! =m next =goal> me =m)"
+        "(chunk-type game me opponent)(add-dm (g1 isa game me rock))(goal-focus goal g1)"
+        "(p r =goal> isa game me rock ==> !bind! =m next !bind! =n next"
+        " =goal> me =m opponent =n)"
     )
     assert validate_model(ast) == []
     rule = ast.productions[0]
     (modify,) = rule.actions
-    # the !bind! moved onto a clearing: format_model would print it before -goal>
-    bound_clear = replace(rule, actions=(Action(CLEAR, "goal", binds=modify.binds),
-                                         replace(modify, binds=())))
-    assert validate_model(replace(ast, productions=(bound_clear,))) == [
-        "rule 'r' binds a variable where it clears buffer 'goal'"
+
+    def flagged(*actions):
+        return validate_model(replace(ast, productions=(replace(rule, actions=actions),)))
+
+    # a !bind! on a clearing: format_model would print it before -goal>
+    assert flagged(Action(CLEAR, "goal", binds=modify.binds[:1]),
+                   replace(modify, binds=modify.binds[1:])) == [
+        "rule 'r' binds '=m', which its action on 'goal' does not read"
     ]
-    # format_model would print a text the reader rejects
-    assert validate_model(replace(ast, productions=(rule, rule))) == [
-        "rule 'r' declared twice"
+    # a clearing that updates: format_model would print -goal> alone
+    assert flagged(modify, Action(CLEAR, "goal", (("me", "rock"),))) == [
+        "rule 'r' updates slots where it clears buffer 'goal'"
     ]
+    # binds out of the order their action reads them: the reader would swap them
+    assert flagged(replace(modify, binds=modify.binds[::-1])) == [
+        "rule 'r' binds '=m' after a variable its action reads later"
+    ]
+
+
+# -- each semantic rule on its own, and the round trip it keeps -------------------
+
+SHAPE_BASE = parse_model(
+    "(chunk-type game me opponent)(add-dm (g1 isa game me rock))(goal-focus goal g1)"
+    "(p play =goal> isa game me =m ==> !bind! =p next =goal> me =p opponent =m)"
+    "(spp play :reward 1)"
+)
+
+
+def edit_rule(ast, choose, fits, edit):
+    """ast with one rule that fits, chosen, replaced by edit(rule)."""
+    rules = list(ast.productions)
+    at = choose([i for i, rule in enumerate(rules) if fits(rule)])
+    rules[at] = edit(rules[at])
+    return replace(ast, productions=tuple(rules))
+
+
+def edit_action(ast, choose, fits, edit):
+    """ast with one action that fits, chosen, replaced by edit(rule, action)."""
+    spots = [(i, j) for i, rule in enumerate(ast.productions)
+             for j, action in enumerate(rule.actions) if fits(rule, action)]
+    i, j = choose(spots)
+    rules = list(ast.productions)
+    actions = list(rules[i].actions)
+    actions[j] = edit(rules[i], actions[j])
+    rules[i] = replace(rules[i], actions=tuple(actions))
+    return replace(ast, productions=tuple(rules))
+
+
+def edit_chunk(ast, choose, edit):
+    """ast with one chunk that holds a slot, chosen, replaced by edit(chunk)."""
+    chunks = list(ast.initial_chunks)
+    at = choose([i for i, chunk in enumerate(chunks) if chunk.slot_values])
+    chunks[at] = edit(chunks[at])
+    return replace(ast, initial_chunks=tuple(chunks))
+
+
+def renamed_rule(ast, choose, name):
+    """ast with one rule, chosen, renamed name(old), its annotation too."""
+    rules = list(ast.productions)
+    at = choose(range(len(rules)))
+    old = rules[at].name
+    rules[at] = replace(rules[at], name=name(old))
+    annotations = {name(rule) if rule == old else rule: annotation
+                   for rule, annotation in ast.annotations.items()}
+    return replace(ast, productions=tuple(rules), annotations=annotations)
+
+
+def lhs_variables(rule):
+    return {v for test in rule.tests for _, v in test.slot_tests if v.startswith("=")}
+
+
+def first_lhs_read(rule, action):
+    return next(v for _, v in action.slot_updates if v in lhs_variables(rule))
+
+
+# shape -> (ast, choose) -> the shaped ast; choose picks one of the spots it is given
+SHAPES = {
+    "slot-twice-in-test": lambda ast, choose: edit_rule(
+        ast, choose, lambda rule: any(test.slot_tests for test in rule.tests),
+        lambda rule: replace(rule, tests=tuple(
+            replace(test, slot_tests=test.slot_tests + test.slot_tests[:1])
+            for test in rule.tests))),
+    "slot-twice-in-update": lambda ast, choose: edit_action(
+        ast, choose, lambda rule, action: action.kind == MODIFY and action.slot_updates,
+        lambda rule, action: replace(
+            action, slot_updates=action.slot_updates + action.slot_updates[:1])),
+    "slot-twice-in-chunk": lambda ast, choose: edit_chunk(
+        ast, choose, lambda chunk: replace(
+            chunk, slot_values=chunk.slot_values + chunk.slot_values[:1])),
+    "buffer-tested-twice": lambda ast, choose: edit_rule(
+        ast, choose, lambda rule: rule.tests,
+        lambda rule: replace(rule, tests=rule.tests + rule.tests[:1])),
+    "bind-its-action-does-not-read": lambda ast, choose: edit_action(
+        ast, choose, lambda rule, action: action.kind == MODIFY,
+        lambda rule, action: replace(action, binds=action.binds + (("=unread", "next"),))),
+    "bind-of-a-lhs-variable": lambda ast, choose: edit_action(
+        ast, choose, lambda rule, action: any(
+            v in lhs_variables(rule) for _, v in action.slot_updates),
+        lambda rule, action: replace(
+            action, binds=action.binds + ((first_lhs_read(rule, action), "next"),))),
+    "variable-bound-twice": lambda ast, choose: edit_action(
+        ast, choose, lambda rule, action: action.binds,
+        lambda rule, action: replace(
+            action, binds=action.binds + ((action.binds[0][0], "again"),))),
+    "rule-name-with-a-space": lambda ast, choose: renamed_rule(
+        ast, choose, lambda name: name + " now"),
+    "value-ending-a-slot-list": lambda ast, choose: edit_chunk(
+        ast, choose, lambda chunk: replace(
+            chunk, slot_values=((chunk.slot_values[0][0], "=x>"),) + chunk.slot_values[1:])),
+    "empty-name": lambda ast, choose: renamed_rule(ast, choose, lambda name: ""),
+    "chunk-holding-a-variable": lambda ast, choose: edit_chunk(
+        ast, choose, lambda chunk: replace(
+            chunk, slot_values=((chunk.slot_values[0][0], "=v"),) + chunk.slot_values[1:])),
+    "empty-annotation": lambda ast, choose: replace(ast, annotations={
+        **ast.annotations, ast.productions[choose(range(len(ast.productions)))].name:
+            Annotation()}),
+}
+
+
+SHAPE_DIAGNOSTICS = [  # each shape on SHAPE_BASE, and the one diagnostic it gets
+    ("slot-twice-in-test", "rule 'play' test on 'goal' names slot 'me' twice"),
+    ("slot-twice-in-update", "rule 'play' update of 'goal' names slot 'me' twice"),
+    ("slot-twice-in-chunk", "chunk 'g1' names slot 'me' twice"),
+    ("buffer-tested-twice", "rule 'play' tests buffer 'goal' twice"),
+    ("bind-its-action-does-not-read",
+     "rule 'play' binds '=unread', which its action on 'goal' does not read"),
+    ("bind-of-a-lhs-variable", "rule 'play' binds '=m', which is already bound"),
+    ("variable-bound-twice", "rule 'play' binds '=p', which is already bound"),
+    ("rule-name-with-a-space", "'play now' is not a symbol"),
+    ("value-ending-a-slot-list", "'=x>' is not a symbol"),
+    ("empty-name", "'' is not a symbol"),
+    ("chunk-holding-a-variable", "chunk 'g1' may not hold the variable '=v'"),
+    ("empty-annotation", "annotation of rule 'play' is empty"),
+]
+
+
+@pytest.mark.parametrize("shape, diagnostic", SHAPE_DIAGNOSTICS,
+                         ids=[shape for shape, _ in SHAPE_DIAGNOSTICS])
+def test_each_shape_is_flagged_once(shape, diagnostic):
+    assert validate_model(SHAPE_BASE) == []
+    assert validate_model(SHAPES[shape](SHAPE_BASE, lambda spots: spots[0])) == [diagnostic]
+
+
+@st.composite
+def shaped_model_asts(draw):
+    """A model_asts() draw with SHAPE_BASE's declarations, rule and annotation
+    added, and one shape (or none) injected at a drawn spot."""
+    ast = draw(model_asts())
+    ast = replace(
+        ast,
+        chunk_types=ast.chunk_types + SHAPE_BASE.chunk_types,
+        initial_chunks=ast.initial_chunks + SHAPE_BASE.initial_chunks,
+        buffer_inits=ast.buffer_inits + SHAPE_BASE.buffer_inits,
+        productions=ast.productions + SHAPE_BASE.productions,
+        annotations={**ast.annotations, **SHAPE_BASE.annotations},
+    )
+    shape = draw(st.sampled_from([None, *SHAPES]))
+    if shape is None:
+        return ast
+    return SHAPES[shape](ast, lambda spots: draw(st.sampled_from(spots)))
+
+
+@settings(max_examples=400)  # about 30 draws of each shape
+@given(shaped_model_asts())
+def test_every_validated_ast_round_trips(ast):
+    if validate_model(ast) == []:
+        assert parse_model(format_model(ast)) == ast
 
 
 # -- tokenizer against the character-by-character reader ----------------------------

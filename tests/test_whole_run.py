@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
 
+from hypothesis import HealthCheck, Phase, given, settings
+
 from actrsim.engine import Engine
-from actrsim.model import CLEAR, MODIFY, Action
+from actrsim.model import CLEAR, MODIFY, Action, validate_model
 from actrsim.strategies import RandomCostUtility, ReinforcementUtility, SuccessCostUtility
 
 from oracle import (
@@ -17,6 +20,7 @@ from oracle import (
     reference_run,
 )
 from test_engine import two_buffer_model
+from test_model_parser import model_asts
 from test_refraction import random_model
 
 MOVES = ("rock", "paper", "scissors")
@@ -61,15 +65,17 @@ def modifies_and_clears(production):
     return any(both == {MODIFY, CLEAR} for both in kinds.values())
 
 
-def compare(model, index, seed, t_limit, moves=()):
-    """Run model on the engine and on the reference; return the engine's trace."""
+def compare(model, index, seed, t_limit, providers=lambda: {"next-move": iter(())}):
+    """Run model on the engine and on the reference; return the engine's trace.
+
+    providers() gives each side its own fresh !bind! providers.
+    """
     rules = [p.name for p in model.productions]
     ours, theirs = strategy_pair(index, seed)
     refraction = index >= 3
-    engine = Engine(model, ours, {"next-move": iter(moves)}, refraction)
+    engine = Engine(model, ours, providers(), refraction)
     engine.run(t_limit)
-    trace, held, chunks = reference_run(
-        model, theirs, {"next-move": iter(moves)}, refraction, t_limit)
+    trace, held, chunks = reference_run(model, theirs, providers(), refraction, t_limit)
     assert [(e.time, e.rule, e.bindings) for e in engine.trace] == trace
     assert engine.held == held
     assert chunk_state(engine.chunks) == chunk_state(chunks)
@@ -99,5 +105,32 @@ def test_engine_equals_the_reference_run_on_the_bundled_model(rps_model):
     for number in range(12):
         moves = [rng.choice(MOVES) for _ in range(20)]
         for index in range(6):
-            firings += len(compare(rps_model, index, number, Fraction(2), moves))
+            firings += len(compare(rps_model, index, number, Fraction(2),
+                                   lambda: {"next-move": iter(moves)}))
     assert firings > 12 * 3 * 40  # without refraction every run plays 20 rounds
+
+
+def test_engine_equals_the_reference_run_on_annotated_generated_models():
+    drawn = []
+
+    @settings(max_examples=300, derandomize=True, database=None,
+              phases=[Phase.generate], suppress_health_check=list(HealthCheck))
+    @given(model_asts())
+    def record(ast):
+        drawn.append(ast)
+
+    record()
+    models = [ast for ast in drawn if not validate_model(ast)]
+    firings = annotated = 0
+    for number, model in enumerate(models):
+        names = {provider for p in model.productions for a in p.actions
+                 for _, provider in a.binds}
+        for index in range(6):  # three strategies, without and with refraction
+            trace = compare(model, index, number, Fraction(1),
+                            lambda: {name: itertools.cycle(MOVES) for name in names})
+            firings += len(trace)
+            annotated += sum(entry.rule in model.annotations for entry in trace)
+    # samples of 300 draws hold 169-246 such models, whose annotated rules fire
+    # 938-1,841 times
+    assert len(models) >= 120
+    assert annotated > 500  # rules that trigger learning do fire
