@@ -14,7 +14,6 @@ from .engine import (Engine, Instantiation, Program, TraceEntry, compile_model,
                      format_trace_entry)
 from .errors import EngineError
 from .model import (
-    Action,
     Annotation,
     BufferTest,
     ModelAST,
@@ -39,7 +38,6 @@ from .strategies import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Action",
     "Annotation",
     "BufferSystem",
     "BufferTest",

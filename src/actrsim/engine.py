@@ -8,13 +8,14 @@ buffer holds a chunk with the updated slots, and every right-hand-side
 variable is bound. Only a provider running out of values fails at run time.
 
 Each firing is one queue event, and at most one is ever pending. Popping it
-applies the rule in one pass: the strategy is notified, annotation triggers
-fire, and each action (modifications before clearings) evaluates its
-``!bind!`` entries and is applied in place. At the same instant the engine
-matches, the strategy picks a winner, and the winner is scheduled 50 ms
-later, so a firing's tick also gives its selection time. Nothing runs in
-between: the buffers a winner tested still hold what it matched. The first
-event, at tick 0, applies nothing; when nothing matches, the run halts.
+applies the rule in one pass, read straight off its ``Production``: the
+strategy is notified, annotation triggers fire, every ``!bind!`` is drawn in
+text order, then the modifications are applied in place, then the clearings.
+At the same instant the engine matches, the strategy picks a winner, and the
+winner is scheduled 50 ms later, so a firing's tick also gives its selection
+time. Nothing runs in between: the buffers a winner tested still hold what
+it matched. The first event, at tick 0, applies nothing; when nothing
+matches, the run halts.
 
 Matching is indexed, after the alpha memories of Rete (Forgy 1982) without
 its beta network: a buffer holds one chunk and there are no requests, so
@@ -45,7 +46,7 @@ from typing import NamedTuple
 
 from .chunks import Chunk
 from .errors import ModelSyntaxError, ProviderExhausted
-from .model import MODIFY, ModelAST, is_variable, validate_model
+from .model import ModelAST, is_variable, validate_model
 from .scheduler import EventQueue
 from .strategies import refraction_prune
 
@@ -88,18 +89,15 @@ def _flagged(pairs):
 
 
 def _compile(source_index, p):
-    """(name, source_index, tests, actions) in flat tuples, built once per rule.
+    """(name, source_index, tests, binds, modifications, clearings), built once per rule.
 
     tests: ((buffer, type, ((slot, expected, is_var), ...)), ...);
-    actions: ((buffer, binds, ((slot, value, is_var), ...) or None to clear), ...),
-    the modifications first, then the clearings, each in declaration order.
+    modifications: ((buffer, ((slot, value, is_var), ...)), ...); binds and
+    clearings as in the Production.
     """
     tests = tuple([(t.buffer, t.type, _flagged(t.slot_tests)) for t in p.tests])
-    actions = [
-        (a.buffer, a.binds, _flagged(a.slot_updates) if a.kind == MODIFY else None)
-        for a in p.actions
-    ]
-    return p.name, source_index, tests, tuple(sorted(actions, key=lambda a: a[2] is None))
+    modifications = tuple([(buffer, _flagged(updates)) for buffer, updates in p.modifications])
+    return p.name, source_index, tests, p.binds, modifications, p.clearings
 
 
 def _index(productions):
@@ -155,8 +153,7 @@ def compile_model(model: ModelAST | Program) -> Program:
     if diagnostics:
         raise ModelSyntaxError("; ".join(diagnostics))
     rules = tuple([_compile(i, p) for i, p in enumerate(model.productions)])
-    providers = dict.fromkeys(provider for p in model.productions
-                              for action in p.actions for _, provider in action.binds)
+    providers = dict.fromkeys(provider for p in model.productions for _, provider in p.binds)
     return Program(rules, *_index(rules), model.annotations, tuple(providers),
                    model.initial_chunks, model.buffer_inits)
 
@@ -208,7 +205,7 @@ class Engine:
         else:  # back into declaration order
             survivors = sorted(chain.from_iterable(groups), key=itemgetter(1))
         out = []
-        for name, source_index, tests, _ in survivors:
+        for name, source_index, tests, _, _, _ in survivors:
             bindings: dict = {}
             matched = []
             for buffer, ctype, slot_tests in tests:
@@ -242,7 +239,8 @@ class Engine:
         """Fire inst at tick, FIRE_LATENCY_TICKS after its selection.
 
         Not atomic: a !bind! that runs out raises ProviderExhausted after the
-        strategy, the refraction history and the earlier actions were updated.
+        strategy (its log and triggers) and the refraction history were
+        updated, but before any modification or clearing.
         """
         now = seconds(tick)
         selected = seconds(tick - FIRE_LATENCY_TICKS)
@@ -257,20 +255,21 @@ class Engine:
                 self.strategy.trigger_outcome("failure", now)
         if self.refraction:
             self.refraction_history.add(inst.identity())
-        held, env = self.held, dict(inst.bindings)
-        for buffer, binds, updates in self.program.rules[inst.source_index][3]:
-            for variable, provider in binds:
-                try:
-                    env[variable] = next(self.providers[provider])
-                except StopIteration:
-                    raise ProviderExhausted(
-                        f"provider {provider!r} has no next value") from None
-            if updates is None:
-                held[buffer] = None  # the chunk stays in chunks
-            else:  # validation proved the buffer holds a chunk with these slots
-                values = self.chunks[held[buffer]].slot_values
-                for slot, value, is_var in updates:
-                    values[slot] = env[value] if is_var else value
+        _, _, _, binds, modifications, clearings = self.program.rules[inst.source_index]
+        env = dict(inst.bindings)
+        for variable, provider in binds:
+            try:
+                env[variable] = next(self.providers[provider])
+            except StopIteration:
+                raise ProviderExhausted(f"provider {provider!r} has no next value") from None
+        held, chunks = self.held, self.chunks
+        for buffer, updates in modifications:
+            # validation proved the buffer holds a chunk with these slots
+            values = chunks[held[buffer]].slot_values
+            for slot, value, is_var in updates:
+                values[slot] = env[value] if is_var else value
+        for buffer in clearings:
+            held[buffer] = None  # the chunk stays in chunks
         self.trace.append(TraceEntry(now, inst.rule, env, inst.identity()))
 
     # -- driver --------------------------------------------------------------

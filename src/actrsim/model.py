@@ -14,9 +14,15 @@ running to the end of the line. The accepted forms are:
 A TEST is ``=buffer> isa TYPE SLOT VALUE ...`` where values may be constants
 or ``=variables``. An ACTION is either a modification ``=buffer> SLOT VALUE
 ...``, a clearing ``-buffer>``, a host binding ``!bind! =VAR PROVIDER``
-(resolved at apply time by a provider registered with the engine), or an
+(drawn at apply time from a provider registered with the engine), or an
 ``!output!`` directive, which is parsed and ignored (logged). Buffer requests
 (``+buffer>``) are not supported and rejected at parse time.
+
+A ``Production`` keeps its right-hand side as what a firing does, in that
+order: ``binds``, the ``(variable, provider)`` pairs in text order, all
+drawn first; ``modifications``, the ``(buffer, slot_updates)`` pairs in text
+order; ``clearings``, the cleared buffers. Where a ``!bind!`` stands among
+the actions carries no meaning.
 
 ``parse_model`` handles syntax: each ``ModelSyntaxError`` carries the line and
 column of the offending token, or of the ``(`` of the offending list.
@@ -36,9 +42,6 @@ from .errors import ModelSyntaxError
 
 log = logging.getLogger(__name__)
 
-MODIFY = "modify"
-CLEAR = "clear"
-
 
 def is_variable(symbol: str) -> bool:
     return symbol.startswith("=") and not symbol.endswith(">")
@@ -52,18 +55,12 @@ class BufferTest:
 
 
 @dataclass(frozen=True)
-class Action:
-    kind: str  # MODIFY or CLEAR
-    buffer: str
-    slot_updates: tuple[tuple[str, str], ...] = ()
-    binds: tuple[tuple[str, str], ...] = ()  # (variable, provider name)
-
-
-@dataclass(frozen=True)
 class Production:
     name: str
     tests: tuple[BufferTest, ...]
-    actions: tuple[Action, ...]
+    binds: tuple[tuple[str, str], ...] = ()  # (variable, provider name)
+    modifications: tuple[tuple[str, tuple[tuple[str, str], ...]], ...] = ()
+    clearings: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -268,7 +265,7 @@ class _ModelReader:
             )
         tests = self._tests(name, body[: arrow[0]])
         actions = self._actions(name, body[arrow[0] + 1 :])
-        self.productions.append(Production(name, tests, actions))
+        self.productions.append(Production(name, tests, *actions))
 
     def _tests(self, rule, items):
         tests = []
@@ -292,8 +289,8 @@ class _ModelReader:
         return tuple(tests)
 
     def _actions(self, rule, items):
-        pending = {}  # !bind! variable -> [(provider, token), ...] until an update reads it
-        actions: list[Action] = []
+        """The rule's binds, modifications and clearings, each in text order."""
+        binds, modifications, clearings = [], [], []
         i = 0
         while i < len(items):
             tok = _atom(items[i], f"an action in rule {rule!r}")
@@ -304,7 +301,7 @@ class _ModelReader:
                     )
                 var = _atom(items[i + 1], "a variable").text
                 provider = _atom(items[i + 2], "a provider name").text
-                pending.setdefault(var, []).append((provider, tok))
+                binds.append((var, provider))
                 i += 3
             elif tok.text == "!output!":
                 if i + 1 >= len(items):
@@ -319,27 +316,18 @@ class _ModelReader:
                     tok.line, tok.column,
                 )
             elif tok.text.startswith("-") and tok.text.endswith(">"):
-                actions.append(Action(CLEAR, tok.text[1:-1]))
+                clearings.append(tok.text[1:-1])
                 i += 1
             elif tok.text.startswith("=") and tok.text.endswith(">"):
                 buffer = tok.text[1:-1]
                 pairs, i = _slot_pairs(items, i + 1, f"rule {rule!r}: update of {buffer!r}")
-                binds = [(value.text, provider)  # the !bind! entries this update reads first
-                         for _, value in pairs
-                         for provider, _ in pending.pop(value.text, ())]
-                actions.append(Action(MODIFY, buffer, _texts(pairs), tuple(binds)))
+                modifications.append((buffer, _texts(pairs)))
             else:
                 raise ModelSyntaxError(
                     f"rule {rule!r}: unexpected token {tok.text!r} in actions",
                     tok.line, tok.column,
                 )
-        if pending:
-            var, [(_, tok), *_] = next(iter(pending.items()))
-            raise ModelSyntaxError(
-                f"rule {rule!r}: !bind! variable {var!r} is never used by an action",
-                tok.line, tok.column,
-            )
-        return tuple(actions)
+        return tuple(binds), tuple(modifications), tuple(clearings)
 
     def _annotation(self, form):
         head = form[0]
@@ -455,8 +443,8 @@ def validate_model(ast: ModelAST) -> list[str]:
     pairs.append(ast.buffer_inits)
 
     # a buffer some rule clears can be empty when a rule fires, so a rule may
-    # modify it only if it tests it (compile_model applies clearings last)
-    cleared = {a.buffer for p in ast.productions for a in p.actions if a.kind == CLEAR}
+    # modify it only if it tests it (a firing clears after it modifies)
+    cleared = {buffer for p in ast.productions for buffer in p.clearings}
     rule_names = set()
     for prod in ast.productions:
         if prod.name in rule_names:
@@ -485,55 +473,46 @@ def validate_model(ast: ModelAST) -> list[str]:
                         f"rule {prod.name!r} tests unknown slot {slot!r} "
                         f"of type {test.type!r}"
                     )
-        for action in prod.actions:
-            pairs.append(action.slot_updates)
-            if action.kind == CLEAR and action.slot_updates:
-                out.append(f"rule {prod.name!r} updates slots where it clears "
-                           f"buffer {action.buffer!r}")
-            if len(dict(action.slot_updates)) < len(action.slot_updates):
-                out += _twice(f"rule {prod.name!r} update of {action.buffer!r} names slot",
-                              [s for s, _ in action.slot_updates])
-            # the reader puts each !bind! on the first action to read it, in read order
-            reads = [*dict.fromkeys(v for _, v in action.slot_updates)] if action.binds else []
-            at = 0
-            for var, provider in action.binds:  # evaluated in order, before the updates
-                symbols.add(provider)
-                what = f"rule {prod.name!r} binds {var!r}"
-                if not is_variable(var):
-                    out.append(f"{what}, which is not a variable")
-                elif var in bound:
-                    out.append(f"{what}, which is already bound")
-                elif var not in reads:
-                    out.append(f"{what}, which its action on {action.buffer!r} does not read")
-                elif var not in reads[at:]:
-                    out.append(f"{what} after a variable its action reads later")
-                else:
-                    at = reads.index(var, at) + 1
-                bound.add(var)
-            for slot, value in action.slot_updates:
+        # a firing draws every !bind! before it modifies, so any modification may read it
+        reads = ({v for _, updates in prod.modifications for _, v in updates}
+                 if prod.binds else ())
+        for var, provider in prod.binds:
+            symbols.add(provider)
+            what = f"rule {prod.name!r} binds {var!r}"
+            if not is_variable(var):
+                out.append(f"{what}, which is not a variable")
+            elif var in bound:
+                out.append(f"{what}, which is already bound")
+            elif var not in reads:
+                out.append(f"{what}, which no modification reads")
+            bound.add(var)
+        for buffer, updates in prod.modifications:
+            pairs.append(updates)
+            if len(dict(updates)) < len(updates):
+                out += _twice(f"rule {prod.name!r} update of {buffer!r} names slot",
+                              [s for s, _ in updates])
+            for slot, value in updates:
                 if value not in bound and is_variable(value):
                     out.append(
                         f"rule {prod.name!r} updates slot {slot!r} with unbound "
                         f"variable {value!r}"
                     )
-            if action.buffer not in buffers:
+            if buffer in cleared and buffer not in tested:
                 out.append(
-                    f"rule {prod.name!r} acts on undeclared buffer {action.buffer!r}"
-                )
-            if (action.kind == MODIFY and action.buffer in cleared
-                    and action.buffer not in tested):
-                out.append(
-                    f"rule {prod.name!r} modifies buffer {action.buffer!r} without "
+                    f"rule {prod.name!r} modifies buffer {buffer!r} without "
                     "testing it, but a rule clears that buffer"
                 )
-            ctype = buffers.get(action.buffer)
-            if action.kind == MODIFY and ctype is not None:
-                for slot, _ in action.slot_updates:
+            ctype = buffers.get(buffer)
+            if ctype is not None:
+                for slot, _ in updates:
                     if slot not in ctype.slots:
                         out.append(
                             f"rule {prod.name!r} updates unknown slot {slot!r} "
-                            f"of type {ctype.name!r} in buffer {action.buffer!r}"
+                            f"of type {ctype.name!r} in buffer {buffer!r}"
                         )
+        for buffer in chain([buffer for buffer, _ in prod.modifications], prod.clearings):
+            if buffer not in buffers:
+                out.append(f"rule {prod.name!r} acts on undeclared buffer {buffer!r}")
         symbols |= bound  # the tested values and the !bind! variables
 
     for rule, annotation in ast.annotations.items():
@@ -570,14 +549,13 @@ def format_model(ast: ModelAST) -> str:
                 f"   ={test.buffer}> isa {test.type}" + (f" {pairs}" if pairs else "")
             )
         lines.append(" ==>")
-        for action in prod.actions:
-            for var, provider in action.binds:
-                lines.append(f"   !bind! {var} {provider}")
-            if action.kind == CLEAR:
-                lines.append(f"   -{action.buffer}>")
-            else:
-                pairs = " ".join(f"{s} {v}" for s, v in action.slot_updates)
-                lines.append(f"   ={action.buffer}>" + (f" {pairs}" if pairs else ""))
+        for var, provider in prod.binds:
+            lines.append(f"   !bind! {var} {provider}")
+        for buffer, updates in prod.modifications:
+            pairs = " ".join(f"{s} {v}" for s, v in updates)
+            lines.append(f"   ={buffer}>" + (f" {pairs}" if pairs else ""))
+        for buffer in prod.clearings:
+            lines.append(f"   -{buffer}>")
         lines.append(")")
     for rule, ann in ast.annotations.items():
         if ann.reward is not None:

@@ -218,10 +218,6 @@ class RandomCostUtility(SuccessCostUtility):
         self._last_utility: dict[str, float] = {}
         self._goal_float = float(goal_value)
 
-    def theta(self, rule):
-        successes, _, efforts = self.counters(rule)
-        return efforts / successes
-
     def _state(self, s, f, e):
         """What score() reads of a rule with these counters: float theta and P."""
         return e.numerator / (e.denominator * s), s / (s + f)  # float(e / s), no Fraction

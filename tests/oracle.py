@@ -8,7 +8,8 @@ was read by one function, kept verbatim (three slot-pair loops, and a
 nested list placed at its first token) for differential tests of
 `parse_model`'s reader. It still makes the semantic checks that reader has
 since left to `validate_model` (a rule declared twice, an unbound variable,
-...), and raises a plain `ModelSyntaxError` for each.
+...), and raises a plain `ModelSyntaxError` for each. It emits the AST as it
+stands now: a rule's binds in text order, its modifications, its clearings.
 
 `linear_scan` matches the uncompiled rules of a `ModelAST` against an
 engine's `held` and `chunks` dicts, one rule and one slot test at a time,
@@ -47,9 +48,6 @@ from actrsim.chunks import Chunk, ChunkType
 from actrsim.engine import Instantiation
 from actrsim.errors import ModelSyntaxError
 from actrsim.model import (
-    CLEAR,
-    MODIFY,
-    Action,
     Annotation,
     BufferTest,
     ChunkSpec,
@@ -230,7 +228,7 @@ class _ModelReader:
             )
         tests = self._tests(name, body[: arrow[0]])
         actions = self._actions(name, tests, body[arrow[0] + 1 :])
-        self.productions.append(Production(name, tests, actions))
+        self.productions.append(Production(name, tests, *actions))
         self.rule_names.add(name)
 
     def _tests(self, rule, items):
@@ -280,8 +278,9 @@ class _ModelReader:
     def _actions(self, rule, tests, items):
         lhs_vars = {v for t in tests for _, v in t.slot_tests if is_variable(v)}
         bound = set(lhs_vars)
-        binds: list[tuple[str, str]] = []  # pending, attached to their consumer
-        actions: list[Action] = []
+        binds: list[tuple[str, str]] = []  # pending until an update reads them
+        drawn: list[tuple[str, str]] = []  # every !bind!, in text order
+        modifications, clearings = [], []
         i = 0
         while i < len(items):
             tok = items[i]
@@ -306,6 +305,7 @@ class _ModelReader:
                     )
                 bound.add(var)
                 binds.append((var, provider))
+                drawn.append((var, provider))
                 i += 3
             elif tok.text == "!output!":
                 if i + 1 >= len(items):
@@ -320,7 +320,7 @@ class _ModelReader:
                     tok.line, tok.column,
                 )
             elif tok.text.startswith("-") and tok.text.endswith(">"):
-                actions.append(Action(CLEAR, tok.text[1:-1]))
+                clearings.append(tok.text[1:-1])
                 i += 1
             elif tok.text.startswith("=") and tok.text.endswith(">"):
                 buffer = tok.text[1:-1]
@@ -358,7 +358,7 @@ class _ModelReader:
                     i += 2
                 for entry in used_binds:
                     binds.remove(entry)
-                actions.append(Action(MODIFY, buffer, tuple(pairs), tuple(used_binds)))
+                modifications.append((buffer, tuple(pairs)))
             else:
                 raise ModelSyntaxError(
                     f"rule {rule!r}: unexpected token {tok.text!r} in actions",
@@ -369,7 +369,7 @@ class _ModelReader:
             raise ModelSyntaxError(
                 f"rule {rule!r}: !bind! variable {var!r} is never used by an action"
             )
-        return tuple(actions)
+        return tuple(drawn), tuple(modifications), tuple(clearings)
 
     def _annotation(self, form):
         head = form[0]
@@ -657,7 +657,7 @@ def reference_run(model, strategy, providers, refraction, t_limit):
     strategy and picks one with reference_select. The winner fires LATENCY
     later, unless that passes t_limit: the strategy logs it with its
     selection time, its annotation's triggers run, every !bind! is
-    evaluated in action order, then all modifications are applied, then all
+    evaluated in text order, then all modifications are applied, then all
     clearings. trace lists (time, rule, bindings) per firing.
     """
     state = SimpleNamespace(  # what linear_scan reads of an engine
@@ -686,17 +686,14 @@ def reference_run(model, strategy, providers, refraction, t_limit):
                 strategy.trigger_outcome("failure", clock)
         applied.add(reference_identity(winner))
         env = dict(winner.bindings)
-        actions = model.productions[winner.source_index].actions
-        for action in actions:
-            for variable, provider in action.binds:
-                env[variable] = next(providers[provider])
+        rule = model.productions[winner.source_index]
+        for variable, provider in rule.binds:
+            env[variable] = next(providers[provider])
         trace.append((clock, winner.rule, env))
-        for action in actions:
-            if action.kind == MODIFY:
-                chunk = state.chunks[state.held[action.buffer]]
-                for slot, value in action.slot_updates:
-                    chunk.slot_values[slot] = env[value] if is_variable(value) else value
-        for action in actions:
-            if action.kind == CLEAR:
-                state.held[action.buffer] = None
+        for buffer, updates in rule.modifications:
+            chunk = state.chunks[state.held[buffer]]
+            for slot, value in updates:
+                chunk.slot_values[slot] = env[value] if is_variable(value) else value
+        for buffer in rule.clearings:
+            state.held[buffer] = None
     return trace, state.held, state.chunks

@@ -18,9 +18,6 @@ from actrsim.engine import (
 from actrsim.errors import ModelSyntaxError, ProviderExhausted
 from actrsim.experiment import builtin_samples
 from actrsim.model import (
-    CLEAR,
-    MODIFY,
-    Action,
     BufferTest,
     ChunkSpec,
     ModelAST,
@@ -213,6 +210,36 @@ def test_provider_exhausted(rps_model):
         engine.run(Fraction(2))
 
 
+def test_binds_are_drawn_in_text_order():
+    # =b is read first, but =a is bound first, so =a takes the first value
+    model = parse_model(
+        "(chunk-type t s1 s2)(add-dm (c1 isa t s1 start))(goal-focus goal c1)"
+        "(p r =goal> isa t s1 start ==> !bind! =a p !bind! =b p =goal> s1 =b s2 =a)"
+    )
+    engine = engine_for(model, providers={"p": iter(["first", "second"])})
+    engine.run(Fraction(1))
+    assert [entry.bindings for entry in engine.trace] == [{"=a": "first", "=b": "second"}]
+    assert engine.chunks["c1"].slot_values == {"s1": "second", "s2": "first"}
+
+
+def test_provider_running_out_applies_no_action_of_the_rule():
+    # the bind stands before the second modification, which alone reads it
+    model = parse_model(
+        "(chunk-type game me)(chunk-type count n)"
+        "(add-dm (g1 isa game me rock) (c1 isa count n one))"
+        "(goal-focus goal g1)(goal-focus counter c1)"
+        "(p r =goal> isa game me rock =counter> isa count n one"
+        " ==> =goal> me paper !bind! =x p =counter> n =x -counter>)"
+    )
+    engine = engine_for(model, providers={"p": iter([])})
+    with pytest.raises(ProviderExhausted):
+        engine.run(Fraction(1))
+    assert engine.held == {"goal": "g1", "counter": "c1"}
+    assert engine.chunks["g1"].slot_values == {"me": "rock"}
+    assert engine.chunks["c1"].slot_values == {"n": "one"}
+    assert engine.trace == []
+
+
 def test_missing_provider(rps_model):
     with pytest.raises(ProviderExhausted, match="no provider"):
         Engine(rps_model, ReinforcementUtility(), {})
@@ -321,7 +348,7 @@ def one_buffer_model(*productions):
 
 def write_me(name, expects, writes):
     return Production(name, (BufferTest("goal", "game", (("me", expects),)),),
-                      (Action(MODIFY, "goal", (("me", writes),)),))
+                      modifications=(("goal", (("me", writes),)),))
 
 
 def test_unbound_rhs_variable_is_rejected_when_the_engine_is_built():
@@ -432,7 +459,7 @@ def two_buffer_model(rng: random.Random) -> ModelAST:
                     slot_tests.append((slot, rng.choice(variables)))
             bound += [v for _, v in slot_tests if is_variable(v)]
             tests.append(BufferTest(buffer, ctype.name, tuple(slot_tests)))
-        actions = []
+        modifications = []
         for test in tests:
             if rng.random() < 0.7:
                 settable = TWO_BUFFER_TYPES[test.buffer].slots[:-1]
@@ -440,10 +467,11 @@ def two_buffer_model(rng: random.Random) -> ModelAST:
                     (slot, rng.choice(values + bound))
                     for slot in settable if rng.random() < 0.6
                 )
-                actions.append(Action(MODIFY, test.buffer, updates))
-        if rng.random() < 0.3:
-            actions.append(Action(CLEAR, rng.choice(buffers)))
-        productions.append(Production(f"rule{i}", tuple(tests), tuple(actions)))
+                modifications.append((test.buffer, updates))
+        clearings = (rng.choice(buffers),) if rng.random() < 0.3 else ()
+        productions.append(Production(f"rule{i}", tuple(tests),
+                                      modifications=tuple(modifications),
+                                      clearings=clearings))
     return ModelAST(
         chunk_types=tuple(TWO_BUFFER_TYPES.values()),
         initial_chunks=(

@@ -13,9 +13,6 @@ from actrsim.engine import compile_model
 from actrsim.errors import ModelSyntaxError
 from actrsim.experiment import builtin_model_text
 from actrsim.model import (
-    CLEAR,
-    MODIFY,
-    Action,
     Annotation,
     BufferTest,
     ChunkSpec,
@@ -46,7 +43,8 @@ def test_parse_simple_rule():
     assert rule.tests == (
         BufferTest("goal", "game", (("me", "rock"), ("opponent", "scissors"))),
     )
-    assert rule.actions == (Action(MODIFY, "goal", (("result", "win"),)),)
+    assert rule.binds == rule.clearings == ()
+    assert rule.modifications == (("goal", (("result", "win"),)),)
 
 
 def test_parse_is_whitespace_and_comment_insensitive():
@@ -62,19 +60,23 @@ def test_parse_is_whitespace_and_comment_insensitive():
     assert parse_model(condensed).productions == parse_model(spread).productions
 
 
-def test_parse_bind_attaches_to_consuming_action():
+def test_parse_binds_in_text_order():
     ast = parse_model(
         "(p play =goal> isa game me nil ==> !bind! =x next-move =goal> me =x)"
     )
     (rule,) = ast.productions
-    assert rule.actions == (
-        Action(MODIFY, "goal", (("me", "=x"),), (("=x", "next-move"),)),
-    )
+    assert rule.binds == (("=x", "next-move"),)
+    assert rule.modifications == (("goal", (("me", "=x"),)),)
+    # =b is read first, but =a is bound first
+    ast = parse_model("(p r =goal> isa t ==> !bind! =a p !bind! =b p =goal> s1 =b s2 =a)")
+    assert ast.productions[0].binds == (("=a", "p"), ("=b", "p"))
 
 
 def test_parse_clearing_action():
     ast = parse_model("(p done =goal> isa game ==> -goal>)")
-    assert ast.productions[0].actions == (Action(CLEAR, "goal"),)
+    (rule,) = ast.productions
+    assert rule.clearings == ("goal",)
+    assert rule.binds == rule.modifications == ()
 
 
 def test_output_directive_is_ignored():
@@ -109,8 +111,8 @@ def test_unbound_rhs_variable_rejected():
 
 
 def test_unused_bind_rejected():
-    with pytest.raises(ModelSyntaxError, match="never used"):
-        parse_model("(p play =goal> isa game ==> !bind! =x feed =goal> me rock)")
+    rejected("(p play =goal> isa game ==> !bind! =x feed =goal> me rock)",
+             "rule 'play' binds '=x', which no modification reads")
 
 
 def test_rebinding_lhs_variable_rejected():
@@ -198,7 +200,7 @@ def test_a_slot_list_ending_where_a_value_stands_is_a_missing_value(text, where,
     ("(chunk-type game)\n  ()", 2, 3),
     ("\n((a))", 2, 1),
     ("(p x =goal> isa g ==>\n   (foo))", 2, 4),
-    ("(p play =goal> isa game ==>\n !bind! =x feed =goal> me rock)", 2, 2),
+    ("(p play =goal> isa game ==>\n !bind! =x)", 2, 2),
     ("(add-dm (g1 isa game\n  =goal> x))", 2, 3),
 ])
 def test_every_syntax_error_has_a_position(text, line, column):
@@ -285,22 +287,22 @@ def productions(draw, name, types, buffers, sloppy):
         tests.append(BufferTest(buffer, ctype, slot_tests))
     tested = [test.buffer for test in tests]
     bound = {v for test in tests for _, v in test.slot_tests if v.startswith("=")}
-    actions = []
+    binds, modifications, clearings = [], [], []
     for _ in range(draw(st.integers(0, 3))):
         buffer = pick(draw, tested * 3 + sorted(buffers), sloppy)
         if draw(st.integers(0, 3)) == 0:
-            actions.append(Action(CLEAR, buffer))
+            clearings.append(buffer)
             continue
         usable = st.sampled_from(sorted(bound) + BIND_VARIABLES)
         slots = types.get(buffers.get(buffer), ())
         updates = draw(slot_pairs(slots, VALUES | usable, sloppy))
-        binds = []  # a !bind! belongs to the first action that reads its variable
-        for _, value in updates:
+        for _, value in updates:  # a !bind! for each variable no test binds
             if value.startswith("=") and value not in bound:
                 bound.add(value)
                 binds.append((value, draw(SYMBOLS)))
-        actions.append(Action(MODIFY, buffer, updates, tuple(binds)))
-    return Production(name, tuple(tests), tuple(actions))
+        modifications.append((buffer, updates))
+    return Production(name, tuple(tests), tuple(binds), tuple(modifications),
+                      tuple(clearings))
 
 
 @st.composite
@@ -354,7 +356,8 @@ def test_model_asts_mostly_validate_and_cover_real_rules():
     assert 3 * len(valid) >= len(drawn)
     assert len(valid) < len(drawn)  # the invalid branch is drawn too
     # rules that test a buffer and act, in models the engine accepts
-    real = [p for ast in valid for p in ast.productions if p.tests and p.actions]
+    real = [p for ast in valid for p in ast.productions
+            if p.tests and (p.modifications or p.clearings)]
     assert len(real) >= 10
 
 
@@ -396,20 +399,12 @@ def test_validate_flags_undeclared_buffer():
     assert any("undeclared buffer 'visual'" in d for d in diagnostics)
 
 
-def test_validate_flags_variables_bound_only_by_a_later_bind():
-    # the engine evaluates each action's !bind! entries before its updates
-    ast = parse_model(
-        "(chunk-type game me opponent)(add-dm (g1 isa game me rock))(goal-focus goal g1)"
-        "(p r =goal> isa game me =m ==> =goal> me =m !bind! =p next =goal> opponent =p)"
-    )
-    assert validate_model(ast) == []
-    rule = ast.productions[0]
-    early, late = rule.actions
-    early = replace(early, slot_updates=(("me", "=p"),))
-    bad = replace(ast, productions=(replace(rule, actions=(early, late)),))
-    assert validate_model(bad) == [
-        "rule 'r' updates slot 'me' with unbound variable '=p'"
-    ]
+def test_a_bind_after_its_reader_parses_to_the_same_ast():
+    # every !bind! is drawn before any action, wherever it stands
+    after = parse_model(DECLARED + "(p r =goal> isa game ==> =goal> me =x !bind! =x p)")
+    before = parse_model(DECLARED + "(p r =goal> isa game ==> !bind! =x p =goal> me =x)")
+    assert after == before
+    assert validate_model(after) == []
 
 
 def test_validate_flags_unknown_type_and_chunk():
@@ -464,32 +459,16 @@ def test_validate_accepts_rules_that_test_what_they_modify_and_clear():
     assert validate_model(ast) == []
 
 
-def test_validate_flags_shapes_the_reader_never_produces():
+def test_reversed_binds_validate_and_round_trip():
     ast = parse_model(
         "(chunk-type game me opponent)(add-dm (g1 isa game me rock))(goal-focus goal g1)"
         "(p r =goal> isa game me rock ==> !bind! =m next !bind! =n next"
         " =goal> me =m opponent =n)"
     )
-    assert validate_model(ast) == []
-    rule = ast.productions[0]
-    (modify,) = rule.actions
-
-    def flagged(*actions):
-        return validate_model(replace(ast, productions=(replace(rule, actions=actions),)))
-
-    # a !bind! on a clearing: format_model would print it before -goal>
-    assert flagged(Action(CLEAR, "goal", binds=modify.binds[:1]),
-                   replace(modify, binds=modify.binds[1:])) == [
-        "rule 'r' binds '=m', which its action on 'goal' does not read"
-    ]
-    # a clearing that updates: format_model would print -goal> alone
-    assert flagged(modify, Action(CLEAR, "goal", (("me", "rock"),))) == [
-        "rule 'r' updates slots where it clears buffer 'goal'"
-    ]
-    # binds out of the order their action reads them: the reader would swap them
-    assert flagged(replace(modify, binds=modify.binds[::-1])) == [
-        "rule 'r' binds '=m' after a variable its action reads later"
-    ]
+    (rule,) = ast.productions
+    reversed_binds = replace(ast, productions=(replace(rule, binds=rule.binds[::-1]),))
+    assert validate_model(reversed_binds) == []
+    assert parse_model(format_model(reversed_binds)) == reversed_binds
 
 
 # -- each semantic rule on its own, and the round trip it keeps -------------------
@@ -506,18 +485,6 @@ def edit_rule(ast, choose, fits, edit):
     rules = list(ast.productions)
     at = choose([i for i, rule in enumerate(rules) if fits(rule)])
     rules[at] = edit(rules[at])
-    return replace(ast, productions=tuple(rules))
-
-
-def edit_action(ast, choose, fits, edit):
-    """ast with one action that fits, chosen, replaced by edit(rule, action)."""
-    spots = [(i, j) for i, rule in enumerate(ast.productions)
-             for j, action in enumerate(rule.actions) if fits(rule, action)]
-    i, j = choose(spots)
-    rules = list(ast.productions)
-    actions = list(rules[i].actions)
-    actions[j] = edit(rules[i], actions[j])
-    rules[i] = replace(rules[i], actions=tuple(actions))
     return replace(ast, productions=tuple(rules))
 
 
@@ -544,8 +511,10 @@ def lhs_variables(rule):
     return {v for test in rule.tests for _, v in test.slot_tests if v.startswith("=")}
 
 
-def first_lhs_read(rule, action):
-    return next(v for _, v in action.slot_updates if v in lhs_variables(rule))
+def lhs_reads(rule):
+    """The values of rule's modifications that its tests bind."""
+    return [v for _, updates in rule.modifications for _, v in updates
+            if v in lhs_variables(rule)]
 
 
 # shape -> (ast, choose) -> the shaped ast; choose picks one of the spots it is given
@@ -555,28 +524,25 @@ SHAPES = {
         lambda rule: replace(rule, tests=tuple(
             replace(test, slot_tests=test.slot_tests + test.slot_tests[:1])
             for test in rule.tests))),
-    "slot-twice-in-update": lambda ast, choose: edit_action(
-        ast, choose, lambda rule, action: action.kind == MODIFY and action.slot_updates,
-        lambda rule, action: replace(
-            action, slot_updates=action.slot_updates + action.slot_updates[:1])),
+    "slot-twice-in-update": lambda ast, choose: edit_rule(
+        ast, choose, lambda rule: any(updates for _, updates in rule.modifications),
+        lambda rule: replace(rule, modifications=tuple(
+            (buffer, updates + updates[:1]) for buffer, updates in rule.modifications))),
     "slot-twice-in-chunk": lambda ast, choose: edit_chunk(
         ast, choose, lambda chunk: replace(
             chunk, slot_values=chunk.slot_values + chunk.slot_values[:1])),
     "buffer-tested-twice": lambda ast, choose: edit_rule(
         ast, choose, lambda rule: rule.tests,
         lambda rule: replace(rule, tests=rule.tests + rule.tests[:1])),
-    "bind-its-action-does-not-read": lambda ast, choose: edit_action(
-        ast, choose, lambda rule, action: action.kind == MODIFY,
-        lambda rule, action: replace(action, binds=action.binds + (("=unread", "next"),))),
-    "bind-of-a-lhs-variable": lambda ast, choose: edit_action(
-        ast, choose, lambda rule, action: any(
-            v in lhs_variables(rule) for _, v in action.slot_updates),
-        lambda rule, action: replace(
-            action, binds=action.binds + ((first_lhs_read(rule, action), "next"),))),
-    "variable-bound-twice": lambda ast, choose: edit_action(
-        ast, choose, lambda rule, action: action.binds,
-        lambda rule, action: replace(
-            action, binds=action.binds + ((action.binds[0][0], "again"),))),
+    "bind-its-action-does-not-read": lambda ast, choose: edit_rule(
+        ast, choose, lambda rule: rule.modifications,
+        lambda rule: replace(rule, binds=rule.binds + (("=unread", "next"),))),
+    "bind-of-a-lhs-variable": lambda ast, choose: edit_rule(
+        ast, choose, lhs_reads,
+        lambda rule: replace(rule, binds=rule.binds + ((lhs_reads(rule)[0], "next"),))),
+    "variable-bound-twice": lambda ast, choose: edit_rule(
+        ast, choose, lambda rule: rule.binds,
+        lambda rule: replace(rule, binds=rule.binds + ((rule.binds[0][0], "again"),))),
     "rule-name-with-a-space": lambda ast, choose: renamed_rule(
         ast, choose, lambda name: name + " now"),
     "value-ending-a-slot-list": lambda ast, choose: edit_chunk(
@@ -598,7 +564,7 @@ SHAPE_DIAGNOSTICS = [  # each shape on SHAPE_BASE, and the one diagnostic it get
     ("slot-twice-in-chunk", "chunk 'g1' names slot 'me' twice"),
     ("buffer-tested-twice", "rule 'play' tests buffer 'goal' twice"),
     ("bind-its-action-does-not-read",
-     "rule 'play' binds '=unread', which its action on 'goal' does not read"),
+     "rule 'play' binds '=unread', which no modification reads"),
     ("bind-of-a-lhs-variable", "rule 'play' binds '=m', which is already bound"),
     ("variable-bound-twice", "rule 'play' binds '=p', which is already bound"),
     ("rule-name-with-a-space", "'play now' is not a symbol"),

@@ -121,8 +121,7 @@ def run_under_every_strategy(model) -> int:
     Every !bind! provider yields three moves. Returns how many runs ended
     with ProviderExhausted; any other error fails the calling test.
     """
-    providers = {provider for p in model.productions for action in p.actions
-                 for _, provider in action.binds}
+    providers = {provider for p in model.productions for _, provider in p.binds}
     exhausted = 0
     for index in range(6):
         engine = Engine(model, strategy_for(index, index),

@@ -7,7 +7,7 @@ import pytest
 
 from actrsim.chunks import ChunkType
 from actrsim.engine import Engine
-from actrsim.model import MODIFY, Action, BufferTest, ChunkSpec, ModelAST, Production
+from actrsim.model import BufferTest, ChunkSpec, ModelAST, Production
 from actrsim.strategies import (
     RandomCostUtility,
     ReinforcementUtility,
@@ -44,7 +44,7 @@ def random_model(rng: random.Random) -> ModelAST:
             Production(
                 f"rule{i}",
                 (BufferTest("buf", "t", tuple(tests)),),
-                (Action(MODIFY, "buf", tuple(updates)),),
+                modifications=(("buf", tuple(updates)),),
             )
         )
     initial = tuple((slot, rng.choice(values)) for slot in slots)

@@ -10,7 +10,7 @@ from fractions import Fraction
 from hypothesis import HealthCheck, Phase, given, settings
 
 from actrsim.engine import Engine
-from actrsim.model import CLEAR, MODIFY, Action, validate_model
+from actrsim.model import validate_model
 from actrsim.strategies import RandomCostUtility, ReinforcementUtility, SuccessCostUtility
 
 from oracle import (
@@ -41,28 +41,21 @@ def chunk_state(chunks):
 
 
 def clearing_model(rng):
-    """A two_buffer_model where some rules also clear a buffer they modify.
-
-    The clearing goes anywhere in the action list, before the modification
-    too: whatever the order, modifications apply first.
-    """
+    """A two_buffer_model where some rules also clear a buffer they modify."""
     model = two_buffer_model(rng)
     productions = []
     for production in model.productions:
-        actions = list(production.actions)
-        modified = [action.buffer for action in actions if action.kind == MODIFY]
+        modified = [buffer for buffer, _ in production.modifications]
         if modified and rng.random() < 0.5:
-            actions.insert(rng.randint(0, len(actions)), Action(CLEAR, rng.choice(modified)))
-        productions.append(replace(production, actions=tuple(actions)))
+            clearings = production.clearings + (rng.choice(modified),)
+            production = replace(production, clearings=clearings)
+        productions.append(production)
     return replace(model, productions=tuple(productions))
 
 
 def modifies_and_clears(production):
     """Whether a rule modifies a buffer and also clears it."""
-    kinds = {}
-    for action in production.actions:
-        kinds.setdefault(action.buffer, set()).add(action.kind)
-    return any(both == {MODIFY, CLEAR} for both in kinds.values())
+    return any(buffer in production.clearings for buffer, _ in production.modifications)
 
 
 def compare(model, index, seed, t_limit, providers=lambda: {"next-move": iter(())}):
@@ -123,8 +116,7 @@ def test_engine_equals_the_reference_run_on_annotated_generated_models():
     models = [ast for ast in drawn if not validate_model(ast)]
     firings = annotated = 0
     for number, model in enumerate(models):
-        names = {provider for p in model.productions for a in p.actions
-                 for _, provider in a.binds}
+        names = {provider for p in model.productions for _, provider in p.binds}
         for index in range(6):  # three strategies, without and with refraction
             trace = compare(model, index, number, Fraction(1),
                             lambda: {name: itertools.cycle(MOVES) for name in names})
