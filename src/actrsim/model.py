@@ -25,7 +25,10 @@ order; ``clearings``, the cleared buffers. Where a ``!bind!`` stands among
 the actions carries no meaning.
 
 ``parse_model`` handles syntax: each ``ModelSyntaxError`` carries the line and
-column of the offending token, or of the ``(`` of the offending list.
+column of the offending token, or of the ``(`` of the offending list. Tokens
+are plain strings, and a list knows only the token indices of its ``(`` and
+``)``; an error names a token index, and its line and column are recovered
+from the text only when the error is raised.
 ``validate_model`` handles semantics, each rule once; its diagnostics name the
 rule, chunk or slot but carry no position. A model it accepts round-trips.
 """
@@ -35,7 +38,6 @@ import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain
-from typing import NamedTuple
 
 from .chunks import ChunkType
 from .errors import ModelSyntaxError
@@ -88,67 +90,65 @@ class ModelAST:
 
 # -- tokenizer / reader ---------------------------------------------------------
 
-class _Token(NamedTuple):
-    text: str
-    line: int
-    column: int
-
-
 class _List(list):
-    """A parenthesized list of tokens and lists; knows where its '(' stands."""
+    """A parenthesized list of tokens and lists; knows the token indices of its
+    '(' and ')'."""
 
-    def __init__(self, line, column):
-        super().__init__()
-        self.line, self.column = line, column
+    __slots__ = ("open", "close")
+
+
+class _Misread(Exception):
+    """A reader error: its message and the index of the token it names."""
 
 
 _ATOM = re.compile(r"[^ \t\r\n();]+")
-# a parenthesis, an atom, a comment, or a newline; other whitespace separates
-_LEXEME = re.compile(rf"[()]|{_ATOM.pattern}|;[^\n]*|\n")
+# a parenthesis or an atom, or a comment, which matches the empty group
+_LEXEME = re.compile(rf"([()]|{_ATOM.pattern})|;[^\n]*")
 
 
 def _tokenize(text: str):
-    tokens = []
-    line, line_start = 1, 0
-    for match in _LEXEME.finditer(text):
-        lexeme = match.group()
-        if lexeme == "\n":
-            line += 1
-            line_start = match.end()
-        elif lexeme[0] != ";":
-            tokens.append(_Token(lexeme, line, match.start() - line_start + 1))
-    return tokens
+    return [*filter(None, _LEXEME.findall(text))]
+
+
+def _position(text, index):
+    """The line and column of token `index` of text."""
+    start = [m for m in _LEXEME.finditer(text) if m[1]][index].start()
+    return text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
 
 
 def _read_forms(tokens):
     """Group tokens into nested lists; returns the top-level forms."""
     forms = []
     stack = [forms]
-    for tok in tokens:
-        if tok.text == "(":
-            new = _List(tok.line, tok.column)
+    for index, token in enumerate(tokens):
+        if token == "(":
+            new = _List()
+            new.open = index
             stack[-1].append(new)
             stack.append(new)
-        elif tok.text == ")":
+        elif token == ")":
             if len(stack) == 1:
-                raise ModelSyntaxError("unbalanced ')'", tok.line, tok.column)
-            stack.pop()
+                raise _Misread("unbalanced ')'", index)
+            stack.pop().close = index
         else:
             if len(stack) == 1:
-                raise ModelSyntaxError(
-                    f"top-level token {tok.text!r} outside any form", tok.line, tok.column
-                )
-            stack[-1].append(tok)
+                raise _Misread(f"top-level token {token!r} outside any form", index)
+            stack[-1].append(token)
     if len(stack) > 1:
-        raise ModelSyntaxError("unclosed '('", stack[-1].line, stack[-1].column)
+        raise _Misread("unclosed '('", stack[-1].open)
     return forms
 
 
+def _index(items, i):
+    """The token index of items[i]: after the '(' of items, each item before
+    it takes one token, or a nested list all of its own."""
+    return items.open + 1 + sum(1 if type(item) is str else item.close - item.open + 1
+                                for item in items[:i])
+
+
 def _atom(item, what):
-    if not isinstance(item, _Token):
-        raise ModelSyntaxError(
-            f"expected {what}, found a nested list", item.line, item.column
-        )
+    if type(item) is not str:
+        raise _Misread(f"expected {what}, found a nested list", item.open)
     return item
 
 
@@ -159,25 +159,19 @@ def _ends_slots(text):
 
 def _slot_pairs(items, i, where):
     """Read SLOT VALUE pairs from items[i:] up to a nested list or a token that
-    ends a slot list; returns the (slot, value) token pairs and the index
-    after them. A slot followed by such a token has no value."""
+    ends a slot list; returns the (slot, value) pairs and the index after
+    them. A slot followed by such a token has no value."""
     pairs = []
     while i < len(items):
         slot = items[i]
-        if not isinstance(slot, _Token) or _ends_slots(slot.text):
+        if type(slot) is not str or _ends_slots(slot):
             break
         value = items[i + 1] if i + 1 < len(items) else None
-        if value is None or isinstance(value, _Token) and _ends_slots(value.text):
-            raise ModelSyntaxError(
-                f"{where}: slot {slot.text!r} has no value", slot.line, slot.column
-            )
+        if value is None or type(value) is str and _ends_slots(value):
+            raise _Misread(f"{where}: slot {slot!r} has no value", _index(items, i))
         pairs.append((slot, _atom(value, "a value")))
         i += 2
-    return pairs, i
-
-
-def _texts(pairs):
-    return tuple((slot.text, value.text) for slot, value in pairs)
+    return tuple(pairs), i
 
 
 # -- form parsers -----------------------------------------------------------------
@@ -192,16 +186,11 @@ class _ModelReader:
 
     def read(self, forms) -> ModelAST:
         for form in forms:
-            if not form or not isinstance(form[0], _Token):
-                raise ModelSyntaxError(
-                    "form must start with a keyword", form.line, form.column
-                )
-            head = form[0]
-            handler = self.HANDLERS.get(head.text)
+            if not form or type(form[0]) is not str:
+                raise _Misread("form must start with a keyword", form.open)
+            handler = self.HANDLERS.get(form[0])
             if handler is None:
-                raise ModelSyntaxError(
-                    f"unknown form {head.text!r}", head.line, head.column
-                )
+                raise _Misread(f"unknown form {form[0]!r}", form.open + 1)
             handler(self, form)
         return ModelAST(
             chunk_types=tuple(self.chunk_types),
@@ -212,162 +201,127 @@ class _ModelReader:
         )
 
     def _chunk_type(self, form):
-        head = form[0]
         if len(form) < 2:
-            raise ModelSyntaxError("chunk-type needs a name", head.line, head.column)
-        name = _atom(form[1], "a type name").text
-        slots = tuple(_atom(item, "a slot name").text for item in form[2:])
+            raise _Misread("chunk-type needs a name", form.open + 1)
+        name = _atom(form[1], "a type name")
+        slots = tuple(_atom(item, "a slot name") for item in form[2:])
         self.chunk_types.append(ChunkType(name, slots))
 
     def _add_dm(self, form):
-        head = form[0]
         if len(form) < 2:
-            raise ModelSyntaxError("add-dm needs at least one chunk", head.line, head.column)
-        for spec in form[1:]:
-            if isinstance(spec, _Token):
-                raise ModelSyntaxError(
-                    "add-dm entries must be parenthesized chunks", spec.line, spec.column
-                )
-            if len(spec) < 3 or _atom(spec[1], "'isa'").text != "isa":
-                raise ModelSyntaxError(
-                    "chunk must read (NAME isa TYPE ...)", spec.line, spec.column
-                )
-            name = _atom(spec[0], "a chunk name").text
-            ctype = _atom(spec[2], "a type name").text
+            raise _Misread("add-dm needs at least one chunk", form.open + 1)
+        for j, spec in enumerate(form[1:], 1):
+            if type(spec) is str:
+                raise _Misread("add-dm entries must be parenthesized chunks", _index(form, j))
+            if len(spec) < 3 or _atom(spec[1], "'isa'") != "isa":
+                raise _Misread("chunk must read (NAME isa TYPE ...)", spec.open)
+            name = _atom(spec[0], "a chunk name")
+            ctype = _atom(spec[2], "a type name")
             pairs, end = _slot_pairs(spec, 3, f"chunk {name!r}")
             if end < len(spec):
                 tok = _atom(spec[end], "a slot name")
-                raise ModelSyntaxError(
-                    f"chunk {name!r}: {tok.text!r} is not a slot name",
-                    tok.line, tok.column,
-                )
-            self.initial_chunks.append(ChunkSpec(name, ctype, _texts(pairs)))
+                raise _Misread(f"chunk {name!r}: {tok!r} is not a slot name", _index(spec, end))
+            self.initial_chunks.append(ChunkSpec(name, ctype, pairs))
 
     def _goal_focus(self, form):
-        head = form[0]
         if len(form) != 3:
-            raise ModelSyntaxError("goal-focus needs BUFFER CHUNK", head.line, head.column)
-        buffer = _atom(form[1], "a buffer name").text
-        chunk = _atom(form[2], "a chunk name").text
+            raise _Misread("goal-focus needs BUFFER CHUNK", form.open + 1)
+        buffer = _atom(form[1], "a buffer name")
+        chunk = _atom(form[2], "a chunk name")
         self.buffer_inits.append((buffer, chunk))
 
     def _production(self, form):
-        head = form[0]
         if len(form) < 2:
-            raise ModelSyntaxError("rule needs a name", head.line, head.column)
-        name = _atom(form[1], "a rule name").text
-        body = form[2:]
-        arrow = [i for i, item in enumerate(body)
-                 if isinstance(item, _Token) and item.text == "==>"]
+            raise _Misread("rule needs a name", form.open + 1)
+        name = _atom(form[1], "a rule name")
+        arrow = [i for i in range(2, len(form)) if form[i] == "==>"]
         if len(arrow) != 1:
-            raise ModelSyntaxError(
-                f"rule {name!r} needs exactly one '==>'", head.line, head.column
-            )
-        tests = self._tests(name, body[: arrow[0]])
-        actions = self._actions(name, body[arrow[0] + 1 :])
+            raise _Misread(f"rule {name!r} needs exactly one '==>'", form.open + 1)
+        tests = self._tests(name, form, arrow[0])
+        actions = self._actions(name, form, arrow[0] + 1)
         self.productions.append(Production(name, tests, *actions))
 
-    def _tests(self, rule, items):
+    def _tests(self, rule, form, arrow):
+        """The tests of form[2:arrow]; a slot list ends at the arrow."""
         tests = []
-        i = 0
-        while i < len(items):
-            tok = _atom(items[i], "a buffer test")
-            if not (tok.text.startswith("=") and tok.text.endswith(">")):
-                raise ModelSyntaxError(
-                    f"rule {rule!r}: expected a '=buffer>' test, found {tok.text!r}",
-                    tok.line, tok.column,
+        i = 2
+        while i < arrow:
+            tok = _atom(form[i], "a buffer test")
+            if not (tok.startswith("=") and tok.endswith(">")):
+                raise _Misread(
+                    f"rule {rule!r}: expected a '=buffer>' test, found {tok!r}",
+                    _index(form, i),
                 )
-            buffer = tok.text[1:-1]
-            if i + 2 >= len(items) or _atom(items[i + 1], "'isa'").text != "isa":
-                raise ModelSyntaxError(
+            buffer = tok[1:-1]
+            if i + 2 >= arrow or _atom(form[i + 1], "'isa'") != "isa":
+                raise _Misread(
                     f"rule {rule!r}: test on {buffer!r} must start with 'isa TYPE'",
-                    tok.line, tok.column,
+                    _index(form, i),
                 )
-            ctype = _atom(items[i + 2], "a type name").text
-            pairs, i = _slot_pairs(items, i + 3, f"rule {rule!r}: test on {buffer!r}")
-            tests.append(BufferTest(buffer, ctype, _texts(pairs)))
+            ctype = _atom(form[i + 2], "a type name")
+            pairs, i = _slot_pairs(form, i + 3, f"rule {rule!r}: test on {buffer!r}")
+            tests.append(BufferTest(buffer, ctype, pairs))
         return tuple(tests)
 
-    def _actions(self, rule, items):
-        """The rule's binds, modifications and clearings, each in text order."""
+    def _actions(self, rule, form, i):
+        """The binds, modifications and clearings of form[i:], each in text order."""
         binds, modifications, clearings = [], [], []
-        i = 0
-        while i < len(items):
-            tok = _atom(items[i], f"an action in rule {rule!r}")
-            if tok.text == "!bind!":
-                if i + 2 >= len(items):
-                    raise ModelSyntaxError(
-                        f"rule {rule!r}: !bind! needs =VAR PROVIDER", tok.line, tok.column
-                    )
-                var = _atom(items[i + 1], "a variable").text
-                provider = _atom(items[i + 2], "a provider name").text
+        while i < len(form):
+            tok = _atom(form[i], f"an action in rule {rule!r}")
+            if tok == "!bind!":
+                if i + 2 >= len(form):
+                    raise _Misread(f"rule {rule!r}: !bind! needs =VAR PROVIDER", _index(form, i))
+                var = _atom(form[i + 1], "a variable")
+                provider = _atom(form[i + 2], "a provider name")
                 binds.append((var, provider))
                 i += 3
-            elif tok.text == "!output!":
-                if i + 1 >= len(items):
-                    raise ModelSyntaxError(
-                        f"rule {rule!r}: !output! needs an argument", tok.line, tok.column
-                    )
-                log.debug("rule %s output directive: %s", rule, _format_output(items[i + 1]))
+            elif tok == "!output!":
+                if i + 1 >= len(form):
+                    raise _Misread(f"rule {rule!r}: !output! needs an argument", _index(form, i))
+                log.debug("rule %s output directive: %s", rule, _format_output(form[i + 1]))
                 i += 2
-            elif tok.text.startswith("+") and tok.text.endswith(">"):
-                raise ModelSyntaxError(
-                    f"rule {rule!r}: buffer requests ({tok.text}) are unsupported",
-                    tok.line, tok.column,
+            elif tok.startswith("+") and tok.endswith(">"):
+                raise _Misread(
+                    f"rule {rule!r}: buffer requests ({tok}) are unsupported", _index(form, i)
                 )
-            elif tok.text.startswith("-") and tok.text.endswith(">"):
-                clearings.append(tok.text[1:-1])
+            elif tok.startswith("-") and tok.endswith(">"):
+                clearings.append(tok[1:-1])
                 i += 1
-            elif tok.text.startswith("=") and tok.text.endswith(">"):
-                buffer = tok.text[1:-1]
-                pairs, i = _slot_pairs(items, i + 1, f"rule {rule!r}: update of {buffer!r}")
-                modifications.append((buffer, _texts(pairs)))
+            elif tok.startswith("=") and tok.endswith(">"):
+                buffer = tok[1:-1]
+                pairs, i = _slot_pairs(form, i + 1, f"rule {rule!r}: update of {buffer!r}")
+                modifications.append((buffer, pairs))
             else:
-                raise ModelSyntaxError(
-                    f"rule {rule!r}: unexpected token {tok.text!r} in actions",
-                    tok.line, tok.column,
+                raise _Misread(
+                    f"rule {rule!r}: unexpected token {tok!r} in actions", _index(form, i)
                 )
         return tuple(binds), tuple(modifications), tuple(clearings)
 
     def _annotation(self, form):
-        head = form[0]
         if len(form) != 4:
-            raise ModelSyntaxError(
-                "spp needs RULE :key VALUE", head.line, head.column
-            )
-        rule_tok = _atom(form[1], "a rule name")
-        rule = rule_tok.text
-        key = _atom(form[2], "an annotation key").text
-        value_tok = _atom(form[3], "an annotation value")
+            raise _Misread("spp needs RULE :key VALUE", form.open + 1)
+        rule = _atom(form[1], "a rule name")
+        key = _atom(form[2], "an annotation key")
+        value = _atom(form[3], "an annotation value")
         current = self.annotations.get(rule, Annotation())
         if key == ":reward":
             try:
-                amount = Fraction(value_tok.text)
+                amount = Fraction(value)
             except (ValueError, ZeroDivisionError):
-                raise ModelSyntaxError(
-                    f"reward {value_tok.text!r} is not a number",
-                    value_tok.line, value_tok.column,
-                ) from None
+                raise _Misread(f"reward {value!r} is not a number", _index(form, 3)) from None
             if current.reward is not None:
-                raise ModelSyntaxError(
-                    f"rule {rule!r} has two reward annotations",
-                    rule_tok.line, rule_tok.column,
-                )
+                raise _Misread(f"rule {rule!r} has two reward annotations", _index(form, 1))
             current = replace(current, reward=amount)
         elif key in (":success", ":failure"):
-            if value_tok.text != "t":
-                raise ModelSyntaxError(
-                    f"{key} takes the literal 't'", value_tok.line, value_tok.column
-                )
+            if value != "t":
+                raise _Misread(f"{key} takes the literal 't'", _index(form, 3))
             current = replace(
                 current,
                 success=current.success or key == ":success",
                 failure=current.failure or key == ":failure",
             )
         else:
-            raise ModelSyntaxError(
-                f"unknown annotation key {key!r}", head.line, head.column
-            )
+            raise _Misread(f"unknown annotation key {key!r}", form.open + 1)
         self.annotations[rule] = current
 
     HANDLERS = {
@@ -380,14 +334,18 @@ class _ModelReader:
 
 
 def _format_output(item):
-    if isinstance(item, _Token):
-        return item.text
+    if type(item) is str:
+        return item
     return "(" + " ".join(_format_output(sub) for sub in item) + ")"
 
 
 def parse_model(text: str) -> ModelAST:
     """Parse model text into an AST, preserving source order."""
-    return _ModelReader().read(_read_forms(_tokenize(text)))
+    try:
+        return _ModelReader().read(_read_forms(_tokenize(text)))
+    except _Misread as error:
+        message, index = error.args
+        raise ModelSyntaxError(message, *_position(text, index)) from None
 
 
 # -- validation ----------------------------------------------------------------------

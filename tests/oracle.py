@@ -1,15 +1,24 @@
-"""Straight-line reference paths for the tokenizer, matcher and strategies.
+"""Straight-line reference paths for the reader, matcher and strategies.
 
-`char_tokenize` is the model tokenizer written one character at a time,
-for differential tests of the regular-expression tokenizer.
+`char_tokenize` is the model tokenizer written one character at a time: it
+gives each token its line and column as it reads, where `parse_model` reads
+plain strings and recovers a position only for the token an error names.
+Tests compare its token texts with the tokenizer's, and the positions it
+gives with those of `parse_model`'s errors.
+
+`reference_forms` groups those positioned tokens into positioned lists, as
+the reader did while every token carried its position; it raises the same
+errors as `parse_model` for unbalanced text, at positions of its own.
 
 `reference_read` is the model reader as it stood before every slot list
 was read by one function, kept verbatim (three slot-pair loops, and a
 nested list placed at its first token) for differential tests of
-`parse_model`'s reader. It still makes the semantic checks that reader has
-since left to `validate_model` (a rule declared twice, an unbound variable,
-...), and raises a plain `ModelSyntaxError` for each. It emits the AST as it
-stands now: a rule's binds in text order, its modifications, its clearings.
+`parse_model`. It reads the forms of `reference_forms`. It still makes the
+semantic checks that reader has since left to `validate_model` (a rule
+declared twice, an unbound variable, ...), and raises a plain
+`ModelSyntaxError` for each. It emits the AST as it stands now: a rule's
+binds in text order, its modifications, its clearings. `reference_parse`
+runs `char_tokenize`, `reference_forms` and `reference_read` in turn.
 
 `linear_scan` matches the uncompiled rules of a `ModelAST` against an
 engine's `held` and `chunks` dicts, one rule and one slot test at a time,
@@ -43,6 +52,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
+from typing import NamedTuple
 
 from actrsim.chunks import Chunk, ChunkType
 from actrsim.engine import Instantiation
@@ -53,8 +63,6 @@ from actrsim.model import (
     ChunkSpec,
     ModelAST,
     Production,
-    _format_output,
-    _Token,
     is_variable,
 )
 from actrsim.strategies import (
@@ -68,6 +76,20 @@ from actrsim.strategies import (
 LATENCY = Fraction(1, 20)
 
 log = logging.getLogger(__name__)
+
+
+class _Token(NamedTuple):
+    text: str
+    line: int
+    column: int
+
+
+class _List(list):
+    """A parenthesized list of tokens and lists; knows where its '(' stands."""
+
+    def __init__(self, line, column):
+        super().__init__()
+        self.line, self.column = line, column
 
 
 def char_tokenize(text: str):
@@ -109,9 +131,44 @@ def char_tokenize(text: str):
     return tokens
 
 
+def reference_forms(tokens):
+    """Group positioned tokens into nested lists; returns the top-level forms."""
+    forms = []
+    stack = [forms]
+    for tok in tokens:
+        if tok.text == "(":
+            new = _List(tok.line, tok.column)
+            stack[-1].append(new)
+            stack.append(new)
+        elif tok.text == ")":
+            if len(stack) == 1:
+                raise ModelSyntaxError("unbalanced ')'", tok.line, tok.column)
+            stack.pop()
+        else:
+            if len(stack) == 1:
+                raise ModelSyntaxError(
+                    f"top-level token {tok.text!r} outside any form", tok.line, tok.column
+                )
+            stack[-1].append(tok)
+    if len(stack) > 1:
+        raise ModelSyntaxError("unclosed '('", stack[-1].line, stack[-1].column)
+    return forms
+
+
 def reference_read(forms):
-    """The AST of the forms `_read_forms` groups, read the reference way."""
+    """The AST of the forms `reference_forms` groups, read the reference way."""
     return _ModelReader().read(forms)
+
+
+def reference_parse(text):
+    """The AST of model text, tokenized, grouped and read the reference way."""
+    return reference_read(reference_forms(char_tokenize(text)))
+
+
+def _format_output(item):
+    if isinstance(item, _Token):
+        return item.text
+    return "(" + " ".join(_format_output(sub) for sub in item) + ")"
 
 
 def _atom(item, what):

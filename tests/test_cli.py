@@ -13,9 +13,9 @@ from hypothesis import example, given, settings, strategies as st
 from actrsim.cli import main
 from actrsim.errors import ModelSyntaxError
 from actrsim.experiment import builtin_model_text
-from actrsim.model import _ModelReader, _read_forms, _tokenize, validate_model
+from actrsim.model import _tokenize, parse_model, validate_model
 
-from oracle import reference_read
+from oracle import reference_parse
 from test_model_parser import CLEAR_THEN_MODIFY, MODEL_PIECES
 
 
@@ -207,7 +207,7 @@ def test_sample_selector_out_of_range(capsys):
 
 # -- fuzz: mutated model text under varied flags ----------------------------------------
 
-MODEL_TOKENS = [token.text for token in _tokenize(builtin_model_text())]
+MODEL_TOKENS = _tokenize(builtin_model_text())
 VALUES = ["rock", "paper", "scissors", "nil", "=x", "=y", "next-move", "next-mov"]
 PIECES = VALUES + ["1/0", "+goal>", "=visual>", "!output!", "add-dm", "(", ")"] + sorted(
     set(MODEL_TOKENS))
@@ -305,9 +305,9 @@ MOVED = [
 ]
 
 
-def read_with(read, text):
+def read_with(parse, text):
     try:
-        return read(_read_forms(_tokenize(text)))
+        return parse(text)
     except ModelSyntaxError as error:
         return error
 
@@ -330,8 +330,8 @@ def read_with(read, text):
 @example("(p r =goal> isa g ==> !bind! =x f =goal> me rock)")  # a bind no update reads
 @example("(p r =goal> isa g ==> =goal> me =x !bind! =x f)")  # a bind after its reader
 def test_reader_equals_the_reference_reader_but_for_the_tightened_rules(text):
-    ast = read_with(lambda forms: _ModelReader().read(forms), text)
-    reference = read_with(reference_read, text)
+    ast = read_with(parse_model, text)
+    reference = read_with(reference_parse, text)
     if isinstance(ast, ModelSyntaxError):
         assert ast.line is not None and ast.column is not None
         if not isinstance(reference, ModelSyntaxError):
