@@ -81,7 +81,8 @@ class TraceEntry(NamedTuple):
 
 def format_trace_entry(entry: TraceEntry) -> str:
     bindings = ",".join(f"{v}={entry.bindings[v]}" for v in sorted(entry.bindings))
-    return f"{float(entry.time):.3f}\t{entry.rule}\t{bindings or '-'}"
+    time = entry.time  # n / d is the correctly rounded float that float() gives
+    return f"{time.numerator / time.denominator:.3f}\t{entry.rule}\t{bindings or '-'}"
 
 
 def _flagged(pairs):

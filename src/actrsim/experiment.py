@@ -195,23 +195,24 @@ def config_echo(config: HarnessConfig) -> dict:
 
 # -- formatting ---------------------------------------------------------------------
 
+def _thousandths(value) -> int:
+    """value * 1000 rounded half away from zero: one divmod on its integer ratio."""
+    n, d = value.as_integer_ratio()
+    units, rest = divmod(abs(n) * 1000, d)
+    if 2 * rest >= d:
+        units += 1
+    return units if n >= 0 else -units
+
+
 def round_thousandths(value) -> Fraction:
     """Exact half-away-from-zero rounding to 3 decimals."""
-    if not isinstance(value, Fraction):
-        value = Fraction(value)
-    sign = -1 if value < 0 else 1
-    scaled = abs(value) * 1000
-    units = scaled.numerator // scaled.denominator
-    if 2 * (scaled - units) >= 1:
-        units += 1
-    return Fraction(sign * units, 1000)
+    return Fraction(_thousandths(value), 1000)
 
 
 def format_utility(value) -> str:
-    rounded = round_thousandths(value)
-    units = abs(rounded.numerator * 1000 // rounded.denominator)
-    text = f"{units // 1000}.{units % 1000:03d}"
-    return "-" + text if rounded < 0 and units else text
+    units = _thousandths(value)
+    whole, rest = divmod(abs(units), 1000)
+    return f"{'-' if units < 0 else ''}{whole}.{rest:03d}"
 
 
 def format_count(value) -> str:

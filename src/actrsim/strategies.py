@@ -15,14 +15,15 @@ order (first- or last-declared). The random-cost strategy draws a fresh
 estimated cost for every conflict-set member on every cycle from a seedable
 uniform generator.
 
-The exact arithmetic is the cost of a run, so each step is written with the
-fewest operations on the numbers that grow. A reinforcement utility's
-denominator gains a factor of 1/alpha with every update (over a thousand
-bits after 2,000 firings), so the update is (1 - alpha) U + alpha R, two
-operations on U, and a trigger computes R = amount - (t - t_sel) as
-(amount - t) + t_sel. Success-cost adds t - t_sel to the efforts and
-rescores each touched rule once per trigger. Random-cost reads theta =
-efforts / successes as one correctly rounded integer division into a float.
+The exact arithmetic is the cost of a run, so each step is computed on the
+numerators and denominators of its inputs, and one Fraction is built for
+each value that is stored. A reinforcement utility's denominator gains a
+factor of 1/alpha with every update (over a thousand bits after 2,000
+firings), and one Fraction means one gcd on it per update. Success-cost adds
+t - t_sel to the efforts and rescores each touched rule once per trigger.
+Random-cost reads theta = efforts / successes as one correctly rounded
+integer division into a float. alpha, goal values, rewards and times are
+rationals: ints or Fractions.
 """
 
 import math
@@ -37,21 +38,28 @@ TIEBREAK_POLICIES = (FIRST_DECLARED, LAST_DECLARED)
 
 # -- update math -------------------------------------------------------------
 
+def _reinforce(un, ud, a, b, rn, rd):
+    """(1 - a/b) U + (a/b) R for U = un/ud and R = rn/rd, as one Fraction."""
+    return Fraction((b - a) * un * rd + a * rn * ud, b * ud * rd)
+
+
 def reinforcement_update(utility, alpha, reward):
     """One learning step: move the utility toward the reward by factor alpha.
 
-    U + alpha (R - U), written as (1 - alpha) U + alpha R: two operations on
-    U, whose denominator grows with every step, instead of three.
+    U + alpha (R - U), written as (1 - alpha) U + alpha R over one common
+    denominator.
     """
-    return (1 - alpha) * utility + alpha * reward
+    return _reinforce(*utility.as_integer_ratio(), *alpha.as_integer_ratio(),
+                      *reward.as_integer_ratio())
 
 
 def sc_recompute(successes, failures, efforts, goal_value):
     """(P, C, U) from raw counters: P = s/(s+f), C = efforts/(s+f), U = P*G - C."""
     n = successes + failures
-    p = Fraction(successes, n)
-    c = efforts / n
-    return p, c, p * goal_value - c
+    en, ed = efforts.as_integer_ratio()
+    gn, gd = goal_value.as_integer_ratio()
+    return (Fraction(successes, n), Fraction(en, ed * n),
+            Fraction(successes * gn * ed - en * gd, n * gd * ed))
 
 
 def draw_random_cost(theta, r):
@@ -77,6 +85,8 @@ def select_winner(candidates, utilities, tiebreak):
         return None
     if tiebreak not in TIEBREAK_POLICIES:
         raise ValueError(f"unknown tie-break policy {tiebreak!r}")
+    if len(candidates) == 1:
+        return candidates[0]
     sign = 1 if tiebreak == LAST_DECLARED else -1
     return max(candidates, key=lambda c: (utilities[c.rule], sign * c.source_index))
 
@@ -136,14 +146,16 @@ class ReinforcementUtility(ConflictResolutionStrategy):
         if not 0 < alpha <= 1:
             raise ValueError("alpha must be in (0, 1]")
         self.alpha = alpha
+        self._alpha = alpha.as_integer_ratio()
         self.utilities: dict[str, Fraction] = {}
 
     def trigger_reward(self, amount, now):
-        base = amount - now  # each application's reward is base + its selection time
-        for rule, selected in self.applied_log:
-            self.utilities[rule] = reinforcement_update(
-                self.utility(rule), self.alpha, base + selected
-            )
+        (an, ad), (nn, nd) = amount.as_integer_ratio(), now.as_integer_ratio()
+        bn, bd = an * nd - nn * ad, ad * nd  # base = amount - now
+        a, b = self._alpha
+        for rule, selected in self.applied_log:  # its reward is base + selected
+            (un, ud), (sn, sd) = self.utility(rule).as_integer_ratio(), selected.as_integer_ratio()
+            self.utilities[rule] = _reinforce(un, ud, a, b, bn * sd + sn * bd, bd * sd)
         self.applied_log.clear()
 
     def utility(self, rule):
@@ -178,10 +190,13 @@ class SuccessCostUtility(ConflictResolutionStrategy):
 
     def trigger_outcome(self, kind, now):
         index = {"success": 0, "failure": 1}[kind]
+        nn, nd = now.as_integer_ratio()
         for rule, selected in self.applied_log:
             entry = self._counters.setdefault(rule, [*self.INITIAL_COUNTERS])
             entry[index] += 1
-            entry[2] += now - selected
+            (en, ed), (sn, sd) = entry[2].as_integer_ratio(), selected.as_integer_ratio()
+            # efforts + (now - selected) over one common denominator
+            entry[2] = Fraction((en * nd + nn * ed) * sd - sn * ed * nd, ed * nd * sd)
         for rule in dict.fromkeys(rule for rule, _ in self.applied_log):
             self._states[rule] = self._state(*self._counters[rule])
         self.applied_log.clear()

@@ -45,6 +45,10 @@ strategies.
 
 `reference_run` is a whole run read straight off the semantics, with no
 queue, compiled rules or index, for differential tests of `Engine`.
+
+`reference_round_thousandths` and `reference_format_utility` are the report
+rounding as it stood before it worked on integer ratios: Fraction
+arithmetic on the scaled value, kept verbatim for differential tests.
 """
 
 import logging
@@ -754,3 +758,24 @@ def reference_run(model, strategy, providers, refraction, t_limit):
         for buffer in rule.clearings:
             state.held[buffer] = None
     return trace, state.held, state.chunks
+
+
+# -- report rounding, on Fractions -----------------------------------------------
+
+def reference_round_thousandths(value) -> Fraction:
+    """Exact half-away-from-zero rounding to 3 decimals."""
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    sign = -1 if value < 0 else 1
+    scaled = abs(value) * 1000
+    units = scaled.numerator // scaled.denominator
+    if 2 * (scaled - units) >= 1:
+        units += 1
+    return Fraction(sign * units, 1000)
+
+
+def reference_format_utility(value) -> str:
+    rounded = reference_round_thousandths(value)
+    units = abs(rounded.numerator * 1000 // rounded.denominator)
+    text = f"{units // 1000}.{units % 1000:03d}"
+    return "-" + text if rounded < 0 and units else text

@@ -11,6 +11,7 @@ from actrsim.chunks import ChunkType
 from actrsim.engine import (
     FIRE_LATENCY_TICKS,
     Engine,
+    TraceEntry,
     compile_model,
     format_trace_entry,
     seconds,
@@ -135,6 +136,14 @@ def test_seconds_is_the_exact_time_of_a_tick(tick):
 
 def test_seconds_table_is_bounded():
     assert seconds.cache_info().maxsize == 4096
+
+
+def test_trace_time_prints_as_its_float():
+    # every millisecond over the span of the 4,096 ticks the table holds, 50 ms apart
+    for tick in range(-FIRE_LATENCY_TICKS, FIRE_LATENCY_TICKS * 4096):
+        time = Fraction(tick, 1000)
+        line = format_trace_entry(TraceEntry(time, "r", {}, ()))
+        assert line == f"{float(time):.3f}\tr\t-"
 
 
 def test_halts_when_nothing_matches_and_queue_empty():

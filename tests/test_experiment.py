@@ -4,6 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from actrsim.errors import EmptyResults, MalformedMove, WrongLength
 from actrsim.experiment import (
@@ -21,6 +22,8 @@ from actrsim.experiment import (
     summarize,
 )
 from actrsim.model import validate_model
+
+from oracle import reference_format_utility, reference_round_thousandths
 
 # move frequencies (rock, paper, scissors) per shipped sample, used to
 # cross-check the data files against an independent transcription
@@ -142,6 +145,21 @@ def test_format_utility():
     assert format_utility(Fraction("19.95")) == "19.950"
     assert format_utility(Fraction(0)) == "0.000"
     assert format_utility(Fraction("14.8875")) == "14.888"
+
+
+# exact halves of a thousandth, either sign, and their nearest neighbours
+HALVES = st.builds(
+    lambda k, nudge: Fraction(2 * k + 1, 2000) + Fraction(nudge, 10**9),
+    st.integers(min_value=-10**6, max_value=10**6), st.sampled_from((0, 1, -1)),
+)
+REPORTED = (st.fractions() | HALVES | st.integers(min_value=-10**9, max_value=10**9)
+            | st.floats(min_value=-1e6, max_value=1e6))
+
+
+@given(REPORTED)
+def test_rounding_equals_the_fraction_formulas(value):
+    assert round_thousandths(value) == reference_round_thousandths(value)
+    assert format_utility(value) == reference_format_utility(value)
 
 
 def test_format_count():

@@ -627,6 +627,13 @@ MODEL_FORMS = st.lists(
     st.tuples(st.sampled_from(["p", "chunk-type", "add-dm", "goal-focus", "spp"]), MODEL_PIECES),
     min_size=1, max_size=3,
 ).map(lambda forms: "".join(f"({head} {body})" for head, body in forms))
+# pieces after a nested list of the same list (an add-dm's chunk, or the list
+# of an !output!), so that an atom error stands where a list's size counts
+AFTER_A_LIST = st.tuples(
+    st.sampled_from(["(add-dm (g1 isa game me rock)",
+                     "(p r =goal> isa game ==> !output! (a (b))"]),
+    MODEL_PIECES,
+).map(lambda parts: f"{parts[0]} {parts[1]})")
 
 
 def spelled(text):
@@ -653,7 +660,7 @@ def test_tokenizer_equals_character_reader(text):
     assert spelled(text) == [(t.text, t.line, t.column) for t in char_tokenize(text)]
 
 
-@given(MODEL_PIECES | MODEL_FORMS)
+@given(MODEL_PIECES | MODEL_FORMS | AFTER_A_LIST)
 def test_syntax_error_positions_equal_character_reader(text):
     """Where parse_model and the reference path (char_tokenize, reference_forms,
     reference_read) both read an AST it is the same; where both raise the same

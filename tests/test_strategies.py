@@ -394,17 +394,25 @@ def learning_state(strategy):
 
 
 PAIRS = {
-    "reinforcement": lambda seed: (ReinforcementUtility(), ReferenceReinforcement()),
-    "success-cost": lambda seed: (SuccessCostUtility(), ReferenceSuccessCost()),
-    "random-cost": lambda seed: (RandomCostUtility(seed=seed), ReferenceRandomCost(seed=seed)),
+    "reinforcement": lambda alpha, goal, seed: (
+        ReinforcementUtility(alpha), ReferenceReinforcement(alpha)),
+    "success-cost": lambda alpha, goal, seed: (
+        SuccessCostUtility(goal), ReferenceSuccessCost(goal)),
+    "random-cost": lambda alpha, goal, seed: (
+        RandomCostUtility(goal, seed=seed), ReferenceRandomCost(goal, seed=seed)),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(PAIRS))
 @settings(max_examples=300, deadline=None)
-@given(operations=OPERATIONS, seed=st.integers(min_value=0, max_value=2**32))
-def test_strategy_equals_the_reference_strategy(kind, operations, seed):
-    strategy, reference = PAIRS[kind](seed)
+@given(
+    operations=OPERATIONS,
+    alpha=st.fractions(min_value=0, max_value=1).filter(bool),
+    goal=st.fractions(min_value=-30, max_value=30),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_strategy_equals_the_reference_strategy(kind, operations, alpha, goal, seed):
+    strategy, reference = PAIRS[kind](alpha, goal, seed)
     now = Fraction(0)
     for op, arg, step in operations:
         if op == "score":
