@@ -10,6 +10,7 @@ to standard error or --trace-file. Exit codes: 0 on success, 1 on bad input
 import argparse
 import contextlib
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 from . import experiment, strategies
@@ -40,25 +41,25 @@ def build_arg_parser() -> argparse.ArgumentParser:
     source.add_argument("--samples", help="sample file, one 20-move line per sample")
     run.add_argument("--sample", type=int,
                      help="use only the Nth sample (1-based) of the loaded set")
-    run.add_argument("--strategy", default="reinforcement",
-                     choices=tuple(strategies.STRATEGIES))
+    run.add_argument("--strategy", choices=tuple(strategies.STRATEGIES))
     run.add_argument("--refraction", action="store_true",
                      help="never fire the same rule instantiation twice")
-    run.add_argument("--alpha", type=fraction, default=Fraction(1, 5),
+    run.add_argument("--alpha", type=fraction,
                      help="learning rate for the reinforcement strategy")
-    run.add_argument("--goal-value", type=fraction, default=Fraction(20),
+    run.add_argument("--goal-value", type=fraction,
                      help="goal value G for the cost-based strategies")
     run.add_argument("--tiebreak", choices=strategies.TIEBREAK_POLICIES,
                      help="override the strategy's declaration-order tie-break")
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--runs", type=int, default=1,
+    run.add_argument("--seed", type=int)
+    run.add_argument("--runs", type=int,
                      help="repeated runs per sample (distinct derived seeds)")
-    run.add_argument("--t-limit", type=fraction, default=Fraction(2),
-                     help="simulated seconds per run")
+    run.add_argument("--t-limit", type=fraction, help="simulated seconds per run")
     run.add_argument("--format", choices=("csv", "json"), default="csv")
     run.add_argument("--trace", action="store_true",
                      help="write one line per rule firing to stderr")
     run.add_argument("--trace-file", help="write the firing trace to a file")
+    # each run parameter's dest is a HarnessConfig field, whose default it takes
+    run.set_defaults(**{f.name: f.default for f in fields(experiment.HarnessConfig)})
     return parser
 
 
@@ -89,44 +90,35 @@ def _load_samples(args):
     return samples
 
 
-def _check_config(args):
-    if not 0 < args.alpha <= 1:
+def _check_config(config):
+    if not 0 < config.alpha <= 1:
         raise ValueError("--alpha must be in (0, 1]")
-    if args.t_limit <= 0:
+    if config.t_limit <= 0:
         raise ValueError("--t-limit must be positive")
-    if args.runs < 1:
+    if config.runs < 1:
         raise ValueError("--runs must be at least 1")
 
 
-def run_command(args, out=None, err=None) -> int:
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
+def run_command(args) -> int:
+    config = experiment.HarnessConfig(
+        **{f.name: getattr(args, f.name) for f in fields(experiment.HarnessConfig)}
+    )
     try:
-        _check_config(args)
+        _check_config(config)
         program = _load_model(args)
         samples = _load_samples(args)
         trace_file = None
         if args.trace_file:  # opened first, so a bad path fails before the run
             trace_file = open(args.trace_file, "w", encoding="utf-8")
     except (EngineError, OSError, ValueError) as exc:
-        print(f"actrsim: {exc}", file=err)
+        print(f"actrsim: {exc}", file=sys.stderr)
         return 1
-    config = experiment.HarnessConfig(
-        strategy=args.strategy,
-        alpha=args.alpha,
-        goal_value=args.goal_value,
-        tiebreak=args.tiebreak,
-        refraction=args.refraction,
-        seed=args.seed,
-        runs=args.runs,
-        t_limit=args.t_limit,
-    )
     trace_sink = [] if (args.trace or args.trace_file) else None
     with trace_file or contextlib.nullcontext():
         try:
             report = experiment.run_experiment(program, config, samples, trace_sink)
         except EngineError as exc:
-            print(f"actrsim: runtime error: {exc}", file=err)
+            print(f"actrsim: runtime error: {exc}", file=sys.stderr)
             return 2
         if trace_sink is not None:
             lines = [f"{run}\t" + format_trace_entry(entry) for run, entry in trace_sink]
@@ -134,21 +126,15 @@ def run_command(args, out=None, err=None) -> int:
                 trace_file.write("\n".join(lines) + "\n")
             else:
                 for line in lines:
-                    print(line, file=err)
-    if args.format == "json":
-        out.write(experiment.report_to_json(report))
-    else:
-        out.write(experiment.report_to_csv(report))
+                    print(line, file=sys.stderr)
+    to_text = experiment.report_to_json if args.format == "json" else experiment.report_to_csv
+    sys.stdout.write(to_text(report))
     return 0
 
 
 def main(argv=None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
-    if args.command == "run":
-        return run_command(args)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    # `run` is the one command, and argparse exits 2 on anything else
+    return run_command(build_arg_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ three play rules from the strategy.
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from importlib import resources
 
@@ -181,16 +181,13 @@ def summarize(results) -> Report:
 
 
 def config_echo(config: HarnessConfig) -> dict:
-    return {
-        "strategy": config.strategy,
-        "alpha": str(config.alpha),
-        "goal_value": str(config.goal_value),
-        "tiebreak": config.tiebreak or STRATEGIES[config.strategy].default_tiebreak,
-        "refraction": config.refraction,
-        "seed": config.seed,
-        "runs": config.runs,
-        "t_limit": str(config.t_limit),
-    }
+    """The config's fields in order, Fraction-typed ones as text, the tie-break resolved."""
+    echo = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        echo[f.name] = str(value) if f.type is Fraction else value
+    echo["tiebreak"] = config.tiebreak or STRATEGIES[config.strategy].default_tiebreak
+    return echo
 
 
 # -- formatting ---------------------------------------------------------------------

@@ -15,7 +15,7 @@ A TEST is ``=buffer> isa TYPE SLOT VALUE ...`` where values may be constants
 or ``=variables``. An ACTION is either a modification ``=buffer> SLOT VALUE
 ...``, a clearing ``-buffer>``, a host binding ``!bind! =VAR PROVIDER``
 (drawn at apply time from a provider registered with the engine), or an
-``!output!`` directive, which is parsed and ignored (logged). Buffer requests
+``!output!`` directive, whose argument is read and dropped. Buffer requests
 (``+buffer>``) are not supported and rejected at parse time.
 
 A ``Production`` keeps its right-hand side as what a firing does, in that
@@ -33,7 +33,6 @@ from the text only when the error is raised.
 rule, chunk or slot but carry no position. A model it accepts round-trips.
 """
 
-import logging
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -41,8 +40,6 @@ from itertools import chain
 
 from .chunks import ChunkType
 from .errors import ModelSyntaxError
-
-log = logging.getLogger(__name__)
 
 
 def is_variable(symbol: str) -> bool:
@@ -278,7 +275,6 @@ class _ModelReader:
             elif tok == "!output!":
                 if i + 1 >= len(form):
                     raise _Misread(f"rule {rule!r}: !output! needs an argument", _index(form, i))
-                log.debug("rule %s output directive: %s", rule, _format_output(form[i + 1]))
                 i += 2
             elif tok.startswith("+") and tok.endswith(">"):
                 raise _Misread(
@@ -331,12 +327,6 @@ class _ModelReader:
         "p": _production,
         "spp": _annotation,
     }
-
-
-def _format_output(item):
-    if type(item) is str:
-        return item
-    return "(" + " ".join(_format_output(sub) for sub in item) + ")"
 
 
 def parse_model(text: str) -> ModelAST:

@@ -23,7 +23,7 @@ firings), and one Fraction means one gcd on it per update. Success-cost adds
 t - t_sel to the efforts and rescores each touched rule once per trigger.
 Random-cost reads theta = efforts / successes as one correctly rounded
 integer division into a float. alpha, goal values, rewards and times are
-rationals: ints or Fractions.
+rationals: ints or Fractions; a float alpha or goal value is a TypeError.
 """
 
 import math
@@ -34,6 +34,7 @@ ZERO = Fraction(0)
 FIRST_DECLARED = "first-declared"
 LAST_DECLARED = "last-declared"
 TIEBREAK_POLICIES = (FIRST_DECLARED, LAST_DECLARED)
+_OUTCOME_COUNTER = {"success": 0, "failure": 1}  # the counter each trigger kind bumps
 
 
 # -- update math -------------------------------------------------------------
@@ -80,11 +81,10 @@ def select_winner(candidates, utilities, tiebreak):
     """Highest-utility candidate; declaration order decides exact ties.
 
     One pass; the result does not depend on the order of `candidates`.
+    `tiebreak` is one of TIEBREAK_POLICIES, as a strategy's constructor checks.
     """
     if not candidates:
         return None
-    if tiebreak not in TIEBREAK_POLICIES:
-        raise ValueError(f"unknown tie-break policy {tiebreak!r}")
     if len(candidates) == 1:
         return candidates[0]
     sign = 1 if tiebreak == LAST_DECLARED else -1
@@ -143,6 +143,8 @@ class ReinforcementUtility(ConflictResolutionStrategy):
 
     def __init__(self, alpha=Fraction(1, 5), tiebreak=None):
         super().__init__(tiebreak)
+        if not isinstance(alpha, (int, Fraction)):
+            raise TypeError(f"alpha must be an int or a Fraction, not {alpha!r}")
         if not 0 < alpha <= 1:
             raise ValueError("alpha must be in (0, 1]")
         self.alpha = alpha
@@ -180,6 +182,8 @@ class SuccessCostUtility(ConflictResolutionStrategy):
 
     def __init__(self, goal_value=Fraction(20), tiebreak=None):
         super().__init__(tiebreak)
+        if not isinstance(goal_value, (int, Fraction)):
+            raise TypeError(f"goal_value must be an int or a Fraction, not {goal_value!r}")
         self.goal_value = goal_value
         self._counters: dict[str, list] = {}  # rule -> [successes, failures, efforts]
         self._states: dict = {}  # rule -> _state of its counters
@@ -189,10 +193,11 @@ class SuccessCostUtility(ConflictResolutionStrategy):
         return tuple(self._counters.get(rule, self.INITIAL_COUNTERS))
 
     def trigger_outcome(self, kind, now):
-        index = {"success": 0, "failure": 1}[kind]
+        index = _OUTCOME_COUNTER[kind]
         nn, nd = now.as_integer_ratio()
         for rule, selected in self.applied_log:
-            entry = self._counters.setdefault(rule, [*self.INITIAL_COUNTERS])
+            if (entry := self._counters.get(rule)) is None:
+                entry = self._counters[rule] = [*self.INITIAL_COUNTERS]
             entry[index] += 1
             (en, ed), (sn, sd) = entry[2].as_integer_ratio(), selected.as_integer_ratio()
             # efforts + (now - selected) over one common denominator

@@ -51,7 +51,6 @@ rounding as it stood before it worked on integer ratios: Fraction
 arithmetic on the scaled value, kept verbatim for differential tests.
 """
 
-import logging
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -78,8 +77,6 @@ from actrsim.strategies import (
 )
 
 LATENCY = Fraction(1, 20)
-
-log = logging.getLogger(__name__)
 
 
 class _Token(NamedTuple):
@@ -167,12 +164,6 @@ def reference_read(forms):
 def reference_parse(text):
     """The AST of model text, tokenized, grouped and read the reference way."""
     return reference_read(reference_forms(char_tokenize(text)))
-
-
-def _format_output(item):
-    if isinstance(item, _Token):
-        return item.text
-    return "(" + " ".join(_format_output(sub) for sub in item) + ")"
 
 
 def _atom(item, what):
@@ -373,7 +364,6 @@ class _ModelReader:
                     raise ModelSyntaxError(
                         f"rule {rule!r}: !output! needs an argument", tok.line, tok.column
                     )
-                log.debug("rule %s output directive: %s", rule, _format_output(items[i + 1]))
                 i += 2
             elif tok.text.startswith("+") and tok.text.endswith(">"):
                 raise ModelSyntaxError(

@@ -3,16 +3,21 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from actrsim.cli import main
+import actrsim
+from actrsim.cli import build_arg_parser, main
 from actrsim.errors import ModelSyntaxError
-from actrsim.experiment import builtin_model_text
+from actrsim.experiment import HarnessConfig, builtin_model_text
 from actrsim.model import _tokenize, parse_model, validate_model
 
 from oracle import reference_parse
@@ -203,6 +208,31 @@ def test_sample_selector_out_of_range(capsys):
     code, _, err = run_cli(capsys, "run", "--player", "2", "--sample", "21")
     assert code == 1
     assert "out of range" in err
+
+
+def test_run_defaults_are_the_config_defaults():
+    args = build_arg_parser().parse_args(["run"])
+    for f in fields(HarnessConfig):
+        assert getattr(args, f.name) == getattr(HarnessConfig(), f.name), f.name
+
+
+def test_deeply_nested_output_argument_is_dropped_without_a_traceback(tmp_path):
+    # the reader drops an !output! argument unread, however deep it nests
+    model = tmp_path / "deep.model"
+    model.write_text(
+        "(chunk-type game me)(add-dm (g1 isa game me rock))(goal-focus goal g1)"
+        "(p r =goal> isa game ==> !output! " + "(" * 3000 + "x" + ")" * 3000 + " -goal>)\n",
+        encoding="utf-8",
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(actrsim.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "actrsim.cli", "run", "--model", str(model)],
+        capture_output=True, text=True, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("sample,U_r,U_p,U_s,wins,draws,defeats\n")
+    assert done.stdout.splitlines()[-1].startswith("avg,")
+    assert "Traceback" not in done.stderr
 
 
 # -- fuzz: mutated model text under varied flags ----------------------------------------

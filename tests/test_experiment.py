@@ -11,6 +11,7 @@ from actrsim.experiment import (
     HarnessConfig,
     RunResult,
     builtin_samples,
+    config_echo,
     format_count,
     format_utility,
     parse_samples,
@@ -205,6 +206,16 @@ def test_json_report_mirrors_csv(rps_model):
     assert payload["config"]["tiebreak"] == "last-declared"
     assert payload["rows"][0]["U_p"] == 1.873
     assert payload["average"]["wins"] == 19
+
+
+def test_config_echo_reads_every_field():
+    assert config_echo(HarnessConfig()) == {
+        "strategy": "reinforcement", "alpha": "1/5", "goal_value": "20",
+        "tiebreak": "last-declared", "refraction": False, "seed": 0, "runs": 1,
+        "t_limit": "2",
+    }
+    # a Fraction-typed field is text even when it holds an int
+    assert config_echo(HarnessConfig(alpha=1))["alpha"] == "1"
 
 
 def test_multi_run_rows_use_distinct_seeds(rps_model):

@@ -120,6 +120,22 @@ def test_reinforcement_rejects_bad_alpha():
         ReinforcementUtility(alpha=Fraction(2))
 
 
+def test_float_alpha_and_goal_value_are_type_errors():
+    # a float would learn on its exact binary value, not on 1/5 or 20
+    with pytest.raises(TypeError):
+        ReinforcementUtility(alpha=0.2)
+    with pytest.raises(TypeError):
+        SuccessCostUtility(goal_value=20.0)
+    with pytest.raises(TypeError):
+        RandomCostUtility(goal_value=20.0)
+
+
+def test_int_alpha_and_goal_value_are_accepted():
+    assert ReinforcementUtility(alpha=1).alpha == 1
+    assert SuccessCostUtility(goal_value=20).utility("r") == Fraction(20) - Fraction(1, 20)
+    assert RandomCostUtility(goal_value=20).utility("r") == 20.0
+
+
 def test_multiple_applications_update_through_one_trigger():
     # two applications of the same rule share one trigger, earlier one first
     strategy = ReinforcementUtility()
@@ -304,9 +320,12 @@ def test_select_winner_empty_set():
     assert select_winner([], {}, FIRST_DECLARED) is None
 
 
-def test_select_winner_rejects_unknown_policy():
+@pytest.mark.parametrize(
+    "cls", [ReinforcementUtility, SuccessCostUtility, RandomCostUtility]
+)
+def test_constructor_rejects_unknown_policy(cls):
     with pytest.raises(ValueError):
-        select_winner([inst("a", 0)], {"a": 0}, "random")
+        cls(tiebreak="random")
 
 
 @given(
