@@ -91,7 +91,7 @@ def _load_samples(args):
 
 
 def _check_config(config):
-    if not 0 < config.alpha <= 1:
+    if config.strategy == "reinforcement" and not 0 < config.alpha <= 1:
         raise ValueError("--alpha must be in (0, 1]")
     if config.t_limit <= 0:
         raise ValueError("--t-limit must be positive")

@@ -1,7 +1,8 @@
 """The match-select-apply cycle over buffers, rules, and the event queue.
 
 A model is checked and compiled once, by ``compile_model``, into a
-``Program``: the immutable rules, index and initial state its runs share.
+``Program``: the immutable rules, index and initial state its runs share,
+and the one thing they write, a bounded memo of conflict sets.
 An ``Engine`` is one run, its state the ``held`` and ``chunks`` dicts. It
 checks its providers when built, then trusts the program: every modified
 buffer holds a chunk with the updated slots, and every right-hand-side
@@ -26,7 +27,10 @@ constants. Each match cycle looks up every group's key with the values its
 buffer holds now (one dict lookup; an unset slot reads None and matches no
 constant), merges the surviving rules, and rules without tests, back into
 declaration order, and runs the full tests, variable joins and snapshots on
-those survivors only.
+those survivors only. The conflict set is a pure function of what the tested
+buffers hold (a chunk's name, type and slot items, or None once cleared), so
+a memo in front of the index matches each state once per Program. It stores
+up to MATCH_MEMO_STATES states; a state holding an unhashable value is not kept.
 
 The queue runs on integer millisecond ticks. ``Engine.now()``,
 ``TraceEntry.time`` and every time handed to a strategy are exact
@@ -37,7 +41,7 @@ limit in ticks, which is exact for any rational or float limit.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -52,6 +56,7 @@ from .strategies import refraction_prune
 
 TICKS_PER_SECOND = 1000
 FIRE_LATENCY_TICKS = 50  # 50 ms between selection and firing
+MATCH_MEMO_STATES = 4096  # buffer states a Program's memo stores; it never evicts
 
 
 @lru_cache(maxsize=4096)  # 4,096 ticks 50 ms apart span 204 s of a run
@@ -126,9 +131,11 @@ def _index(productions):
 
 @dataclass(frozen=True)
 class Program:
-    """A checked, compiled model: all that its runs share, and never write.
+    """A checked, compiled model: all that its runs share.
 
-    providers names each !bind! provider once; index and untested: see _index.
+    providers names each !bind! provider once; index and untested: see _index;
+    tested names the buffers rules test, in first-test order. memo, the one
+    thing runs write, maps a state of those buffers to its conflict set.
     """
 
     rules: tuple
@@ -138,6 +145,8 @@ class Program:
     providers: tuple[str, ...]
     chunk_specs: tuple  # the initial chunks, ChunkSpec, ...
     buffer_inits: tuple[tuple[str, str], ...]
+    tested: tuple[str, ...]
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def check_providers(self, names) -> None:
         """Raise ProviderExhausted unless every provider is among names."""
@@ -155,8 +164,9 @@ def compile_model(model: ModelAST | Program) -> Program:
         raise ModelSyntaxError("; ".join(diagnostics))
     rules = tuple([_compile(i, p) for i, p in enumerate(model.productions)])
     providers = dict.fromkeys(provider for p in model.productions for _, provider in p.binds)
+    tested = dict.fromkeys(t.buffer for p in model.productions for t in p.tests)
     return Program(rules, *_index(rules), model.annotations, tuple(providers),
-                   model.initial_chunks, model.buffer_inits)
+                   model.initial_chunks, model.buffer_inits, tuple(tested))
 
 
 class Engine:
@@ -187,7 +197,24 @@ class Engine:
     # -- matching ---------------------------------------------------------
 
     def find_instantiations(self) -> list[Instantiation]:
-        """One instantiation per rule whose every buffer test succeeds."""
+        """One instantiation per rule whose every buffer test succeeds, memoized."""
+        held, chunks, memo = self.held, self.chunks, self.program.memo
+        state = []
+        for buffer in self.program.tested:
+            chunk = (name := held[buffer]) and chunks[name]  # None: a cleared buffer
+            state.append(chunk and (name, chunk.type, tuple(chunk.slot_values.items())))
+        key = tuple(state)
+        try:
+            found = memo.get(key)
+        except TypeError:  # a provider's value cannot be hashed: match directly
+            return self._match()
+        if found is None:
+            found = tuple(self._match())
+            if len(memo) < MATCH_MEMO_STATES:
+                memo[key] = found
+        return list(found)
+
+    def _match(self) -> list[Instantiation]:
         held, chunks, program = self.held, self.chunks, self.program
         groups = [program.untested] if program.untested else []
         for (buffer, ctype, slots), table in program.index:

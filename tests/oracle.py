@@ -735,7 +735,8 @@ def reference_run(model, strategy, providers, refraction, t_limit):
                 strategy.trigger_outcome("success", clock)
             if annotation.failure:
                 strategy.trigger_outcome("failure", clock)
-        applied.add(reference_identity(winner))
+        if refraction:  # an identity holding a provider's list cannot be hashed
+            applied.add(reference_identity(winner))
         env = dict(winner.bindings)
         rule = model.productions[winner.source_index]
         for variable, provider in rule.binds:

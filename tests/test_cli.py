@@ -24,6 +24,10 @@ from oracle import reference_parse
 from test_model_parser import CLEAR_THEN_MODIFY, MODEL_PIECES
 
 
+PUBLISHED = Path(__file__).resolve().parent.parent / "bench" / "published"
+GOLDEN = Path(__file__).resolve().parent / "golden"  # CI diffs the same files
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -99,7 +103,16 @@ def test_provider_exhaustion_exits_2(capsys):
 def test_bad_alpha_exits_1(capsys):
     code, _, err = run_cli(capsys, "run", "--player", "1", "--alpha", "3")
     assert code == 1
-    assert "alpha" in err
+    assert err == "actrsim: --alpha must be in (0, 1]\n"
+
+
+def test_alpha_is_checked_only_for_reinforcement(capsys):
+    # success-cost learns no utility by alpha, so it ignores any value given
+    code, out, err = run_cli(
+        capsys, "run", "--alpha", "3", "--strategy", "success-cost", "--player", "3"
+    )
+    assert (code, err) == (0, "")
+    assert out == (PUBLISHED / "success-cost-player3.csv").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("flag", ["--t-limit", "--alpha", "--goal-value"])
@@ -171,6 +184,25 @@ def test_trace_file(tmp_path, capsys):
     assert err == ""
     lines = trace_path.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 40
+
+
+@pytest.mark.parametrize("strategy, extra", [
+    ("reinforcement", ()),
+    ("success-cost", ()),
+    ("random-cost", ("--sample", "1", "--seed", "84", "--runs", "50")),
+])
+def test_refraction_tables_and_traces_equal_the_golden_files(tmp_path, capsys,
+                                                             strategy, extra):
+    trace_path = tmp_path / "run.trace"
+    code, out, _ = run_cli(
+        capsys, "run", "--refraction", "--player", "3", "--strategy", strategy,
+        *extra, "--trace-file", str(trace_path),
+    )
+    assert code == 0
+    golden = GOLDEN / f"refraction-{strategy}-player3"
+    assert out == golden.with_suffix(".csv").read_text(encoding="utf-8")
+    assert trace_path.read_text(encoding="utf-8") == (
+        golden.with_suffix(".trace").read_text(encoding="utf-8"))
 
 
 def test_trace_file_in_missing_directory_exits_1_before_running(tmp_path, capsys):

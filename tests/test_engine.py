@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from actrsim import engine as engine_module
 from actrsim.chunks import ChunkType
 from actrsim.engine import (
     FIRE_LATENCY_TICKS,
@@ -389,13 +393,16 @@ def check_every_cycle(engine, model):
 def test_compiled_matcher_equals_oracle_on_random_models():
     rng = random.Random(31)
     cycles = []
+    states = 0  # what the engines' memos hold: each engine compiles its own Program
     for index in range(500):
         model = random_model(rng)
         engine = Engine(model, strategy_for(index, index), refraction=index % 2 == 0)
         checked = check_every_cycle(engine, model)
         engine.run(Fraction(1))
         cycles += checked
+        states += len(engine.program.memo)
     assert len(cycles) > 5000 and sum(cycles) > len(cycles)  # real conflict sets
+    assert states < len(cycles) / 2  # most cycles were memo hits, checked all the same
 
 
 def test_compiled_matcher_equals_oracle_on_bundled_model(rps_model):
@@ -408,6 +415,7 @@ def test_compiled_matcher_equals_oracle_on_bundled_model(rps_model):
             cycles = check_every_cycle(engine, rps_model)
             engine.run(Fraction(2))
             assert cycles
+            assert len(engine.program.memo) < len(cycles)  # a state recurred
 
 
 ACROSS_BUFFERS = (
@@ -560,3 +568,118 @@ def test_runs_sharing_a_program_equal_runs_from_the_ast():
             firings += len(shared.trace)
         assert program == compile_model(model)  # the runs left it as compiled
     assert firings > 10000  # the runs fire
+
+
+# -- the conflict-set memo each Program keeps -------------------------------------
+
+def compare(*args):
+    """test_whole_run.compare, imported when first called: it imports this module."""
+    from test_whole_run import compare as against_reference_run
+    return against_reference_run(*args)
+
+
+def memo_cases(rps_model):
+    """(model, t_limit, providers) for the bundled model and generated ones."""
+    rng = random.Random(83)
+    moves = [rng.choice(["rock", "paper", "scissors"]) for _ in range(20)]
+    cases = [(rps_model, Fraction(2), lambda: {"next-move": iter(moves)})]
+    cases += [(random_model(rng), Fraction(1), dict) for _ in range(40)]
+    cases += [(two_buffer_model(rng), Fraction(1), dict) for _ in range(40)]
+    return cases
+
+
+def test_engines_sharing_a_program_and_its_memo_equal_the_reference_run(rps_model):
+    firings = states = 0
+    for number, (model, t_limit, providers) in enumerate(memo_cases(rps_model)):
+        program = compile_model(model)
+        for index in range(6):  # three strategies, without and with refraction
+            firings += len(compare(model, index, number, t_limit, providers, program))
+        states += len(program.memo)
+    assert states < firings / 4  # the later runs matched from the earlier ones' memo
+
+
+def test_a_full_memo_stores_no_more_states(monkeypatch, rps_model):
+    monkeypatch.setattr(engine_module, "MATCH_MEMO_STATES", 2)
+    full = 0
+    for number, (model, t_limit, providers) in enumerate(memo_cases(rps_model)):
+        program = compile_model(model)
+        for index in range(6):  # a memo only grows: its size after a run bounds it
+            engine = Engine(program, strategy_for(index, number), providers(), index >= 3)
+            check_every_cycle(engine, model)
+            engine.run(t_limit)
+            assert len(program.memo) <= 2
+            compare(model, index, number, t_limit, providers, program)
+            assert len(program.memo) <= 2
+        full += len(program.memo) == 2
+    assert full > 40  # the cap, not the runs, stopped most memos
+
+
+def test_engines_in_threads_share_a_program_and_its_memo(rps_model):
+    moves = [random.Random(89).choice(["rock", "paper", "scissors"]) for _ in range(20)]
+
+    def runs(program):  # three strategies, without and with refraction
+        traces = []
+        for index in range(6):
+            engine = Engine(program, strategy_for(index, index),
+                            {"next-move": iter(moves)}, index >= 3)
+            engine.run(Fraction(2))
+            traces.append([(e.time, e.rule, e.bindings, e.identity) for e in engine.trace])
+        return traces
+
+    expected = runs(compile_model(rps_model))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        for _ in range(5):  # each round starts from an empty memo
+            program = compile_model(rps_model)
+            results = []
+            threads = [threading.Thread(target=lambda: results.append(runs(program)))
+                       for _ in range(4)]  # four threads race for one empty memo
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == [expected] * 4
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_caller_cannot_change_a_memoized_conflict_set(rps_model):
+    engine = engine_for(rps_model, providers={"next-move": iter(["rock"])})
+    engine.find_instantiations().clear()
+    assert engine.find_instantiations() == linear_scan(engine, rps_model.productions) != []
+
+
+def test_the_memo_tells_apart_chunks_that_hold_equal_slots():
+    # held is the engine's state: a buffer focused on another chunk is another state
+    model = parse_model(
+        "(chunk-type game me)(add-dm (g1 isa game me rock) (g2 isa game me rock))"
+        "(goal-focus goal g1)(p r =goal> isa game me rock ==> -goal>)"
+    )
+    engine = engine_for(model)
+    for name in ("g1", "g2", None, "g1"):
+        engine.held["goal"] = name
+        assert engine.find_instantiations() == linear_scan(engine, model.productions)
+    assert len(engine.program.memo) == 3
+
+
+# me holds the provider's values, which only variables test; phase is indexed
+UNHASHABLE = (
+    "(chunk-type game me phase)(add-dm (g1 isa game me start phase one))"
+    "(goal-focus goal g1)"
+    "(p draw =goal> isa game me =m phase one ==> !bind! =x next =goal> me =x phase two)"
+    "(p again =goal> isa game me =m phase two ==> =goal> phase one)"
+    "(p redraw =goal> isa game me =m phase two ==> !bind! =x next =goal> me =x)"
+)
+
+
+def test_a_provider_yielding_lists_matches_without_the_memo():
+    model = parse_model(UNHASHABLE)
+    values = [["rock"], ["paper", "rock"], []]
+    for index in range(3):  # a snapshot holding a list cannot be refracted
+        program = compile_model(model)
+        trace = compare(model, index, index, Fraction(1),
+                        lambda: {"next": itertools.cycle(values)}, program)
+        assert len(trace) == 20
+        assert len(program.memo) == 1  # the start state: no list can be a key

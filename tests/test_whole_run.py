@@ -58,15 +58,17 @@ def modifies_and_clears(production):
     return any(buffer in production.clearings for buffer, _ in production.modifications)
 
 
-def compare(model, index, seed, t_limit, providers=lambda: {"next-move": iter(())}):
+def compare(model, index, seed, t_limit, providers=lambda: {"next-move": iter(())},
+            program=None):
     """Run model on the engine and on the reference; return the engine's trace.
 
-    providers() gives each side its own fresh !bind! providers.
+    providers() gives each side its own fresh !bind! providers. The engine
+    runs program, model's compiled Program, when one is given.
     """
     rules = [p.name for p in model.productions]
     ours, theirs = strategy_pair(index, seed)
     refraction = index >= 3
-    engine = Engine(model, ours, providers(), refraction)
+    engine = Engine(model if program is None else program, ours, providers(), refraction)
     engine.run(t_limit)
     trace, held, chunks = reference_run(model, theirs, providers(), refraction, t_limit)
     assert [(e.time, e.rule, e.bindings) for e in engine.trace] == trace
