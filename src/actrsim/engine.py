@@ -30,7 +30,8 @@ declaration order, and runs the full tests, variable joins and snapshots on
 those survivors only. The conflict set is a pure function of what the tested
 buffers hold (a chunk's name, type and slot items, or None once cleared), so
 a memo in front of the index matches each state once per Program. It stores
-up to MATCH_MEMO_STATES states; a state holding an unhashable value is not kept.
+up to MATCH_MEMO_STATES states. Every slot value can be hashed: the model's
+are strings, and a provider's value that cannot be is an UnhashableValue.
 
 The queue runs on integer millisecond ticks. ``Engine.now()``,
 ``TraceEntry.time`` and every time handed to a strategy are exact
@@ -49,7 +50,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .chunks import Chunk
-from .errors import ModelSyntaxError, ProviderExhausted
+from .errors import ModelSyntaxError, ProviderExhausted, UnhashableValue
 from .model import ModelAST, is_variable, validate_model
 from .scheduler import EventQueue
 from .strategies import refraction_prune
@@ -204,10 +205,7 @@ class Engine:
             chunk = (name := held[buffer]) and chunks[name]  # None: a cleared buffer
             state.append(chunk and (name, chunk.type, tuple(chunk.slot_values.items())))
         key = tuple(state)
-        try:
-            found = memo.get(key)
-        except TypeError:  # a provider's value cannot be hashed: match directly
-            return self._match()
+        found = memo.get(key)
         if found is None:
             found = tuple(self._match())
             if len(memo) < MATCH_MEMO_STATES:
@@ -266,9 +264,10 @@ class Engine:
     def _apply(self, inst: Instantiation, tick: int):
         """Fire inst at tick, FIRE_LATENCY_TICKS after its selection.
 
-        Not atomic: a !bind! that runs out raises ProviderExhausted after the
-        strategy (its log and triggers) and the refraction history were
-        updated, but before any modification or clearing.
+        Not atomic: a !bind! that runs out raises ProviderExhausted, and one
+        whose value cannot be hashed UnhashableValue, after the strategy (its
+        log and triggers) and the refraction history were updated, but before
+        any modification or clearing.
         """
         now = seconds(tick)
         selected = seconds(tick - FIRE_LATENCY_TICKS)
@@ -287,9 +286,14 @@ class Engine:
         env = dict(inst.bindings)
         for variable, provider in binds:
             try:
-                env[variable] = next(self.providers[provider])
+                env[variable] = value = next(self.providers[provider])
             except StopIteration:
                 raise ProviderExhausted(f"provider {provider!r} has no next value") from None
+            try:
+                hash(value)  # a slot value keys the memo and the refraction history
+            except TypeError:
+                raise UnhashableValue(
+                    f"provider {provider!r} gave {value!r}, which cannot be hashed") from None
         held, chunks = self.held, self.chunks
         for buffer, updates in modifications:
             # validation proved the buffer holds a chunk with these slots

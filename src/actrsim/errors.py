@@ -66,6 +66,10 @@ class ProviderExhausted(EngineError):
     """A !bind! provider had no next value (or none was registered)."""
 
 
+class UnhashableValue(EngineError):
+    """A !bind! provider gave a value that cannot be hashed, such as a list."""
+
+
 # -- experiment harness -------------------------------------------------------------
 
 class MalformedMove(EngineError):

@@ -9,28 +9,38 @@ trigger simply leave their entries in the log for the next trigger. A rule
 has learning state only once a trigger has touched it; until then it reads
 its strategy's initial values.
 
-Deterministic strategies keep all arithmetic in exact rationals so that equal
-utilities are exactly equal; tie-breaking then falls back to declaration
-order (first- or last-declared). The random-cost strategy draws a fresh
-estimated cost for every conflict-set member on every cycle from a seedable
-uniform generator.
+The deterministic strategies are exact: equal utilities are exactly equal,
+and tie-breaking then falls back to declaration order (first- or
+last-declared). They keep each utility as a pair of integers n, d and learn
+on those pairs, and build a Fraction only when a value is read (utility(),
+counters(), score()). Next to each pair they store its key n / d, an int
+true division, which is correctly rounded; a value beyond float range keys
+as +-inf. Correct rounding is monotone, so a key that is lower than
+another's belongs to a lower utility: select() takes the maximum key, and
+only when several candidates share it does it compare their exact
+utilities, with select_winner (after the filtered predicates of Shewchuk
+1997, which need no error bound here). A lone candidate wins unscored.
 
-The exact arithmetic is the cost of a run, so each step is computed on the
-numerators and denominators of its inputs, and one Fraction is built for
-each value that is stored. A reinforcement utility's denominator gains a
-factor of 1/alpha with every update (over a thousand bits after 2,000
-firings), and one Fraction means one gcd on it per update. Success-cost adds
-t - t_sel to the efforts and rescores each touched rule once per trigger.
-Random-cost reads theta = efforts / successes as one correctly rounded
-integer division into a float. alpha, goal values, rewards and times are
-rationals: ints or Fractions; a float alpha or goal value is a TypeError.
+A reinforcement update with alpha = a/b and a reward rn/rd is n, d ->
+(b - a) n (rd/g) + a rn (d/g), b d (rd/g), with g = gcd(d, rd): d gains a
+factor of b and the part of rd that it lacks, and no gcd is ever taken of
+two large numbers. On a millisecond clock with integer rewards d divides
+b**k * 1000 after k updates, and the cost of an update grows with its
+length in bits only, where one gcd per update grew with its square.
+Success-cost keeps [successes, failures, efforts numerator, efforts
+denominator], reduced by a gcd of small ints, adds t - t_sel to the efforts
+and rescores each touched rule once per trigger. Random-cost draws a fresh
+estimated cost for every conflict-set member on every cycle, a lone one
+too, from a seedable uniform generator; it reads theta = efforts / successes
+as one correctly rounded integer division into a float. alpha, goal values,
+rewards and times are rationals: ints or Fractions; a float alpha or goal
+value is a TypeError.
 """
 
 import math
 import random
 from fractions import Fraction
 
-ZERO = Fraction(0)
 FIRST_DECLARED = "first-declared"
 LAST_DECLARED = "last-declared"
 TIEBREAK_POLICIES = (FIRST_DECLARED, LAST_DECLARED)
@@ -39,9 +49,18 @@ _OUTCOME_COUNTER = {"success": 0, "failure": 1}  # the counter each trigger kind
 
 # -- update math -------------------------------------------------------------
 
+def _key(n, d):
+    """n / d (d > 0) as a correctly rounded float; +-inf beyond float range."""
+    try:
+        return n / d
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
+
+
 def _reinforce(un, ud, a, b, rn, rd):
-    """(1 - a/b) U + (a/b) R for U = un/ud and R = rn/rd, as one Fraction."""
-    return Fraction((b - a) * un * rd + a * rn * ud, b * ud * rd)
+    """(1 - a/b) U + (a/b) R for U = un/ud and R = rn/rd, as a pair over b lcm(ud, rd)."""
+    g = math.gcd(ud, rd)
+    return (b - a) * un * (rd // g) + a * rn * (ud // g), b * ud * (rd // g)
 
 
 def reinforcement_update(utility, alpha, reward):
@@ -50,8 +69,8 @@ def reinforcement_update(utility, alpha, reward):
     U + alpha (R - U), written as (1 - alpha) U + alpha R over one common
     denominator.
     """
-    return _reinforce(*utility.as_integer_ratio(), *alpha.as_integer_ratio(),
-                      *reward.as_integer_ratio())
+    return Fraction(*_reinforce(*utility.as_integer_ratio(), *alpha.as_integer_ratio(),
+                                *reward.as_integer_ratio()))
 
 
 def sc_recompute(successes, failures, efforts, goal_value):
@@ -129,7 +148,30 @@ class ConflictResolutionStrategy:
         raise NotImplementedError
 
 
-class ReinforcementUtility(ConflictResolutionStrategy):
+class ExactStrategy(ConflictResolutionStrategy):
+    """A deterministic strategy: exact utilities, selected on their float keys.
+
+    _states maps each rule a trigger touched to (key, n, d), its utility
+    n / d (d > 0) and key = _key(n, d); other rules read _initial_state.
+    """
+
+    def select(self, candidates):
+        if len(candidates) < 2:
+            return candidates[0] if candidates else None
+        states, initial = self._states, self._initial_state
+        keys = [states.get(c.rule, initial)[0] for c in candidates]
+        best = max(keys)
+        if keys.count(best) == 1:  # every other utility is strictly lower
+            return candidates[keys.index(best)]
+        top = [c for c, key in zip(candidates, keys) if key == best]
+        return select_winner(top, self.score(top), self.tiebreak)
+
+    def utility(self, rule):
+        _, n, d = self._states.get(rule, self._initial_state)
+        return Fraction(n, d)
+
+
+class ReinforcementUtility(ExactStrategy):
     """Reward-propagating utility learning.
 
     A triggered reward of size R at time t updates every logged application
@@ -149,22 +191,30 @@ class ReinforcementUtility(ConflictResolutionStrategy):
             raise ValueError("alpha must be in (0, 1]")
         self.alpha = alpha
         self._alpha = alpha.as_integer_ratio()
-        self.utilities: dict[str, Fraction] = {}
+        self._states: dict = {}
+        self._initial_state = (0.0, 0, 1)
+
+    @property
+    def utilities(self):
+        """Each rewarded rule's exact utility."""
+        return {rule: Fraction(n, d) for rule, (_, n, d) in self._states.items()}
 
     def trigger_reward(self, amount, now):
         (an, ad), (nn, nd) = amount.as_integer_ratio(), now.as_integer_ratio()
         bn, bd = an * nd - nn * ad, ad * nd  # base = amount - now
         a, b = self._alpha
+        states, initial = self._states, self._initial_state
         for rule, selected in self.applied_log:  # its reward is base + selected
-            (un, ud), (sn, sd) = self.utility(rule).as_integer_ratio(), selected.as_integer_ratio()
-            self.utilities[rule] = _reinforce(un, ud, a, b, bn * sd + sn * bd, bd * sd)
+            sn, sd = selected.as_integer_ratio()
+            rn, rd = bn * sd + sn * bd, bd * sd
+            g = math.gcd(rn, rd)  # of small ints: rewards sit on the clock's grid
+            _, un, ud = states.get(rule, initial)
+            n, d = _reinforce(un, ud, a, b, rn // g, rd // g)
+            states[rule] = _key(n, d), n, d
         self.applied_log.clear()
 
-    def utility(self, rule):
-        return self.utilities.get(rule, ZERO)
 
-
-class SuccessCostUtility(ConflictResolutionStrategy):
+class SuccessCostUtility(ExactStrategy):
     """Success-probability / average-cost utility learning.
 
     Counters start at one success, no failures, and 0.05 s of effort (the
@@ -178,44 +228,49 @@ class SuccessCostUtility(ConflictResolutionStrategy):
     name = "success-cost"
     default_tiebreak = FIRST_DECLARED
 
-    INITIAL_COUNTERS = (1, 0, Fraction(1, 20))
+    INITIAL_COUNTERS = (1, 0, 1, 20)  # successes, failures, efforts as n, d
 
     def __init__(self, goal_value=Fraction(20), tiebreak=None):
         super().__init__(tiebreak)
         if not isinstance(goal_value, (int, Fraction)):
             raise TypeError(f"goal_value must be an int or a Fraction, not {goal_value!r}")
         self.goal_value = goal_value
-        self._counters: dict[str, list] = {}  # rule -> [successes, failures, efforts]
+        self._goal = goal_value.as_integer_ratio()
+        self._counters: dict[str, list] = {}  # rule -> [s, f, en, ed], en/ed reduced
         self._states: dict = {}  # rule -> _state of its counters
         self._initial_state = self._state(*self.INITIAL_COUNTERS)
 
     def counters(self, rule):
-        return tuple(self._counters.get(rule, self.INITIAL_COUNTERS))
+        s, f, en, ed = self._counters.get(rule, self.INITIAL_COUNTERS)
+        return s, f, Fraction(en, ed)
 
     def trigger_outcome(self, kind, now):
         index = _OUTCOME_COUNTER[kind]
         nn, nd = now.as_integer_ratio()
+        counters = self._counters
         for rule, selected in self.applied_log:
-            if (entry := self._counters.get(rule)) is None:
-                entry = self._counters[rule] = [*self.INITIAL_COUNTERS]
+            if (entry := counters.get(rule)) is None:
+                entry = counters[rule] = [*self.INITIAL_COUNTERS]
             entry[index] += 1
-            (en, ed), (sn, sd) = entry[2].as_integer_ratio(), selected.as_integer_ratio()
+            _, _, en, ed = entry
+            sn, sd = selected.as_integer_ratio()
             # efforts + (now - selected) over one common denominator
-            entry[2] = Fraction((en * nd + nn * ed) * sd - sn * ed * nd, ed * nd * sd)
+            en, ed = (en * nd + nn * ed) * sd - sn * ed * nd, ed * nd * sd
+            g = math.gcd(en, ed)
+            entry[2], entry[3] = en // g, ed // g
         for rule in dict.fromkeys(rule for rule, _ in self.applied_log):
-            self._states[rule] = self._state(*self._counters[rule])
+            self._states[rule] = self._state(*counters[rule])
         self.applied_log.clear()
 
-    def _state(self, s, f, e):
-        """What score() reads of a rule with these counters: its exact U."""
-        return sc_recompute(s, f, e, self.goal_value)[2]
+    def _state(self, s, f, en, ed):
+        """What select() and utility() read of a rule with these counters: U's key and pair."""
+        gn, gd = self._goal
+        n, d = s * gn * ed - en * gd, (s + f) * gd * ed
+        return _key(n, d), n, d
 
     def success_probability(self, rule):
-        s, f, _ = self.counters(rule)
+        s, f, _, _ = self._counters.get(rule, self.INITIAL_COUNTERS)
         return Fraction(s, s + f)
-
-    def utility(self, rule):
-        return self._states.get(rule, self._initial_state)
 
 
 class RandomCostUtility(SuccessCostUtility):
@@ -232,15 +287,18 @@ class RandomCostUtility(SuccessCostUtility):
     name = "random-cost"
     default_tiebreak = FIRST_DECLARED
 
+    # a lone candidate draws too: the draws are part of the seeded output
+    select = ConflictResolutionStrategy.select
+
     def __init__(self, goal_value=Fraction(20), rng=None, seed=0, tiebreak=None):
         super().__init__(goal_value, tiebreak)
         self.rng = rng if rng is not None else random.Random(seed)
         self._last_utility: dict[str, float] = {}
         self._goal_float = float(goal_value)
 
-    def _state(self, s, f, e):
+    def _state(self, s, f, en, ed):
         """What score() reads of a rule with these counters: float theta and P."""
-        return e.numerator / (e.denominator * s), s / (s + f)  # float(e / s), no Fraction
+        return en / (ed * s), s / (s + f)  # float(e / s), no Fraction
 
     def score(self, candidates):
         scores = {}

@@ -205,6 +205,24 @@ def test_refraction_tables_and_traces_equal_the_golden_files(tmp_path, capsys,
         golden.with_suffix(".trace").read_text(encoding="utf-8"))
 
 
+@pytest.mark.parametrize("tiebreak,strategy", [
+    ("first-declared", "reinforcement"),  # every utility starts tied at 0
+    ("last-declared", "success-cost"),  # every utility starts tied at 19.95
+])
+def test_tie_path_tables_and_traces_equal_the_golden_files(tmp_path, capsys,
+                                                           tiebreak, strategy):
+    trace_path = tmp_path / "run.trace"
+    code, out, _ = run_cli(
+        capsys, "run", "--tiebreak", tiebreak, "--strategy", strategy, "--player", "1",
+        "--trace-file", str(trace_path),
+    )
+    assert code == 0
+    golden = GOLDEN / f"tiebreak-{tiebreak}-{strategy}-player1"
+    assert out == golden.with_suffix(".csv").read_text(encoding="utf-8")
+    assert trace_path.read_text(encoding="utf-8") == (
+        golden.with_suffix(".trace").read_text(encoding="utf-8"))
+
+
 def test_trace_file_in_missing_directory_exits_1_before_running(tmp_path, capsys):
     trace_path = tmp_path / "missing" / "run.trace"
     code, out, err = run_cli(

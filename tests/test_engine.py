@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import itertools
 import math
 import random
 import sys
@@ -20,7 +19,7 @@ from actrsim.engine import (
     format_trace_entry,
     seconds,
 )
-from actrsim.errors import ModelSyntaxError, ProviderExhausted
+from actrsim.errors import EngineError, ModelSyntaxError, ProviderExhausted, UnhashableValue
 from actrsim.experiment import builtin_samples
 from actrsim.model import (
     BufferTest,
@@ -664,22 +663,24 @@ def test_the_memo_tells_apart_chunks_that_hold_equal_slots():
     assert len(engine.program.memo) == 3
 
 
-# me holds the provider's values, which only variables test; phase is indexed
+# start's first test compares me with a constant, so its value is a lookup key
 UNHASHABLE = (
-    "(chunk-type game me phase)(add-dm (g1 isa game me start phase one))"
-    "(goal-focus goal g1)"
-    "(p draw =goal> isa game me =m phase one ==> !bind! =x next =goal> me =x phase two)"
-    "(p again =goal> isa game me =m phase two ==> =goal> phase one)"
-    "(p redraw =goal> isa game me =m phase two ==> !bind! =x next =goal> me =x)"
+    "(chunk-type game me)(add-dm (g1 isa game me nil))(goal-focus goal g1)"
+    "(p start =goal> isa game me nil ==> !bind! =x src =goal> me =x)"
 )
 
 
-def test_a_provider_yielding_lists_matches_without_the_memo():
+@pytest.mark.parametrize("refraction", [False, True])
+@pytest.mark.parametrize("value", [["a", "b"], ("a", ["b"])])
+def test_a_provider_value_that_cannot_be_hashed_raises_before_any_modification(
+        refraction, value):
     model = parse_model(UNHASHABLE)
-    values = [["rock"], ["paper", "rock"], []]
-    for index in range(3):  # a snapshot holding a list cannot be refracted
-        program = compile_model(model)
-        trace = compare(model, index, index, Fraction(1),
-                        lambda: {"next": itertools.cycle(values)}, program)
-        assert len(trace) == 20
-        assert len(program.memo) == 1  # the start state: no list can be a key
+    engine = engine_for(model, providers={"src": iter([value])}, refraction=refraction)
+    with pytest.raises(UnhashableValue, match="provider 'src'") as raised:
+        engine.run(Fraction(1))
+    assert isinstance(raised.value, EngineError)
+    # the strategy logged the firing, the slot and the trace are untouched
+    assert engine.strategy.applied_log == [("start", 0)]
+    assert engine.chunks["g1"].slot_values == dict(model.initial_chunks[0].slot_values)
+    assert engine.trace == []
+    assert len(engine.refraction_history) == refraction

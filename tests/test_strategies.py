@@ -3,11 +3,11 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from actrsim import strategies
 from actrsim.engine import Engine, Instantiation
 from actrsim.experiment import PLAY_RULES
 from actrsim.strategies import (
@@ -201,48 +201,47 @@ def test_incremental_state_matches_recompute():
 
 
 @pytest.fixture
-def sc_calls(monkeypatch):
-    """The argument tuples of every sc_recompute call the strategies make."""
+def rescorings(monkeypatch):
+    """The counters, as counters() gives them, of every exact rescoring of a rule."""
     calls = []
+    state = SuccessCostUtility._state
 
-    def spy(*args):
-        calls.append(args)
-        return sc_recompute(*args)
+    def spy(self, s, f, en, ed):
+        calls.append((s, f, Fraction(en, ed)))
+        return state(self, s, f, en, ed)
 
-    monkeypatch.setattr(strategies, "sc_recompute", spy)
+    monkeypatch.setattr(SuccessCostUtility, "_state", spy)
     return calls
 
 
 @pytest.mark.parametrize("log", [["a"], ["a", "a"], ["a", "b", "a", "c", "b"]])
-def test_success_cost_trigger_rescores_each_distinct_rule_once(sc_calls, log):
+def test_success_cost_trigger_rescores_each_distinct_rule_once(rescorings, log):
     strategy = SuccessCostUtility()
-    sc_calls.clear()
+    rescorings.clear()
     for i, rule in enumerate(log):
         strategy.record_application(rule, Fraction(i, 10))
     strategy.trigger_outcome("success", Fraction(1))
-    assert sorted(args[:3] for args in sc_calls) == sorted(
-        strategy.counters(rule) for rule in set(log)
-    )
+    assert sorted(rescorings) == sorted(strategy.counters(rule) for rule in set(log))
 
 
-def test_scoring_untouched_rules_rescores_nothing(sc_calls):
+def test_scoring_untouched_rules_rescores_nothing(rescorings):
     strategy = SuccessCostUtility()
-    sc_calls.clear()
+    rescorings.clear()
     assert strategy.score([inst("a", 0), inst("b", 1)]) == {
         "a": Fraction("19.95"), "b": Fraction("19.95"),
     }
     assert strategy.success_probability("a") == 1
     assert strategy.counters("b") == (1, 0, Fraction(1, 20))
-    assert sc_calls == []
+    assert rescorings == []
 
 
-def test_random_cost_run_never_computes_the_exact_triple(sc_calls, rps_model):
+def test_random_cost_run_never_computes_the_exact_triple(rescorings, rps_model):
     strategy = RandomCostUtility(seed=3)  # building it computes none either
     engine = Engine(rps_model, strategy, {"next-move": iter(["rock", "paper"] * 10)})
     engine.run(Fraction(2))
     # triggers ran: some play rule's counters moved
     assert [r for r in PLAY_RULES if strategy.counters(r) != (1, 0, Fraction(1, 20))]
-    assert sc_calls == []
+    assert rescorings == []
 
 
 # -- random costs ----------------------------------------------------------------------
@@ -272,13 +271,24 @@ def test_random_cost_theta_tracks_counters():
 BIG = st.integers(min_value=2**64 + 1, max_value=2**512)
 
 
-@given(n=BIG, d=BIG, s=st.integers(min_value=1, max_value=10**6))
+ONE = 1 - math.exp(-1)  # -log(1 - ONE) is 1.0: a draw of ONE costs exactly theta
+
+
+@given(n=BIG, d=BIG, s=st.integers(min_value=2, max_value=40))
 def test_random_cost_theta_is_the_float_of_the_exact_quotient(n, d, s):
     assume(math.gcd(n, d) == 1)  # numerator and denominator both above 2**64
     e = Fraction(n, d)
     assert e.numerator / (e.denominator * s) == float(e / s)
-    theta, p = RandomCostUtility()._state(s, 0, e)
-    assert theta == float(e / s) and p == 1
+    assert draw_random_cost(1.0, ONE) == 1.0
+    strategy = RandomCostUtility(goal_value=0, rng=SimpleNamespace(random=lambda: ONE))
+    # s - 1 applications and one success: s successes, efforts 1/20 + (e - 1/20)
+    now = Fraction(1)
+    strategy.record_application("r", now - e + Fraction(1, 20))
+    for _ in range(s - 2):
+        strategy.record_application("r", now)
+    strategy.trigger_outcome("success", now)
+    assert strategy.counters("r") == (s, 0, e)
+    assert strategy.score([inst("r", 0)]) == {"r": -float(e / s)}  # P G - theta, G = 0
 
 
 def test_random_cost_scores_every_candidate_each_cycle():
@@ -366,6 +376,119 @@ def test_one_pass_select_equals_max_min_on_any_order(utilities, order, last):
     assert max_min_select(candidates, table, policy) is expected
 
 
+TINY = Fraction(1, 10**40)  # far below a float's precision at 1/3 or at 10**400
+UTILITIES = (
+    st.sampled_from([Fraction(1, 3), Fraction(1, 3) + TINY, Fraction(1, 3) - TINY,
+                     Fraction(0), -TINY, TINY, Fraction(-1, 20), Fraction(-1, 20) + TINY,
+                     Fraction(10**400), Fraction(10**400) + 1, Fraction(10**400, 3),
+                     Fraction(-10**400), Fraction(-10**400) - TINY])
+    | st.fractions(min_value=-5, max_value=5, max_denominator=12)
+    | st.none()  # a rule no trigger touched
+)
+
+
+def exact_strategy(kind, targets, tiebreak):
+    """(strategy, utilities): rules r0, r1, ... learn the targets through the triggers.
+
+    Reinforcement at alpha = 1 learns U = R - (t - t_sel); success-cost at
+    G = 0 learns U = -efforts / 2 after one success. A None target leaves
+    its rule untouched, at the initial utility.
+    """
+    now = Fraction(1)
+    if kind == "reinforcement":
+        strategy, initial = ReinforcementUtility(alpha=1, tiebreak=tiebreak), Fraction(0)
+    else:
+        strategy, initial = SuccessCostUtility(goal_value=0, tiebreak=tiebreak), Fraction(-1, 20)
+    utilities = {}
+    for i, target in enumerate(targets):
+        rule = f"r{i}"
+        utilities[rule] = initial if target is None else target
+        if target is None:
+            continue
+        if kind == "reinforcement":
+            strategy.record_application(rule, now)
+            strategy.trigger_reward(target, now)
+        else:  # efforts 1/20 + (now - selected) = -2 target
+            strategy.record_application(rule, now + 2 * target + Fraction(1, 20))
+            strategy.trigger_outcome("success", now)
+    return strategy, utilities
+
+
+@pytest.mark.parametrize("kind", ["reinforcement", "success-cost"])
+@settings(max_examples=300, deadline=None)
+@given(
+    targets=st.lists(UTILITIES | st.integers(min_value=-2, max_value=2), max_size=8),
+    base=st.builds(Fraction, st.integers(2**53, 2**80), st.integers(2**53, 2**80)),
+    tiebreak=st.sampled_from([FIRST_DECLARED, LAST_DECLARED]),
+    order=st.randoms(use_true_random=False),
+)
+def test_select_on_float_keys_equals_select_winner_on_exact_utilities(
+        kind, targets, base, tiebreak, order):
+    # an int k stands for base + k TINY: neighbours whose n and d a float cannot hold
+    targets = [base + t * TINY if isinstance(t, int) else t for t in targets]
+    strategy, utilities = exact_strategy(kind, targets, tiebreak)
+    assert {rule: strategy.utility(rule) for rule in utilities} == utilities
+    candidates = [inst(rule, i) for i, rule in enumerate(utilities)]
+    order.shuffle(candidates)
+    expected = select_winner(candidates, utilities, tiebreak)
+    assert strategy.select(candidates) is expected
+
+
+@pytest.mark.parametrize("kind", ["reinforcement", "success-cost"])
+@pytest.mark.parametrize("tiebreak", [FIRST_DECLARED, LAST_DECLARED])
+def test_select_compares_exactly_where_floats_are_equal(kind, tiebreak):
+    # each pair is one float apart by less than a float can hold
+    for low, high in [(Fraction(1, 3), Fraction(1, 3) + TINY),
+                      (Fraction(10**400), Fraction(10**400) + 1),
+                      (Fraction(-10**400) - TINY, Fraction(-10**400))]:
+        for targets in ([low, high], [high, low]):
+            strategy, _ = exact_strategy(kind, targets, tiebreak)
+            winner = targets.index(high)
+            assert strategy.select([inst("r0", 0), inst("r1", 1)]).rule == f"r{winner}"
+        strategy, _ = exact_strategy(kind, [high, low, high], tiebreak)
+        candidates = [inst("r0", 0), inst("r1", 1), inst("r2", 2)]
+        assert strategy.select(candidates).rule == ("r0" if tiebreak == FIRST_DECLARED else "r2")
+
+
+@pytest.mark.parametrize("cls", [ReinforcementUtility, SuccessCostUtility])
+def test_exact_select_scores_no_lone_candidate(cls, monkeypatch):
+    strategy = cls()
+    monkeypatch.setattr(strategy, "score", None)  # calling it would raise
+    lone = inst("a", 0)
+    assert strategy.select([lone]) is lone
+    assert strategy.select([]) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    alpha=st.fractions(min_value=0, max_value=1, max_denominator=60).filter(bool),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_reinforcement_denominator_divides_b_to_the_k_times_1000(alpha, seed):
+    # after k updates at alpha = a/b, on a millisecond clock with integer rewards
+    rng = random.Random(seed)
+    b = alpha.denominator
+    strategy = ReinforcementUtility(alpha)
+    updates = dict.fromkeys(RULES, 0)
+    reference = {}
+    tick = 0
+    for _ in range(60):
+        tick += rng.randint(1, 200)
+        rule = rng.choice(RULES)
+        strategy.record_application(rule, Fraction(tick, 1000))
+        if rng.random() < 0.5:
+            tick += rng.randint(0, 200)
+            reward, now = rng.randint(-20, 20), Fraction(tick, 1000)
+            for logged, selected in strategy.applied_log:
+                updates[logged] += 1
+                reference[logged] = reinforcement_update(
+                    reference.get(logged, 0), alpha, reward - (now - selected))
+            strategy.trigger_reward(reward, now)
+    assert strategy.utilities == reference
+    for rule, (_, n, d) in strategy._states.items():
+        assert (b ** updates[rule] * 1000) % d == 0
+
+
 def test_refraction_prune_removes_applied_identities():
     candidates = [inst("play-rock", 0), inst("play-paper", 1)]
     history = {candidates[0].identity()}
@@ -399,7 +522,8 @@ OPERATIONS = st.lists(
     st.tuples(st.just("record"), st.sampled_from(RULES), STEPS)
     | st.tuples(st.sampled_from(("success", "failure")), st.none(), STEPS)
     | st.tuples(st.just("reward"), st.fractions(min_value=-2, max_value=2), STEPS)
-    | st.tuples(st.just("score"), st.sets(st.sampled_from(RULES)), st.none()),
+    | st.tuples(st.just("score"), st.sets(st.sampled_from(RULES)), st.none())
+    | st.tuples(st.just("select"), st.permutations(RULES), st.integers(0, len(RULES))),
     max_size=40,
 )
 READERS = ("counters", "utility", "success_probability")  # theta is read off the counters
@@ -413,12 +537,13 @@ def learning_state(strategy):
 
 
 PAIRS = {
-    "reinforcement": lambda alpha, goal, seed: (
-        ReinforcementUtility(alpha), ReferenceReinforcement(alpha)),
-    "success-cost": lambda alpha, goal, seed: (
-        SuccessCostUtility(goal), ReferenceSuccessCost(goal)),
-    "random-cost": lambda alpha, goal, seed: (
-        RandomCostUtility(goal, seed=seed), ReferenceRandomCost(goal, seed=seed)),
+    "reinforcement": lambda alpha, goal, seed, tiebreak: (
+        ReinforcementUtility(alpha, tiebreak), ReferenceReinforcement(alpha, tiebreak)),
+    "success-cost": lambda alpha, goal, seed, tiebreak: (
+        SuccessCostUtility(goal, tiebreak), ReferenceSuccessCost(goal, tiebreak)),
+    "random-cost": lambda alpha, goal, seed, tiebreak: (
+        RandomCostUtility(goal, seed=seed, tiebreak=tiebreak),
+        ReferenceRandomCost(goal, seed=seed, tiebreak=tiebreak)),
 }
 
 
@@ -429,14 +554,18 @@ PAIRS = {
     alpha=st.fractions(min_value=0, max_value=1).filter(bool),
     goal=st.fractions(min_value=-30, max_value=30),
     seed=st.integers(min_value=0, max_value=2**32),
+    tiebreak=st.sampled_from([FIRST_DECLARED, LAST_DECLARED]),
 )
-def test_strategy_equals_the_reference_strategy(kind, operations, alpha, goal, seed):
-    strategy, reference = PAIRS[kind](alpha, goal, seed)
+def test_strategy_equals_the_reference_strategy(kind, operations, alpha, goal, seed, tiebreak):
+    strategy, reference = PAIRS[kind](alpha, goal, seed, tiebreak)
     now = Fraction(0)
     for op, arg, step in operations:
         if op == "score":
             candidates = [inst(r, RULES.index(r)) for r in sorted(arg)]
             assert strategy.score(candidates) == reference.score(candidates)
+        elif op == "select":  # a conflict set of `step` rules, in any order
+            candidates = [inst(r, RULES.index(r)) for r in arg[:step]]
+            assert strategy.select(candidates) is reference.select(candidates)
         else:
             now += step
             for side in (strategy, reference):
