@@ -1,15 +1,17 @@
 """Production-rule cognitive engine with pluggable conflict resolution.
 
-Typed chunks live in a store, buffers hold at most one chunk each, and rules
-match buffer contents and modify them through a 50 ms match-select-apply
-cycle driven by a discrete-event queue. Conflict resolution is pluggable:
-reinforcement utility learning, success/cost utility learning, random
-estimated costs, and rule refraction. An experiment harness plays the
-bundled rock-paper-scissors model against three opponent profiles.
+``parse_model`` reads a model's text and ``validate_model`` checks it;
+``compile_model`` turns it into a ``Program`` that many runs share. An
+``Engine`` is one run: its buffers each name at most one chunk, and a 50 ms
+match-select-apply cycle fires one rule at a time. Conflict resolution is
+the one exchangeable part: reinforcement utility learning, success/cost
+utility learning, or random estimated costs, each with optional rule
+refraction. The experiment harness (``actrsim.experiment``) and the CLI
+(``actrsim.cli``) play the bundled rock-paper-scissors model against three
+opponent profiles.
 """
 
-from .buffers import BufferSystem
-from .chunks import Chunk, ChunkStore, ChunkType, NIL
+from .chunks import Chunk, ChunkType
 from .engine import (Engine, Instantiation, Program, TraceEntry, compile_model,
                      format_trace_entry)
 from .errors import EngineError
@@ -22,35 +24,19 @@ from .model import (
     parse_model,
     validate_model,
 )
-from .scheduler import Event, EventQueue
-from .strategies import (
-    RandomCostUtility,
-    ReinforcementUtility,
-    SuccessCostUtility,
-    draw_random_cost,
-    rc_utility,
-    refraction_prune,
-    reinforcement_update,
-    sc_recompute,
-    select_winner,
-)
+from .strategies import RandomCostUtility, ReinforcementUtility, SuccessCostUtility
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Annotation",
-    "BufferSystem",
     "BufferTest",
     "Chunk",
-    "ChunkStore",
     "ChunkType",
     "Engine",
     "EngineError",
-    "Event",
-    "EventQueue",
     "Instantiation",
     "ModelAST",
-    "NIL",
     "Production",
     "Program",
     "RandomCostUtility",
@@ -58,14 +44,8 @@ __all__ = [
     "SuccessCostUtility",
     "TraceEntry",
     "compile_model",
-    "draw_random_cost",
     "format_model",
     "format_trace_entry",
     "parse_model",
-    "rc_utility",
-    "refraction_prune",
-    "reinforcement_update",
-    "sc_recompute",
-    "select_winner",
     "validate_model",
 ]

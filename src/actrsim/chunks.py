@@ -16,9 +16,6 @@ from .errors import (
     UnknownType,
 )
 
-NIL = "nil"
-
-
 @dataclass(frozen=True)
 class ChunkType:
     name: str

@@ -121,12 +121,8 @@ def run_command(args) -> int:
             print(f"actrsim: runtime error: {exc}", file=sys.stderr)
             return 2
         if trace_sink is not None:
-            lines = [f"{run}\t" + format_trace_entry(entry) for run, entry in trace_sink]
-            if trace_file is not None:
-                trace_file.write("\n".join(lines) + "\n")
-            else:
-                for line in lines:
-                    print(line, file=sys.stderr)
+            (trace_file or sys.stderr).write("".join(
+                f"{run}\t{format_trace_entry(entry)}\n" for run, entry in trace_sink))
     to_text = experiment.report_to_json if args.format == "json" else experiment.report_to_csv
     sys.stdout.write(to_text(report))
     return 0

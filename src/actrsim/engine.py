@@ -197,8 +197,12 @@ class Engine:
 
     # -- matching ---------------------------------------------------------
 
-    def find_instantiations(self) -> list[Instantiation]:
-        """One instantiation per rule whose every buffer test succeeds, memoized."""
+    def find_instantiations(self) -> tuple[Instantiation, ...]:
+        """One instantiation per rule whose every buffer test succeeds.
+
+        The result is the memo's own tuple for this buffer state, shared by
+        every engine of the Program, and being a tuple no caller can change it.
+        """
         held, chunks, memo = self.held, self.chunks, self.program.memo
         state = []
         for buffer in self.program.tested:
@@ -210,7 +214,7 @@ class Engine:
             found = tuple(self._match())
             if len(memo) < MATCH_MEMO_STATES:
                 memo[key] = found
-        return list(found)
+        return found
 
     def _match(self) -> list[Instantiation]:
         held, chunks, program = self.held, self.chunks, self.program

@@ -1,7 +1,8 @@
 """Rock-paper-scissors harness: samples, runs, and result aggregation.
 
-A sample is one line of 20 space-separated moves from {r, p, s}. Opponent 1
-always plays rock and is generated; opponents 2 and 3 ship as data files.
+A sample is one line of 20 space-separated moves from {r, p, s}, read as the
+tuple of its move letters. Opponent 1 always plays rock and is generated;
+opponents 2 and 3 ship as data files.
 Each run wires the sample into the ``next-move`` provider, plays to the time
 limit (20 rounds in 2 s of simulated time), counts wins/draws/defeats from
 the outcome-rule firings in the trace, and reads the final utilities of the
@@ -29,12 +30,6 @@ OUTCOME_PREFIXES = (
     ("detect-draw-", "draw"),
     ("detect-defeat-", "defeat"),
 )
-
-
-@dataclass(frozen=True)
-class Sample:
-    index: int
-    moves: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -67,7 +62,7 @@ class Report:
 
 # -- samples -----------------------------------------------------------------
 
-def parse_samples(text: str) -> list[Sample]:
+def parse_samples(text: str) -> list[tuple[str, ...]]:
     samples = []
     for line in text.splitlines():
         line = line.strip()
@@ -82,22 +77,18 @@ def parse_samples(text: str) -> list[Sample]:
                 f"sample {len(samples) + 1} has {len(moves)} moves, "
                 f"expected {MOVES_PER_SAMPLE}"
             )
-        samples.append(Sample(len(samples) + 1, moves))
+        samples.append(moves)
     return samples
 
 
-def load_samples(path) -> list[Sample]:
+def load_samples(path) -> list[tuple[str, ...]]:
     with open(path, encoding="utf-8") as handle:
         return parse_samples(handle.read())
 
 
-def generated_player1() -> list[Sample]:
-    return [Sample(1, ("r",) * MOVES_PER_SAMPLE)]
-
-
-def builtin_samples(player: int) -> list[Sample]:
+def builtin_samples(player: int) -> list[tuple[str, ...]]:
     if player == 1:
-        return generated_player1()
+        return [("r",) * MOVES_PER_SAMPLE]
     if player in (2, 3):
         text = resources.files("actrsim").joinpath(
             f"data/player{player}_samples.txt"
@@ -129,10 +120,10 @@ def build_strategy(config: HarnessConfig, run_seed: int):
     return cls(goal_value=config.goal_value, tiebreak=config.tiebreak)
 
 
-def run_single(model: Program | ModelAST, config: HarnessConfig, sample: Sample,
+def run_single(model: Program | ModelAST, config: HarnessConfig, sample: tuple[str, ...],
                row_index: int, run_seed: int, trace_sink=None) -> RunResult:
     strategy = build_strategy(config, run_seed)
-    providers = {PROVIDERS[0]: iter(MOVE_NAMES[m] for m in sample.moves)}
+    providers = {PROVIDERS[0]: iter(MOVE_NAMES[m] for m in sample)}
     engine = Engine(model, strategy, providers, refraction=config.refraction)
     trace = engine.run(config.t_limit)
     if trace_sink is not None:

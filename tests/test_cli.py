@@ -186,6 +186,39 @@ def test_trace_file(tmp_path, capsys):
     assert len(lines) == 40
 
 
+def test_a_trace_is_the_same_bytes_on_stderr_and_in_a_file(tmp_path, capsys):
+    trace_path = tmp_path / "run.trace"
+    _, _, err = run_cli(capsys, "run", "--player", "3", "--trace")
+    run_cli(capsys, "run", "--player", "3", "--trace-file", str(trace_path))
+    assert err != "" and trace_path.read_text(encoding="utf-8") == err
+
+
+def test_an_empty_trace_writes_nothing(tmp_path, capsys):
+    # no rule fires before the first firing time, 50 ms
+    trace_path = tmp_path / "run.trace"
+    code, _, err = run_cli(capsys, "run", "--t-limit", "1/100", "--trace")
+    assert code == 0 and err == ""
+    code, _, err = run_cli(capsys, "run", "--t-limit", "1/100", "--trace-file",
+                           str(trace_path))
+    assert code == 0 and err == ""
+    assert trace_path.read_bytes() == b""
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("json-reinforcement-player2.json", ("--format", "json", "--player", "2")),
+    ("json-random-cost-player3.json", ("--format", "json", "--player", "3", "--strategy",
+                                       "random-cost", "--sample", "1", "--seed", "84",
+                                       "--runs", "50")),
+    ("samples-file-sample2.csv", ("--samples", str(GOLDEN / "three-samples.txt"),
+                                  "--sample", "2")),
+])
+def test_json_reports_and_a_samples_file_table_equal_the_golden_files(capsys, golden,
+                                                                      argv):
+    code, out, _ = run_cli(capsys, "run", *argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("strategy, extra", [
     ("reinforcement", ()),
     ("success-cost", ()),

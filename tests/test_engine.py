@@ -67,7 +67,7 @@ def test_find_instantiations_constant_match():
 
 def test_find_instantiations_constant_mismatch():
     engine = engine_for(goal_model(me="paper"))
-    assert engine.find_instantiations() == []
+    assert engine.find_instantiations() == ()
 
 
 def test_find_instantiations_variable_capture():
@@ -88,7 +88,7 @@ def test_find_instantiations_variable_must_bind_consistently():
         "(goal-focus goal g1)"
         "(p same =goal> isa game me =x opponent =x ==> -goal>)"
     )
-    assert engine_for(model).find_instantiations() == []
+    assert engine_for(model).find_instantiations() == ()
 
 
 def test_unset_slot_does_not_match_nil():
@@ -98,7 +98,7 @@ def test_unset_slot_does_not_match_nil():
         "(goal-focus goal g1)"
         "(p r =goal> isa game me nil ==> -goal>)"
     )
-    assert engine_for(model).find_instantiations() == []
+    assert engine_for(model).find_instantiations() == ()
 
 
 def test_type_must_match_exactly():
@@ -108,7 +108,7 @@ def test_type_must_match_exactly():
         "(goal-focus goal g1)"
         "(p r =goal> isa game me rock ==> -goal>)"
     )
-    assert engine_for(model).find_instantiations() == []
+    assert engine_for(model).find_instantiations() == ()
 
 
 # -- cycle timing --------------------------------------------------------------------
@@ -309,7 +309,7 @@ def test_t_limit_zero_applies_nothing(rps_model):
 
 def test_only_one_apply_pending_at_a_time(rps_model):
     moves = [{"r": "rock", "p": "paper", "s": "scissors"}[m]
-             for m in builtin_samples(3)[0].moves]
+             for m in builtin_samples(3)[0]]
     engines = [
         Engine(rps_model, make(), {"next-move": iter(moves)}, refraction)
         for make in (ReinforcementUtility, SuccessCostUtility,
@@ -381,7 +381,7 @@ def check_every_cycle(engine, model):
 
     def both():
         got = compiled()
-        assert got == linear_scan(engine, model.productions)  # same order, too
+        assert got == tuple(linear_scan(engine, model.productions))  # same order, too
         cycles.append(len(got))
         return got
 
@@ -406,7 +406,7 @@ def test_compiled_matcher_equals_oracle_on_random_models():
 
 def test_compiled_matcher_equals_oracle_on_bundled_model(rps_model):
     moves = [{"r": "rock", "p": "paper", "s": "scissors"}[m]
-             for m in builtin_samples(3)[0].moves]
+             for m in builtin_samples(3)[0]]
     for make in (ReinforcementUtility, SuccessCostUtility,
                  lambda: RandomCostUtility(seed=3)):
         for refraction in (False, True):
@@ -645,9 +645,12 @@ def test_engines_in_threads_share_a_program_and_its_memo(rps_model):
 
 
 def test_a_caller_cannot_change_a_memoized_conflict_set(rps_model):
+    # the memo's own entry is handed out, and a tuple has no way to change it
     engine = engine_for(rps_model, providers={"next-move": iter(["rock"])})
-    engine.find_instantiations().clear()
-    assert engine.find_instantiations() == linear_scan(engine, rps_model.productions) != []
+    found = engine.find_instantiations()
+    assert isinstance(found, tuple)
+    assert engine.find_instantiations() == found
+    assert found == tuple(linear_scan(engine, rps_model.productions)) != ()
 
 
 def test_the_memo_tells_apart_chunks_that_hold_equal_slots():
@@ -659,7 +662,7 @@ def test_the_memo_tells_apart_chunks_that_hold_equal_slots():
     engine = engine_for(model)
     for name in ("g1", "g2", None, "g1"):
         engine.held["goal"] = name
-        assert engine.find_instantiations() == linear_scan(engine, model.productions)
+        assert engine.find_instantiations() == tuple(linear_scan(engine, model.productions))
     assert len(engine.program.memo) == 3
 
 

@@ -65,13 +65,13 @@ def test_success_cost_incremental_matches_recompute(data):
 
 def test_engine_trace_replays_through_oracles(rps_model):
     sample = builtin_samples(2)[4]
-    moves = iter({"r": "rock", "p": "paper", "s": "scissors"}[m] for m in sample.moves)
+    moves = iter({"r": "rock", "p": "paper", "s": "scissors"}[m] for m in sample)
     strategy = ReinforcementUtility()
     engine = Engine(rps_model, strategy, {"next-move": moves})
     trace = engine.run(Fraction(2))
     assert strategy.utilities == replay_reinforcement(trace, rps_model.annotations)
 
-    moves = iter({"r": "rock", "p": "paper", "s": "scissors"}[m] for m in sample.moves)
+    moves = iter({"r": "rock", "p": "paper", "s": "scissors"}[m] for m in sample)
     sc = SuccessCostUtility()
     engine = Engine(rps_model, sc, {"next-move": moves})
     trace = engine.run(Fraction(2))
