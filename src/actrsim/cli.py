@@ -4,11 +4,14 @@
 
 Reports go to standard output as CSV (or JSON with --format json); traces go
 to standard error or --trace-file. Exit codes: 0 on success, 1 on bad input
-(found before any run), 2 on runtime errors such as an exhausted move provider.
+(found before any run), 2 on runtime errors such as an exhausted move provider
+or output that cannot be written. Each error is one ``actrsim: ...`` line on
+standard error, or no line where standard error cannot be written either.
 """
 
 import argparse
 import contextlib
+import os
 import sys
 from dataclasses import fields
 from fractions import Fraction
@@ -70,7 +73,9 @@ def _load_model(args):
     else:
         text = experiment.builtin_model_text()
     program = compile_model(parse_model(text))
-    program.check_providers(experiment.PROVIDERS)  # before --trace-file is opened
+    # both before --trace-file is opened
+    program.check_providers(experiment.PROVIDERS)
+    experiment.check_play_rules(program)
     return program
 
 
@@ -99,6 +104,33 @@ def _check_config(config):
         raise ValueError("--runs must be at least 1")
 
 
+def _emit(stream, text: str) -> None:
+    """Write text to stream and flush it.
+
+    On an OSError, point the stream's file descriptor, if it has one, at
+    os.devnull before raising: what the failed write left buffered then goes
+    nowhere when Python flushes the stream at exit, which would otherwise
+    print "Exception ignored" and exit 120 (the idiom of the note on SIGPIPE
+    in the docs of the signal module).
+    """
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError:
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            fd = stream.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        raise
+
+
+def _fail(status: int, message: str) -> int:
+    """Report message as one line on stderr and return status; if stderr
+    cannot take it either, the status alone."""
+    with contextlib.suppress(OSError):
+        _emit(sys.stderr, f"actrsim: {message}\n")
+    return status
+
+
 def run_command(args) -> int:
     config = experiment.HarnessConfig(
         **{f.name: getattr(args, f.name) for f in fields(experiment.HarnessConfig)}
@@ -111,20 +143,21 @@ def run_command(args) -> int:
         if args.trace_file:  # opened first, so a bad path fails before the run
             trace_file = open(args.trace_file, "w", encoding="utf-8")
     except (EngineError, OSError, ValueError) as exc:
-        print(f"actrsim: {exc}", file=sys.stderr)
-        return 1
+        return _fail(1, str(exc))
     trace_sink = [] if (args.trace or args.trace_file) else None
-    with trace_file or contextlib.nullcontext():
-        try:
-            report = experiment.run_experiment(program, config, samples, trace_sink)
-        except EngineError as exc:
-            print(f"actrsim: runtime error: {exc}", file=sys.stderr)
-            return 2
-        if trace_sink is not None:
-            (trace_file or sys.stderr).write("".join(
-                f"{run}\t{format_trace_entry(entry)}\n" for run, entry in trace_sink))
-    to_text = experiment.report_to_json if args.format == "json" else experiment.report_to_csv
-    sys.stdout.write(to_text(report))
+    try:
+        with trace_file or contextlib.nullcontext():
+            try:
+                report = experiment.run_experiment(program, config, samples, trace_sink)
+            except EngineError as exc:
+                return _fail(2, f"runtime error: {exc}")
+            if trace_sink is not None:
+                _emit(trace_file or sys.stderr, "".join(
+                    f"{run}\t{format_trace_entry(entry)}\n" for run, entry in trace_sink))
+        to_text = experiment.report_to_json if args.format == "json" else experiment.report_to_csv
+        _emit(sys.stdout, to_text(report))
+    except OSError as exc:  # the trace or the report could not be written
+        return _fail(2, f"cannot write output: {exc}")
     return 0
 
 

@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 from .chunks import Chunk
 from .errors import ModelSyntaxError, ProviderExhausted, UnhashableValue
-from .model import ModelAST, is_variable, validate_model
+from .model import ModelAST, validate_model
 from .scheduler import EventQueue
 from .strategies import refraction_prune
 
@@ -92,7 +92,16 @@ def format_trace_entry(entry: TraceEntry) -> str:
 
 
 def _flagged(pairs):
-    return tuple([(slot, value, is_variable(value)) for slot, value in pairs])
+    """((slot, value, is_var), ...) of (slot, value) pairs.
+
+    A validated value is a symbol, so a variable is one that starts with '='.
+    Here and below, loops build what comprehensions would, for before Python
+    3.12 a comprehension is a call of its own, and these run on a few items.
+    """
+    flagged = []
+    for slot, value in pairs:
+        flagged.append((slot, value, value[0] == "="))
+    return tuple(flagged)
 
 
 def _compile(source_index, p):
@@ -102,9 +111,14 @@ def _compile(source_index, p):
     modifications: ((buffer, ((slot, value, is_var), ...)), ...); binds and
     clearings as in the Production.
     """
-    tests = tuple([(t.buffer, t.type, _flagged(t.slot_tests)) for t in p.tests])
-    modifications = tuple([(buffer, _flagged(updates)) for buffer, updates in p.modifications])
-    return p.name, source_index, tests, p.binds, modifications, p.clearings
+    name, tests, binds, modifications, clearings = p
+    compiled_tests, compiled_modifications = [], []
+    for buffer, ctype, slot_tests in tests:
+        compiled_tests.append((buffer, ctype, _flagged(slot_tests)))
+    for buffer, updates in modifications:
+        compiled_modifications.append((buffer, _flagged(updates)))
+    return (name, source_index, tuple(compiled_tests), binds,
+            tuple(compiled_modifications), clearings)
 
 
 def _index(productions):
@@ -124,9 +138,17 @@ def _index(productions):
             untested.append(rule)
             continue
         buffer, ctype, slot_tests = tests[0]
-        slots = tuple([slot for slot, _, is_var in slot_tests if not is_var])
-        values = tuple([value for _, value, is_var in slot_tests if not is_var])
-        index.setdefault((buffer, ctype, slots), {}).setdefault(values, []).append(rule)
+        slots, values = [], []
+        for slot, value, is_var in slot_tests:
+            if not is_var:
+                slots.append(slot)
+                values.append(value)
+        table = index.setdefault((buffer, ctype, tuple(slots)), {})
+        values = tuple(values)
+        if values in table:
+            table[values].append(rule)
+        else:
+            table[values] = [rule]
     return tuple(index.items()), tuple(untested)
 
 

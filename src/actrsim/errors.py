@@ -82,3 +82,7 @@ class WrongLength(EngineError):
 
 class EmptyResults(EngineError):
     pass
+
+
+class UnscorableModel(EngineError):
+    """A model lacks a rule whose utility the harness reports."""

@@ -6,7 +6,8 @@ opponents 2 and 3 ship as data files.
 Each run wires the sample into the ``next-move`` provider, plays to the time
 limit (20 rounds in 2 s of simulated time), counts wins/draws/defeats from
 the outcome-rule firings in the trace, and reads the final utilities of the
-three play rules from the strategy.
+three play rules from the strategy; a model without one of them is refused
+before any run (UnscorableModel).
 """
 
 import json
@@ -16,7 +17,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .engine import Engine, Program, compile_model
-from .errors import EmptyResults, MalformedMove, WrongLength
+from .errors import EmptyResults, MalformedMove, UnscorableModel, WrongLength
 from .model import ModelAST
 from .strategies import STRATEGIES, RandomCostUtility
 
@@ -138,9 +139,21 @@ def run_single(model: Program | ModelAST, config: HarnessConfig, sample: tuple[s
     return RunResult(row_index, utilities, tally["win"], tally["draw"], tally["defeat"])
 
 
+def check_play_rules(program: Program) -> None:
+    """Raise UnscorableModel unless the program has each of PLAY_RULES."""
+    names = {rule[0] for rule in program.rules}
+    missing = [rule for rule in PLAY_RULES if rule not in names]
+    if missing:
+        raise UnscorableModel(
+            f"no rule named {', '.join(map(repr, missing))} in the model: "
+            f"the report gives the utility of each of {', '.join(PLAY_RULES)}"
+        )
+
+
 def run_experiment(model: Program | ModelAST, config: HarnessConfig, samples,
                    trace_sink=None) -> Report:
     program = compile_model(model)  # once: every run shares it
+    check_play_rules(program)
     rows = []
     for sample in samples:
         for _ in range(config.runs):

@@ -24,19 +24,31 @@ drawn first; ``modifications``, the ``(buffer, slot_updates)`` pairs in text
 order; ``clearings``, the cleared buffers. Where a ``!bind!`` stands among
 the actions carries no meaning.
 
+The records (``BufferTest``, ``Production``, ``ChunkSpec``, ``Annotation``)
+are NamedTuples: a model is read into tuples, and a record is changed with
+``_replace``. Like any tuple, a record equals a plain tuple of the same items.
+
 ``parse_model`` handles syntax: each ``ModelSyntaxError`` carries the line and
 column of the offending token, or of the ``(`` of the offending list. Tokens
-are plain strings, and a list knows only the token indices of its ``(`` and
-``)``; an error names a token index, and its line and column are recovered
-from the text only when the error is raised.
+are plain strings, read by string methods: comments are cut with one
+substitution (only from a text that holds a ``;``), tab, CR and LF become
+spaces, each parenthesis is padded with spaces, and one split on spaces gives
+the tokens. The reader jumps from parenthesis to parenthesis with
+``list.index`` and moves the atoms between two of them into their list as one
+slice; a list knows only the token indices of its ``(`` and ``)``. An error
+names a token index, and its line, column and message are worked out only
+when the error is raised.
 ``validate_model`` handles semantics, each rule once; its diagnostics name the
-rule, chunk or slot but carry no position. A model it accepts round-trips.
+rule, chunk or slot but carry no position. A model it accepts round-trips. It
+checks every symbol at once, by a few scans of their join, and names each
+one that is not only when that check fails.
 """
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
+from typing import NamedTuple
 
 from .chunks import ChunkType
 from .errors import ModelSyntaxError
@@ -46,15 +58,13 @@ def is_variable(symbol: str) -> bool:
     return symbol.startswith("=") and not symbol.endswith(">")
 
 
-@dataclass(frozen=True)
-class BufferTest:
+class BufferTest(NamedTuple):
     buffer: str
     type: str
     slot_tests: tuple[tuple[str, str], ...] = ()
 
 
-@dataclass(frozen=True)
-class Production:
+class Production(NamedTuple):
     name: str
     tests: tuple[BufferTest, ...]
     binds: tuple[tuple[str, str], ...] = ()  # (variable, provider name)
@@ -62,15 +72,13 @@ class Production:
     clearings: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class ChunkSpec:
+class ChunkSpec(NamedTuple):
     name: str
     type: str
     slot_values: tuple[tuple[str, str], ...] = ()
 
 
-@dataclass(frozen=True)
-class Annotation:
+class Annotation(NamedTuple):
     reward: Fraction | None = None
     success: bool = False
     failure: bool = False
@@ -99,12 +107,23 @@ class _Misread(Exception):
 
 
 _ATOM = re.compile(r"[^ \t\r\n();]+")
-# a parenthesis or an atom, or a comment, which matches the empty group
-_LEXEME = re.compile(rf"([()]|{_ATOM.pattern})|;[^\n]*")
+_COMMENT = re.compile(r";[^\n]*")
+# a parenthesis or an atom, or a comment, which matches the empty group: where
+# each token starts, which only an error needs
+_LEXEME = re.compile(rf"([()]|{_ATOM.pattern})|{_COMMENT.pattern}")
+# a record from all its fields in order, as its constructor builds it, but
+# without the argument handling, which costs twice the tuple itself
+_record = tuple.__new__
+_ENDS_SLOTS = ("!bind!", "!output!")  # as does any token ending in '>', so '==>' too
 
 
 def _tokenize(text: str):
-    return [*filter(None, _LEXEME.findall(text))]
+    """The parentheses and atoms of text: comments cut, and only space, tab, CR
+    and LF separating atoms, then one split on spaces."""
+    if ";" in text:
+        text = _COMMENT.sub("", text)
+    text = text.replace("\t", " ").replace("\r", " ").replace("\n", " ")
+    return [*filter(None, text.replace("(", " ( ").replace(")", " ) ").split(" "))]
 
 
 def _position(text, index):
@@ -114,25 +133,38 @@ def _position(text, index):
 
 
 def _read_forms(tokens):
-    """Group tokens into nested lists; returns the top-level forms."""
-    forms = []
-    stack = [forms]
-    for index, token in enumerate(tokens):
-        if token == "(":
+    """Group tokens into nested lists; returns the top-level forms. The atoms
+    between two parentheses move into their list as one slice."""
+    forms = current = []
+    stack = []
+    end = len(tokens)
+    find = (tokens + ["(", ")"]).index  # past the end, so always found
+    next_open, next_close = find("("), find(")")
+    index = 0
+    while True:
+        paren = next_open if next_open < next_close else next_close
+        if index < paren:
+            if current is forms:
+                raise _Misread(f"top-level token {tokens[index]!r} outside any form", index)
+            current += tokens[index:paren]
+        if paren == end:
+            break
+        if paren == next_open:
             new = _List()
-            new.open = index
-            stack[-1].append(new)
-            stack.append(new)
-        elif token == ")":
-            if len(stack) == 1:
-                raise _Misread("unbalanced ')'", index)
-            stack.pop().close = index
+            new.open = paren
+            current.append(new)
+            stack.append(current)
+            current = new
+            next_open = find("(", paren + 1)
         else:
-            if len(stack) == 1:
-                raise _Misread(f"top-level token {token!r} outside any form", index)
-            stack[-1].append(token)
-    if len(stack) > 1:
-        raise _Misread("unclosed '('", stack[-1].open)
+            if not stack:
+                raise _Misread("unbalanced ')'", paren)
+            current.close = paren
+            current = stack.pop()
+            next_close = find(")", paren + 1)
+        index = paren + 1
+    if stack:
+        raise _Misread("unclosed '('", current.open)
     return forms
 
 
@@ -149,24 +181,23 @@ def _atom(item, what):
     return item
 
 
-def _ends_slots(text):
-    """A token ending in '>' (so also '==>'), !bind! or !output! ends a slot list."""
-    return text.endswith(">") or text in ("!bind!", "!output!")
-
-
-def _slot_pairs(items, i, where):
+def _slot_pairs(items, i, where, *names):
     """Read SLOT VALUE pairs from items[i:] up to a nested list or a token that
-    ends a slot list; returns the (slot, value) pairs and the index after
-    them. A slot followed by such a token has no value."""
+    ends a slot list (one ending in '>', !bind! or !output!); returns the
+    (slot, value) pairs and the index after them. A slot followed by such a
+    token, or by nothing, has no value; that error reads where.format(*names)."""
     pairs = []
-    while i < len(items):
+    end = len(items)
+    while i < end:
         slot = items[i]
-        if type(slot) is not str or _ends_slots(slot):
+        if type(slot) is not str or slot[-1] == ">" or slot in _ENDS_SLOTS:
             break
-        value = items[i + 1] if i + 1 < len(items) else None
-        if value is None or type(value) is str and _ends_slots(value):
-            raise _Misread(f"{where}: slot {slot!r} has no value", _index(items, i))
-        pairs.append((slot, _atom(value, "a value")))
+        value = items[i + 1] if i + 1 < end else ">"  # no value ends the list
+        if type(value) is not str or value[-1] == ">" or value in _ENDS_SLOTS:
+            _atom(value, "a value")
+            raise _Misread(f"{where.format(*names)}: slot {slot!r} has no value",
+                           _index(items, i))
+        pairs.append((slot, value))
         i += 2
     return tuple(pairs), i
 
@@ -182,10 +213,11 @@ class _ModelReader:
         self.annotations: dict[str, Annotation] = {}
 
     def read(self, forms) -> ModelAST:
+        handlers = self.HANDLERS
         for form in forms:
             if not form or type(form[0]) is not str:
                 raise _Misread("form must start with a keyword", form.open)
-            handler = self.HANDLERS.get(form[0])
+            handler = handlers.get(form[0])
             if handler is None:
                 raise _Misread(f"unknown form {form[0]!r}", form.open + 1)
             handler(self, form)
@@ -214,7 +246,7 @@ class _ModelReader:
                 raise _Misread("chunk must read (NAME isa TYPE ...)", spec.open)
             name = _atom(spec[0], "a chunk name")
             ctype = _atom(spec[2], "a type name")
-            pairs, end = _slot_pairs(spec, 3, f"chunk {name!r}")
+            pairs, end = _slot_pairs(spec, 3, "chunk {!r}", name)
             if end < len(spec):
                 tok = _atom(spec[end], "a slot name")
                 raise _Misread(f"chunk {name!r}: {tok!r} is not a slot name", _index(spec, end))
@@ -230,63 +262,77 @@ class _ModelReader:
     def _production(self, form):
         if len(form) < 2:
             raise _Misread("rule needs a name", form.open + 1)
-        name = _atom(form[1], "a rule name")
-        arrow = [i for i in range(2, len(form)) if form[i] == "==>"]
-        if len(arrow) != 1:
+        name = form[1]
+        if type(name) is not str:
+            _atom(name, "a rule name")
+        # form[0] is 'p', so the one '==>' after the name is the arrow
+        if form.count("==>") - (name == "==>") != 1:
             raise _Misread(f"rule {name!r} needs exactly one '==>'", form.open + 1)
-        tests = self._tests(name, form, arrow[0])
-        actions = self._actions(name, form, arrow[0] + 1)
-        self.productions.append(Production(name, tests, *actions))
+        arrow = form.index("==>", 2)
+        tests = self._tests(name, form, arrow)
+        self.productions.append(
+            _record(Production, (name, tests) + self._actions(name, form, arrow + 1)))
 
     def _tests(self, rule, form, arrow):
         """The tests of form[2:arrow]; a slot list ends at the arrow."""
         tests = []
         i = 2
         while i < arrow:
-            tok = _atom(form[i], "a buffer test")
-            if not (tok.startswith("=") and tok.endswith(">")):
+            tok = form[i]
+            if type(tok) is not str:
+                raise _Misread("expected a buffer test, found a nested list", tok.open)
+            if tok[0] != "=" or tok[-1] != ">":
                 raise _Misread(
                     f"rule {rule!r}: expected a '=buffer>' test, found {tok!r}",
                     _index(form, i),
                 )
             buffer = tok[1:-1]
-            if i + 2 >= arrow or _atom(form[i + 1], "'isa'") != "isa":
+            if i + 2 >= arrow or form[i + 1] != "isa":
+                if i + 2 < arrow:
+                    _atom(form[i + 1], "'isa'")
                 raise _Misread(
                     f"rule {rule!r}: test on {buffer!r} must start with 'isa TYPE'",
                     _index(form, i),
                 )
-            ctype = _atom(form[i + 2], "a type name")
-            pairs, i = _slot_pairs(form, i + 3, f"rule {rule!r}: test on {buffer!r}")
-            tests.append(BufferTest(buffer, ctype, pairs))
+            ctype = form[i + 2]
+            if type(ctype) is not str:
+                _atom(ctype, "a type name")
+            pairs, i = _slot_pairs(form, i + 3, "rule {!r}: test on {!r}", rule, buffer)
+            tests.append(_record(BufferTest, (buffer, ctype, pairs)))
         return tuple(tests)
 
     def _actions(self, rule, form, i):
         """The binds, modifications and clearings of form[i:], each in text order."""
         binds, modifications, clearings = [], [], []
-        while i < len(form):
-            tok = _atom(form[i], f"an action in rule {rule!r}")
-            if tok == "!bind!":
-                if i + 2 >= len(form):
+        end = len(form)
+        while i < end:
+            tok = form[i]
+            if type(tok) is not str:
+                _atom(tok, f"an action in rule {rule!r}")
+            if tok[-1] == ">" and tok[0] == "=":
+                buffer = tok[1:-1]
+                pairs, i = _slot_pairs(form, i + 1, "rule {!r}: update of {!r}", rule, buffer)
+                modifications.append((buffer, pairs))
+            elif tok[-1] == ">" and tok[0] == "-":
+                clearings.append(tok[1:-1])
+                i += 1
+            elif tok == "!bind!":
+                if i + 2 >= end:
                     raise _Misread(f"rule {rule!r}: !bind! needs =VAR PROVIDER", _index(form, i))
-                var = _atom(form[i + 1], "a variable")
-                provider = _atom(form[i + 2], "a provider name")
+                var, provider = form[i + 1], form[i + 2]
+                if type(var) is not str or type(provider) is not str:
+                    _atom(var, "a variable")
+                    _atom(provider, "a provider name")
                 binds.append((var, provider))
                 i += 3
             elif tok == "!output!":
-                if i + 1 >= len(form):
+                if i + 1 >= end:
                     raise _Misread(f"rule {rule!r}: !output! needs an argument", _index(form, i))
                 i += 2
-            elif tok.startswith("+") and tok.endswith(">"):
+            elif tok[-1] == ">" and tok[0] == "+":
                 raise _Misread(
                     f"rule {rule!r}: buffer requests ({tok}) are unsupported", _index(form, i)
                 )
-            elif tok.startswith("-") and tok.endswith(">"):
-                clearings.append(tok[1:-1])
-                i += 1
-            elif tok.startswith("=") and tok.endswith(">"):
-                buffer = tok[1:-1]
-                pairs, i = _slot_pairs(form, i + 1, f"rule {rule!r}: update of {buffer!r}")
-                modifications.append((buffer, pairs))
             else:
                 raise _Misread(
                     f"rule {rule!r}: unexpected token {tok!r} in actions", _index(form, i)
@@ -307,12 +353,11 @@ class _ModelReader:
                 raise _Misread(f"reward {value!r} is not a number", _index(form, 3)) from None
             if current.reward is not None:
                 raise _Misread(f"rule {rule!r} has two reward annotations", _index(form, 1))
-            current = replace(current, reward=amount)
+            current = current._replace(reward=amount)
         elif key in (":success", ":failure"):
             if value != "t":
                 raise _Misread(f"{key} takes the literal 't'", _index(form, 3))
-            current = replace(
-                current,
+            current = current._replace(
                 success=current.success or key == ":success",
                 failure=current.failure or key == ":failure",
             )
@@ -345,6 +390,20 @@ def _twice(what, names):
     return [f"{what} {name!r} twice" for i, name in enumerate(names) if name in names[:i]]
 
 
+def _is_symbol(text):
+    """One atom that does not end a slot list (so is not '==>')."""
+    return _ATOM.fullmatch(text) is not None and text[-1] != ">" and text not in _ENDS_SLOTS
+
+
+def _all_symbols(texts: set) -> bool:
+    """Whether every one of texts is a symbol, read off a few scans of their
+    join: no text is empty or holds a space, and no separator follows a '>'."""
+    joined = " ".join(texts) + " "
+    return (joined.count(" ") == len(texts) and "" not in texts and "> " not in joined
+            and not any(char in joined for char in "\t\r\n();")
+            and texts.isdisjoint(_ENDS_SLOTS))
+
+
 def validate_model(ast: ModelAST) -> list[str]:
     """Diagnostics for every rule about what a model means, each stated once; a
     model with none round-trips: parse_model(format_model(ast)) == ast."""
@@ -358,6 +417,7 @@ def validate_model(ast: ModelAST) -> list[str]:
         out += _twice(f"chunk type {ctype.name!r} names slot", ctype.slots)
         types[ctype.name] = ctype
         symbols.update((ctype.name,), ctype.slots)
+    slots_of = {name: set(ctype.slots) for name, ctype in types.items()}
 
     chunks = {}
     for spec in ast.initial_chunks:
@@ -393,85 +453,85 @@ def validate_model(ast: ModelAST) -> list[str]:
     # a buffer some rule clears can be empty when a rule fires, so a rule may
     # modify it only if it tests it (a firing clears after it modifies)
     cleared = {buffer for p in ast.productions for buffer in p.clearings}
+    buffer_slots = {buffer: slots_of[ctype.name]
+                    for buffer, ctype in buffers.items() if ctype is not None}
     rule_names = set()
-    for prod in ast.productions:
-        if prod.name in rule_names:
-            out.append(f"rule {prod.name!r} declared twice")
-        rule_names.add(prod.name)
-        tested = {test.buffer for test in prod.tests}
-        if len(tested) < len(prod.tests):
-            out += _twice(f"rule {prod.name!r} tests buffer", [t.buffer for t in prod.tests])
-        # every tested value: a constant never equals a variable's name
-        bound = {v for test in prod.tests for _, v in test.slot_tests}
-        for test in prod.tests:
-            if len(dict(test.slot_tests)) < len(test.slot_tests):
-                out += _twice(f"rule {prod.name!r} test on {test.buffer!r} names slot",
-                              [s for s, _ in test.slot_tests])
-            if test.buffer not in buffers:
-                out.append(
-                    f"rule {prod.name!r} tests undeclared buffer {test.buffer!r}"
-                )
-            ctype = types.get(test.type)
-            if ctype is None:
-                out.append(f"rule {prod.name!r} tests unknown type {test.type!r}")
-                continue
-            for slot, _ in test.slot_tests:
-                if slot not in ctype.slots:
-                    out.append(
-                        f"rule {prod.name!r} tests unknown slot {slot!r} "
-                        f"of type {test.type!r}"
-                    )
+    for name, tests, binds, modifications, clearings in ast.productions:
+        if name in rule_names:
+            out.append(f"rule {name!r} declared twice")
+        rule_names.add(name)
+        # every tested value: a constant never equals a variable's name; loops,
+        # not comprehensions, which before Python 3.12 are calls of their own
+        tested, bound = set(), set()
+        for buffer, _, slot_tests in tests:
+            tested.add(buffer)
+            for _, value in slot_tests:
+                bound.add(value)
+        if len(tested) < len(tests):
+            out += _twice(f"rule {name!r} tests buffer", [buffer for buffer, _, _ in tests])
+        for buffer, ctype, slot_tests in tests:
+            named = dict(slot_tests)
+            if len(named) < len(slot_tests):
+                out += _twice(f"rule {name!r} test on {buffer!r} names slot",
+                              [s for s, _ in slot_tests])
+            if buffer not in buffers:
+                out.append(f"rule {name!r} tests undeclared buffer {buffer!r}")
+            slots = slots_of.get(ctype)
+            if slots is None:
+                out.append(f"rule {name!r} tests unknown type {ctype!r}")
+            elif not slots.issuperset(named):
+                out += [f"rule {name!r} tests unknown slot {slot!r} of type {ctype!r}"
+                        for slot, _ in slot_tests if slot not in slots]
         # a firing draws every !bind! before it modifies, so any modification may read it
-        reads = ({v for _, updates in prod.modifications for _, v in updates}
-                 if prod.binds else ())
-        for var, provider in prod.binds:
+        reads = {v for _, updates in modifications for _, v in updates} if binds else ()
+        for var, provider in binds:
             symbols.add(provider)
-            what = f"rule {prod.name!r} binds {var!r}"
             if not is_variable(var):
-                out.append(f"{what}, which is not a variable")
+                out.append(f"rule {name!r} binds {var!r}, which is not a variable")
             elif var in bound:
-                out.append(f"{what}, which is already bound")
+                out.append(f"rule {name!r} binds {var!r}, which is already bound")
             elif var not in reads:
-                out.append(f"{what}, which no modification reads")
+                out.append(f"rule {name!r} binds {var!r}, which no modification reads")
             bound.add(var)
-        for buffer, updates in prod.modifications:
+        for buffer, updates in modifications:
             pairs.append(updates)
-            if len(dict(updates)) < len(updates):
-                out += _twice(f"rule {prod.name!r} update of {buffer!r} names slot",
+            named = dict(updates)
+            if len(named) < len(updates):
+                out += _twice(f"rule {name!r} update of {buffer!r} names slot",
                               [s for s, _ in updates])
-            for slot, value in updates:
-                if value not in bound and is_variable(value):
+            for slot, value in updates:  # is_variable, inline: this runs on every value
+                if value not in bound and value[:1] == "=" and value[-1:] != ">":
                     out.append(
-                        f"rule {prod.name!r} updates slot {slot!r} with unbound "
-                        f"variable {value!r}"
+                        f"rule {name!r} updates slot {slot!r} with unbound variable {value!r}"
                     )
             if buffer in cleared and buffer not in tested:
                 out.append(
-                    f"rule {prod.name!r} modifies buffer {buffer!r} without "
+                    f"rule {name!r} modifies buffer {buffer!r} without "
                     "testing it, but a rule clears that buffer"
                 )
-            ctype = buffers.get(buffer)
-            if ctype is not None:
-                for slot, _ in updates:
-                    if slot not in ctype.slots:
-                        out.append(
-                            f"rule {prod.name!r} updates unknown slot {slot!r} "
-                            f"of type {ctype.name!r} in buffer {buffer!r}"
-                        )
-        for buffer in chain([buffer for buffer, _ in prod.modifications], prod.clearings):
+            slots = buffer_slots.get(buffer)
+            if slots is not None and not slots.issuperset(named):
+                out += [f"rule {name!r} updates unknown slot {slot!r} "
+                        f"of type {buffers[buffer].name!r} in buffer {buffer!r}"
+                        for slot, _ in updates if slot not in slots]
+        for buffer, _ in modifications:
             if buffer not in buffers:
-                out.append(f"rule {prod.name!r} acts on undeclared buffer {buffer!r}")
+                out.append(f"rule {name!r} acts on undeclared buffer {buffer!r}")
+        for buffer in clearings:
+            if buffer not in buffers:
+                out.append(f"rule {name!r} acts on undeclared buffer {buffer!r}")
         symbols |= bound  # the tested values and the !bind! variables
 
+    empty = Annotation()
     for rule, annotation in ast.annotations.items():
         if rule not in rule_names:
             out.append(f"annotation targets unknown rule {rule!r}")
-        if annotation == Annotation():
+        if annotation == empty:
             out.append(f"annotation of rule {rule!r} is empty")
-    # a symbol is one atom that does not end a slot list (so is not '==>')
     symbols.update(rule_names, chain.from_iterable(chain.from_iterable(pairs)))
-    out += sorted(f"{symbol!r} is not a symbol" for symbol in symbols
-                  if not _ATOM.fullmatch(symbol) or _ends_slots(symbol))
+    if not _all_symbols(symbols):
+        out += sorted(f"{symbol!r} is not a symbol" for symbol in symbols
+                      if not _is_symbol(symbol))
     return out
 
 

@@ -18,8 +18,10 @@ true division, which is correctly rounded; a value beyond float range keys
 as +-inf. Correct rounding is monotone, so a key that is lower than
 another's belongs to a lower utility: select() takes the maximum key, and
 only when several candidates share it does it compare their exact
-utilities, with select_winner (after the filtered predicates of Shewchuk
-1997, which need no error bound here). A lone candidate wins unscored.
+utilities, by cross-multiplying their pairs (after the filtered predicates
+of Shewchuk 1997, which need no error bound here), with select_winner's
+declaration-order tie-break. A lone candidate wins unscored, and a tie
+builds no Fraction.
 
 A reinforcement update with alpha = a/b and a reward rn/rd is n, d ->
 (b - a) n (rd/g) + a rn (d/g), b d (rd/g), with g = gcd(d, rd): d gains a
@@ -163,8 +165,21 @@ class ExactStrategy(ConflictResolutionStrategy):
         best = max(keys)
         if keys.count(best) == 1:  # every other utility is strictly lower
             return candidates[keys.index(best)]
-        top = [c for c, key in zip(candidates, keys) if key == best]
-        return select_winner(top, self.score(top), self.tiebreak)
+        # among equal keys, n/d > wn/wd iff n wd > wn d, as d, wd > 0; then
+        # declaration order decides, as in select_winner
+        last = self.tiebreak == LAST_DECLARED
+        winner = wn = wd = None
+        for candidate, key in zip(candidates, keys):
+            if key != best:
+                continue
+            _, n, d = states.get(candidate.rule, initial)
+            if winner is not None:
+                cross = n * wd - wn * d
+                if cross < 0 or cross == 0 and (
+                        candidate.source_index > winner.source_index) != last:
+                    continue
+            winner, wn, wd = candidate, n, d
+        return winner
 
     def utility(self, rule):
         _, n, d = self._states.get(rule, self._initial_state)

@@ -20,6 +20,10 @@ declared twice, an unbound variable, ...), and raises a plain
 binds in text order, its modifications, its clearings. `reference_parse`
 runs `char_tokenize`, `reference_forms` and `reference_read` in turn.
 
+`reference_validate` is `validate_model` as it stood before it checked
+every symbol in one scan of their join and read each rule's tests in one
+loop, kept verbatim for differential tests of the diagnostics.
+
 `linear_scan` matches the uncompiled rules of a `ModelAST` against an
 engine's `held` and `chunks` dicts, one rule and one slot test at a time,
 for differential tests of the engine's indexed matcher.
@@ -52,8 +56,9 @@ arithmetic on the scaled value, kept verbatim for differential tests.
 """
 
 import random
-from dataclasses import replace
+import re
 from fractions import Fraction
+from itertools import chain
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -450,14 +455,13 @@ class _ModelReader:
                     f"rule {rule!r} has two reward annotations",
                     rule_tok.line, rule_tok.column,
                 )
-            current = replace(current, reward=amount)
+            current = current._replace(reward=amount)
         elif key in (":success", ":failure"):
             if value_tok.text != "t":
                 raise ModelSyntaxError(
                     f"{key} takes the literal 't'", value_tok.line, value_tok.column
                 )
-            current = replace(
-                current,
+            current = current._replace(
                 success=current.success or key == ":success",
                 failure=current.failure or key == ":failure",
             )
@@ -466,6 +470,149 @@ class _ModelReader:
                 f"unknown annotation key {key!r}", head.line, head.column
             )
         self.annotations[rule] = current
+
+
+_ATOM = re.compile(r"[^ \t\r\n();]+")
+
+
+def _ends_slots(text):
+    """A token ending in '>' (so also '==>'), !bind! or !output! ends a slot list."""
+    return text.endswith(">") or text in ("!bind!", "!output!")
+
+
+def _twice(what, names):
+    """A diagnostic for each of names that repeats an earlier one."""
+    return [f"{what} {name!r} twice" for i, name in enumerate(names) if name in names[:i]]
+
+
+def reference_validate(ast: ModelAST) -> list[str]:
+    """Diagnostics for every rule about what a model means, each stated once; a
+    model with none round-trips: parse_model(format_model(ast)) == ast."""
+    out = []
+    # declared names and values must be symbols; other names must match a declaration
+    symbols, pairs = set(), []  # pairs: the (slot, value) lists, values to check
+    types = {}
+    for ctype in ast.chunk_types:
+        if ctype.name in types:
+            out.append(f"chunk type {ctype.name!r} declared twice")
+        out += _twice(f"chunk type {ctype.name!r} names slot", ctype.slots)
+        types[ctype.name] = ctype
+        symbols.update((ctype.name,), ctype.slots)
+
+    chunks = {}
+    for spec in ast.initial_chunks:
+        if spec.name in chunks:
+            out.append(f"chunk {spec.name!r} declared twice")
+        chunks[spec.name] = spec
+        symbols.add(spec.name)
+        pairs.append(spec.slot_values)
+        if len(dict(spec.slot_values)) < len(spec.slot_values):
+            out += _twice(f"chunk {spec.name!r} names slot", [s for s, _ in spec.slot_values])
+        ctype = types.get(spec.type)
+        if ctype is None:
+            out.append(f"chunk {spec.name!r} has unknown type {spec.type!r}")
+        for slot, value in spec.slot_values:
+            if is_variable(value):
+                out.append(f"chunk {spec.name!r} may not hold the variable {value!r}")
+            if ctype is not None and slot not in ctype.slots:
+                out.append(f"chunk {spec.name!r} fills unknown slot {slot!r}")
+
+    # buffers are typed once, here: goal-focus is the only way to fill one
+    buffers = {}  # buffer -> type of its chunk, None when unknown
+    for buffer, chunk in ast.buffer_inits:
+        if buffer in buffers:
+            out.append(f"buffer {buffer!r} initialized twice")
+        if buffer == "=":  # a test or update of it would print as '==>'
+            out.append("buffer '=' would print as the rule arrow")
+        spec = chunks.get(chunk)
+        if spec is None:
+            out.append(f"buffer {buffer!r} initialized with unknown chunk {chunk!r}")
+        buffers[buffer] = types.get(spec.type) if spec is not None else None
+    pairs.append(ast.buffer_inits)
+
+    # a buffer some rule clears can be empty when a rule fires, so a rule may
+    # modify it only if it tests it (a firing clears after it modifies)
+    cleared = {buffer for p in ast.productions for buffer in p.clearings}
+    rule_names = set()
+    for prod in ast.productions:
+        if prod.name in rule_names:
+            out.append(f"rule {prod.name!r} declared twice")
+        rule_names.add(prod.name)
+        tested = {test.buffer for test in prod.tests}
+        if len(tested) < len(prod.tests):
+            out += _twice(f"rule {prod.name!r} tests buffer", [t.buffer for t in prod.tests])
+        # every tested value: a constant never equals a variable's name
+        bound = {v for test in prod.tests for _, v in test.slot_tests}
+        for test in prod.tests:
+            if len(dict(test.slot_tests)) < len(test.slot_tests):
+                out += _twice(f"rule {prod.name!r} test on {test.buffer!r} names slot",
+                              [s for s, _ in test.slot_tests])
+            if test.buffer not in buffers:
+                out.append(
+                    f"rule {prod.name!r} tests undeclared buffer {test.buffer!r}"
+                )
+            ctype = types.get(test.type)
+            if ctype is None:
+                out.append(f"rule {prod.name!r} tests unknown type {test.type!r}")
+                continue
+            for slot, _ in test.slot_tests:
+                if slot not in ctype.slots:
+                    out.append(
+                        f"rule {prod.name!r} tests unknown slot {slot!r} "
+                        f"of type {test.type!r}"
+                    )
+        # a firing draws every !bind! before it modifies, so any modification may read it
+        reads = ({v for _, updates in prod.modifications for _, v in updates}
+                 if prod.binds else ())
+        for var, provider in prod.binds:
+            symbols.add(provider)
+            what = f"rule {prod.name!r} binds {var!r}"
+            if not is_variable(var):
+                out.append(f"{what}, which is not a variable")
+            elif var in bound:
+                out.append(f"{what}, which is already bound")
+            elif var not in reads:
+                out.append(f"{what}, which no modification reads")
+            bound.add(var)
+        for buffer, updates in prod.modifications:
+            pairs.append(updates)
+            if len(dict(updates)) < len(updates):
+                out += _twice(f"rule {prod.name!r} update of {buffer!r} names slot",
+                              [s for s, _ in updates])
+            for slot, value in updates:
+                if value not in bound and is_variable(value):
+                    out.append(
+                        f"rule {prod.name!r} updates slot {slot!r} with unbound "
+                        f"variable {value!r}"
+                    )
+            if buffer in cleared and buffer not in tested:
+                out.append(
+                    f"rule {prod.name!r} modifies buffer {buffer!r} without "
+                    "testing it, but a rule clears that buffer"
+                )
+            ctype = buffers.get(buffer)
+            if ctype is not None:
+                for slot, _ in updates:
+                    if slot not in ctype.slots:
+                        out.append(
+                            f"rule {prod.name!r} updates unknown slot {slot!r} "
+                            f"of type {ctype.name!r} in buffer {buffer!r}"
+                        )
+        for buffer in chain([buffer for buffer, _ in prod.modifications], prod.clearings):
+            if buffer not in buffers:
+                out.append(f"rule {prod.name!r} acts on undeclared buffer {buffer!r}")
+        symbols |= bound  # the tested values and the !bind! variables
+
+    for rule, annotation in ast.annotations.items():
+        if rule not in rule_names:
+            out.append(f"annotation targets unknown rule {rule!r}")
+        if annotation == Annotation():
+            out.append(f"annotation of rule {rule!r} is empty")
+    # a symbol is one atom that does not end a slot list (so is not '==>')
+    symbols.update(rule_names, chain.from_iterable(chain.from_iterable(pairs)))
+    out += sorted(f"{symbol!r} is not a symbol" for symbol in symbols
+                  if not _ATOM.fullmatch(symbol) or _ends_slots(symbol))
+    return out
 
 
 def linear_scan(engine, productions):

@@ -16,8 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import actrsim
 from actrsim.cli import build_arg_parser, main
-from actrsim.errors import ModelSyntaxError
-from actrsim.experiment import HarnessConfig, builtin_model_text
+from actrsim.errors import ModelSyntaxError, UnscorableModel
+from actrsim.experiment import HarnessConfig, builtin_model_text, run_experiment
 from actrsim.model import _tokenize, parse_model, validate_model
 
 from oracle import reference_parse
@@ -155,6 +155,80 @@ def test_empty_sample_file_exits_1_before_the_trace_file_is_opened(tmp_path, cap
     assert out == ""
     assert err == f"actrsim: no samples in {samples}\n"
     assert not trace_path.exists()
+
+
+UNSCORED = ("(chunk-type game me)(add-dm (g1 isa game me rock))(goal-focus goal g1)"
+            "(p play-rock =goal> isa game ==> -goal>)")
+
+
+def test_a_model_without_the_play_rules_exits_1_before_the_trace_file_is_opened(
+        tmp_path, capsys):
+    model = tmp_path / "unscored.model"
+    model.write_text(UNSCORED, encoding="utf-8")
+    trace_path = tmp_path / "run.trace"
+    code, out, err = run_cli(capsys, "run", "--model", str(model),
+                             "--trace-file", str(trace_path))
+    assert code == 1
+    assert out == ""
+    assert err == ("actrsim: no rule named 'play-paper', 'play-scissors' in the model: "
+                   "the report gives the utility of each of play-rock, play-paper, "
+                   "play-scissors\n")
+    assert not trace_path.exists()
+    # the library refuses it the same way, before any run
+    with pytest.raises(UnscorableModel, match="no rule named 'play-paper', 'play-scissors'"):
+        run_experiment(parse_model(UNSCORED), HarnessConfig(), [("r",) * 20])
+
+
+class FullStream(io.StringIO):
+    """A stream with no room: every write fails as on a full disk."""
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("argv, full", [
+    (["run"], "stdout"),
+    (["run", "--trace"], "stderr"),
+    (["run"], "both"),
+    (["run", "--trace"], "both"),
+])
+def test_a_write_that_fails_exits_2_with_at_most_one_line(monkeypatch, capsys, argv, full):
+    if full in ("stdout", "both"):
+        monkeypatch.setattr(sys, "stdout", FullStream())
+    if full in ("stderr", "both"):
+        monkeypatch.setattr(sys, "stderr", FullStream())
+    assert main(argv) == 2
+    monkeypatch.undo()  # capsys reads what reached its own streams
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("" if full in ("stderr", "both") else  # then the status alone
+                   "actrsim: cannot write output: [Errno 28] No space left on device\n")
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+@needs_dev_full
+@pytest.mark.parametrize("argv, stdout, stderr", [
+    (["run"], "/dev/full", subprocess.PIPE),
+    (["run", "--trace-file", "/dev/full"], subprocess.PIPE, subprocess.PIPE),
+    (["run", "--trace"], subprocess.PIPE, "/dev/full"),
+    (["run"], "/dev/full", "/dev/full"),
+])
+def test_output_on_a_full_device_exits_2_without_a_traceback(argv, stdout, stderr):
+    # buffered streams, as by default: what a failed write leaves buffered would
+    # fail again when Python flushes them at exit, with exit status 120
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(actrsim.__file__).parents[1])
+    with contextlib.ExitStack() as stack:
+        streams = [stack.enter_context(open(s, "w")) if isinstance(s, str) else s
+                   for s in (stdout, stderr)]
+        done = subprocess.run([sys.executable, "-m", "actrsim.cli", *argv], env=env,
+                              stdout=streams[0], stderr=streams[1], text=True)
+    assert done.returncode == 2
+    assert done.stdout in (None, "")
+    if stderr != "/dev/full":  # else the status alone, and Python says nothing at exit
+        assert done.stderr == "actrsim: cannot write output: [Errno 28] No space left on device\n"
 
 
 def test_json_format(capsys):
@@ -299,12 +373,19 @@ def test_run_defaults_are_the_config_defaults():
         assert getattr(args, f.name) == getattr(HarnessConfig(), f.name), f.name
 
 
+# the harness reports the utilities of the three play rules, so a model it runs
+# has all three; these two never match a game chunk holding me rock
+OTHER_PLAY_RULES = ("(p play-paper =goal> isa game me paper ==> -goal>)"
+                    "(p play-scissors =goal> isa game me scissors ==> -goal>)")
+
+
 def test_deeply_nested_output_argument_is_dropped_without_a_traceback(tmp_path):
     # the reader drops an !output! argument unread, however deep it nests
     model = tmp_path / "deep.model"
     model.write_text(
         "(chunk-type game me)(add-dm (g1 isa game me rock))(goal-focus goal g1)"
-        "(p r =goal> isa game ==> !output! " + "(" * 3000 + "x" + ")" * 3000 + " -goal>)\n",
+        "(p play-rock =goal> isa game ==> !output! " + "(" * 3000 + "x" + ")" * 3000
+        + " -goal>)" + OTHER_PLAY_RULES + "\n",
         encoding="utf-8",
     )
     env = {**os.environ, "PYTHONPATH": str(Path(actrsim.__file__).parents[1])}

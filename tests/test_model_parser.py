@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import random
 import re
 import string
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, Phase, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, assume, given, settings, strategies as st
 
 from actrsim.chunks import ChunkType
 from actrsim.engine import compile_model
@@ -25,7 +26,7 @@ from actrsim.model import (
     validate_model,
 )
 
-from oracle import char_tokenize, reference_parse
+from oracle import char_tokenize, reference_parse, reference_validate
 
 WIN_RULE = """
 (p recognize-win
@@ -470,7 +471,7 @@ def test_reversed_binds_validate_and_round_trip():
         " =goal> me =m opponent =n)"
     )
     (rule,) = ast.productions
-    reversed_binds = replace(ast, productions=(replace(rule, binds=rule.binds[::-1]),))
+    reversed_binds = replace(ast, productions=(rule._replace(binds=rule.binds[::-1]),))
     assert validate_model(reversed_binds) == []
     assert parse_model(format_model(reversed_binds)) == reversed_binds
 
@@ -506,7 +507,7 @@ def renamed_rule(ast, choose, name):
     rules = list(ast.productions)
     at = choose(range(len(rules)))
     old = rules[at].name
-    rules[at] = replace(rules[at], name=name(old))
+    rules[at] = rules[at]._replace(name=name(old))
     annotations = {name(rule) if rule == old else rule: annotation
                    for rule, annotation in ast.annotations.items()}
     return replace(ast, productions=tuple(rules), annotations=annotations)
@@ -526,37 +527,37 @@ def lhs_reads(rule):
 SHAPES = {
     "slot-twice-in-test": lambda ast, choose: edit_rule(
         ast, choose, lambda rule: any(test.slot_tests for test in rule.tests),
-        lambda rule: replace(rule, tests=tuple(
-            replace(test, slot_tests=test.slot_tests + test.slot_tests[:1])
+        lambda rule: rule._replace(tests=tuple(
+            test._replace(slot_tests=test.slot_tests + test.slot_tests[:1])
             for test in rule.tests))),
     "slot-twice-in-update": lambda ast, choose: edit_rule(
         ast, choose, lambda rule: any(updates for _, updates in rule.modifications),
-        lambda rule: replace(rule, modifications=tuple(
+        lambda rule: rule._replace(modifications=tuple(
             (buffer, updates + updates[:1]) for buffer, updates in rule.modifications))),
     "slot-twice-in-chunk": lambda ast, choose: edit_chunk(
-        ast, choose, lambda chunk: replace(
-            chunk, slot_values=chunk.slot_values + chunk.slot_values[:1])),
+        ast, choose, lambda chunk: chunk._replace(
+            slot_values=chunk.slot_values + chunk.slot_values[:1])),
     "buffer-tested-twice": lambda ast, choose: edit_rule(
         ast, choose, lambda rule: rule.tests,
-        lambda rule: replace(rule, tests=rule.tests + rule.tests[:1])),
+        lambda rule: rule._replace(tests=rule.tests + rule.tests[:1])),
     "bind-its-action-does-not-read": lambda ast, choose: edit_rule(
         ast, choose, lambda rule: rule.modifications,
-        lambda rule: replace(rule, binds=rule.binds + (("=unread", "next"),))),
+        lambda rule: rule._replace(binds=rule.binds + (("=unread", "next"),))),
     "bind-of-a-lhs-variable": lambda ast, choose: edit_rule(
         ast, choose, lhs_reads,
-        lambda rule: replace(rule, binds=rule.binds + ((lhs_reads(rule)[0], "next"),))),
+        lambda rule: rule._replace(binds=rule.binds + ((lhs_reads(rule)[0], "next"),))),
     "variable-bound-twice": lambda ast, choose: edit_rule(
         ast, choose, lambda rule: rule.binds,
-        lambda rule: replace(rule, binds=rule.binds + ((rule.binds[0][0], "again"),))),
+        lambda rule: rule._replace(binds=rule.binds + ((rule.binds[0][0], "again"),))),
     "rule-name-with-a-space": lambda ast, choose: renamed_rule(
         ast, choose, lambda name: name + " now"),
     "value-ending-a-slot-list": lambda ast, choose: edit_chunk(
-        ast, choose, lambda chunk: replace(
-            chunk, slot_values=((chunk.slot_values[0][0], "=x>"),) + chunk.slot_values[1:])),
+        ast, choose, lambda chunk: chunk._replace(
+            slot_values=((chunk.slot_values[0][0], "=x>"),) + chunk.slot_values[1:])),
     "empty-name": lambda ast, choose: renamed_rule(ast, choose, lambda name: ""),
     "chunk-holding-a-variable": lambda ast, choose: edit_chunk(
-        ast, choose, lambda chunk: replace(
-            chunk, slot_values=((chunk.slot_values[0][0], "=v"),) + chunk.slot_values[1:])),
+        ast, choose, lambda chunk: chunk._replace(
+            slot_values=((chunk.slot_values[0][0], "=v"),) + chunk.slot_values[1:])),
     "empty-annotation": lambda ast, choose: replace(ast, annotations={
         **ast.annotations, ast.productions[choose(range(len(ast.productions)))].name:
             Annotation()}),
@@ -611,6 +612,93 @@ def shaped_model_asts(draw):
 def test_every_validated_ast_round_trips(ast):
     if validate_model(ast) == []:
         assert parse_model(format_model(ast)) == ast
+
+
+# -- the reader and validation against their reference paths ----------------------
+
+def chain_text(rules, seed):
+    """A chain of `rules` rules on one goal buffer, each testing one state and
+    moving to the next, declared in a shuffled order (the shape of the
+    benchmark's chain-wide model)."""
+    rng = random.Random(seed)
+    states = [f"s{n:06x}" for n in rng.sample(range(16**6), rules + 1)]
+    tags = [f"t{n:06x}" for n in rng.sample(range(16**6), rules + 1)]
+    order = list(range(rules))
+    rng.shuffle(order)
+    return "".join(
+        ["; a generated chain\n(chunk-type link state tag)\n",
+         f"(add-dm (c0 isa link state {states[0]} tag {tags[0]}))\n(goal-focus goal c0)\n"]
+        + [f"(p r{k}\n   =goal> isa link state {states[k]} tag =v\n ==>\n"
+           f"   =goal> state {states[k + 1]} tag {tags[k + 1]})\n" for k in order])
+
+
+def record_types(ast):
+    """The type of every record in ast: equal ASTs of other record types
+    (a NamedTuple equals a plain tuple) would still differ here."""
+    return ({type(p) for p in ast.productions} | {type(t) for p in ast.productions for t in p.tests}
+            | {type(c) for c in ast.initial_chunks} | {type(a) for a in ast.annotations.values()})
+
+
+@settings(max_examples=200)
+@given(shaped_model_asts())
+def test_validation_equals_the_reference_validation(ast):
+    assert validate_model(ast) == reference_validate(ast)
+
+
+# edits of one chain rule, each wrong in a way no shape makes it
+CHAIN_EDITS = {
+    "test-of-an-unknown-slot": lambda rule: rule._replace(tests=(rule.tests[0]._replace(
+        slot_tests=rule.tests[0].slot_tests + (("bogus", "x"),)),)),
+    "test-of-an-unknown-type": lambda rule: rule._replace(
+        tests=(rule.tests[0]._replace(type="node"),)),
+    "test-of-an-undeclared-buffer": lambda rule: rule._replace(
+        tests=rule.tests + (BufferTest("visual", "link"),)),
+    "update-of-an-unknown-slot": lambda rule: rule._replace(
+        modifications=(("goal", rule.modifications[0][1] + (("bogus", "x"),)),)),
+    "update-with-an-unbound-variable": lambda rule: rule._replace(
+        modifications=(("goal", (("tag", "=w"),)),)),
+    "clearing-of-an-undeclared-buffer": lambda rule: rule._replace(clearings=("visual",)),
+}
+
+
+CHAIN_RULES = st.sampled_from([1, 2, 400, 2000]) | st.integers(1, 2000)
+
+
+@settings(max_examples=25, deadline=None)
+@given(CHAIN_RULES, st.integers(0, 2**32), st.data())
+def test_validation_of_chain_models_equals_the_reference_validation(rules, seed, data):
+    ast = parse_model(chain_text(rules, seed))
+    productions = list(ast.productions)
+    for edit in data.draw(st.lists(st.sampled_from(sorted(CHAIN_EDITS)), max_size=3)):
+        at = data.draw(st.integers(0, rules - 1))
+        productions[at] = CHAIN_EDITS[edit](productions[at])
+    ast = replace(ast, productions=tuple(productions))
+    shape = data.draw(st.sampled_from([None, *SHAPES]))
+    if shape is not None:
+        def choose(spots):
+            assume(spots)  # not every shape fits a chain
+            return data.draw(st.sampled_from(spots))
+        ast = SHAPES[shape](ast, choose)
+    assert validate_model(ast) == reference_validate(ast)
+
+
+@settings(max_examples=100, deadline=None)
+@given(model_asts())
+def test_reader_equals_the_reference_reader_on_printed_models(ast):
+    assume(validate_model(ast) == [])
+    text = format_model(ast)
+    parsed = parse_model(text)
+    assert parsed == reference_parse(text)
+    assert record_types(parsed) <= {Production, BufferTest, ChunkSpec, Annotation}
+
+
+@settings(max_examples=10, deadline=None)
+@given(CHAIN_RULES, st.integers(0, 2**32))
+def test_reader_equals_the_reference_reader_on_chain_models(rules, seed):
+    text = chain_text(rules, seed)
+    ast = parse_model(text)
+    assert ast == reference_parse(text)
+    assert record_types(ast) == {Production, BufferTest, ChunkSpec}
 
 
 # -- tokenizer against the character-by-character reader ----------------------------

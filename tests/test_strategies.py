@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from actrsim import strategies as strategies_module
 from actrsim.engine import Engine, Instantiation
 from actrsim.experiment import PLAY_RULES
 from actrsim.strategies import (
@@ -457,6 +458,18 @@ def test_exact_select_scores_no_lone_candidate(cls, monkeypatch):
     lone = inst("a", 0)
     assert strategy.select([lone]) is lone
     assert strategy.select([]) is None
+
+
+@pytest.mark.parametrize("cls", [ReinforcementUtility, SuccessCostUtility])
+@pytest.mark.parametrize("tiebreak", [FIRST_DECLARED, LAST_DECLARED])
+def test_exact_select_scores_no_tie(cls, tiebreak, monkeypatch):
+    # every rule at its initial utility: the tie is decided on the stored pairs
+    strategy = cls(tiebreak=tiebreak)
+    monkeypatch.setattr(strategy, "score", None)  # calling it would raise
+    monkeypatch.setattr(strategies_module, "Fraction", None)  # so would building one
+    candidates = [inst("b", 1), inst("c", 2), inst("a", 0)]
+    expected = "a" if tiebreak == FIRST_DECLARED else "c"
+    assert strategy.select(candidates).rule == expected
 
 
 @settings(max_examples=100, deadline=None)

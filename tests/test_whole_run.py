@@ -48,7 +48,7 @@ def clearing_model(rng):
         modified = [buffer for buffer, _ in production.modifications]
         if modified and rng.random() < 0.5:
             clearings = production.clearings + (rng.choice(modified),)
-            production = replace(production, clearings=clearings)
+            production = production._replace(clearings=clearings)
         productions.append(production)
     return replace(model, productions=tuple(productions))
 
