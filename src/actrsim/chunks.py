@@ -5,7 +5,7 @@ the same symbol). ``nil`` is an ordinary constant, not a marker for "unset":
 a slot that was never written holds no value at all and does not match ``nil``.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     DuplicateChunkName,
@@ -16,14 +16,12 @@ from .errors import (
     UnknownType,
 )
 
-@dataclass(frozen=True)
-class ChunkType:
+class ChunkType(NamedTuple):
     name: str
     slots: tuple[str, ...]
 
 
-@dataclass
-class Chunk:
+class Chunk(NamedTuple):
     name: str
     type: str
     slot_values: dict[str, str]

@@ -13,7 +13,6 @@ import argparse
 import contextlib
 import os
 import sys
-from dataclasses import fields
 from fractions import Fraction
 
 from . import experiment, strategies
@@ -62,7 +61,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                      help="write one line per rule firing to stderr")
     run.add_argument("--trace-file", help="write the firing trace to a file")
     # each run parameter's dest is a HarnessConfig field, whose default it takes
-    run.set_defaults(**{f.name: f.default for f in fields(experiment.HarnessConfig)})
+    run.set_defaults(**experiment.HarnessConfig._field_defaults)
     return parser
 
 
@@ -133,7 +132,7 @@ def _fail(status: int, message: str) -> int:
 
 def run_command(args) -> int:
     config = experiment.HarnessConfig(
-        **{f.name: getattr(args, f.name) for f in fields(experiment.HarnessConfig)}
+        *[getattr(args, name) for name in experiment.HarnessConfig._fields]
     )
     try:
         _check_config(config)
@@ -163,7 +162,16 @@ def run_command(args) -> int:
 
 def main(argv=None) -> int:
     # `run` is the one command, and argparse exits 2 on anything else
-    return run_command(build_arg_parser().parse_args(argv))
+    try:
+        args = build_arg_parser().parse_args(argv)
+    except SystemExit:  # after help or a usage error: argparse drops a failed
+        try:  # write, so what it left is flushed here rather than at exit
+            _emit(sys.stdout, "")
+            _emit(sys.stderr, "")
+        except OSError as exc:
+            return _fail(2, f"cannot write output: {exc}")
+        raise
+    return run_command(args)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """The match-select-apply cycle over buffers, rules, and the event queue.
 
 A model is checked and compiled once, by ``compile_model``, into a
-``Program``: the immutable rules, index and initial state its runs share,
-and the one thing they write, a bounded memo of conflict sets.
+``Program``: a NamedTuple of the immutable rules, index and initial state its
+runs share, and last the one thing they write, a bounded memo of conflict sets.
 An ``Engine`` is one run, its state the ``held`` and ``chunks`` dicts. It
 checks its providers when built, then trusts the program: every modified
 buffer holds a chunk with the updated slots, and every right-hand-side
@@ -42,7 +42,6 @@ limit in ticks, which is exact for any rational or float limit.
 """
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -152,13 +151,13 @@ def _index(productions):
     return tuple(index.items()), tuple(untested)
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(NamedTuple):
     """A checked, compiled model: all that its runs share.
 
     providers names each !bind! provider once; index and untested: see _index;
     tested names the buffers rules test, in first-test order. memo, the one
-    thing runs write, maps a state of those buffers to its conflict set.
+    thing runs write, maps a state of those buffers to its conflict set; being
+    a field, it takes part when two Programs are compared.
     """
 
     rules: tuple
@@ -169,7 +168,7 @@ class Program:
     chunk_specs: tuple  # the initial chunks, ChunkSpec, ...
     buffer_inits: tuple[tuple[str, str], ...]
     tested: tuple[str, ...]
-    memo: dict = field(default_factory=dict, compare=False, repr=False)
+    memo: dict
 
     def check_providers(self, names) -> None:
         """Raise ProviderExhausted unless every provider is among names."""
@@ -189,7 +188,7 @@ def compile_model(model: ModelAST | Program) -> Program:
     providers = dict.fromkeys(provider for p in model.productions for _, provider in p.binds)
     tested = dict.fromkeys(t.buffer for p in model.productions for t in p.tests)
     return Program(rules, *_index(rules), model.annotations, tuple(providers),
-                   model.initial_chunks, model.buffer_inits, tuple(tested))
+                   model.initial_chunks, model.buffer_inits, tuple(tested), {})
 
 
 class Engine:
@@ -201,6 +200,10 @@ class Engine:
 
     def __init__(self, model, strategy, providers=None, refraction=False):
         self.program = program = compile_model(model)
+        # what each cycle reads of the Program, read once: an attribute of the
+        # engine is read faster than a field of a NamedTuple
+        self.memo, self.tested = program.memo, program.tested
+        self.annotations, self.rules = program.annotations, program.rules
         self.providers = dict(providers or {})
         program.check_providers(self.providers)
         self.strategy = strategy
@@ -225,9 +228,9 @@ class Engine:
         The result is the memo's own tuple for this buffer state, shared by
         every engine of the Program, and being a tuple no caller can change it.
         """
-        held, chunks, memo = self.held, self.chunks, self.program.memo
+        held, chunks, memo = self.held, self.chunks, self.memo
         state = []
-        for buffer in self.program.tested:
+        for buffer in self.tested:
             chunk = (name := held[buffer]) and chunks[name]  # None: a cleared buffer
             state.append(chunk and (name, chunk.type, tuple(chunk.slot_values.items())))
         key = tuple(state)
@@ -298,7 +301,7 @@ class Engine:
         now = seconds(tick)
         selected = seconds(tick - FIRE_LATENCY_TICKS)
         self.strategy.record_application(inst.rule, selected)
-        annotation = self.program.annotations.get(inst.rule)
+        annotation = self.annotations.get(inst.rule)
         if annotation is not None:
             if annotation.reward is not None:
                 self.strategy.trigger_reward(annotation.reward, now)
@@ -308,7 +311,7 @@ class Engine:
                 self.strategy.trigger_outcome("failure", now)
         if self.refraction:
             self.refraction_history.add(inst.identity())
-        _, _, _, binds, modifications, clearings = self.program.rules[inst.source_index]
+        _, _, _, binds, modifications, clearings = self.rules[inst.source_index]
         env = dict(inst.bindings)
         for variable, provider in binds:
             try:

@@ -7,14 +7,14 @@ Each run wires the sample into the ``next-move`` provider, plays to the time
 limit (20 rounds in 2 s of simulated time), counts wins/draws/defeats from
 the outcome-rule firings in the trace, and reads the final utilities of the
 three play rules from the strategy; a model without one of them is refused
-before any run (UnscorableModel).
+before any run (UnscorableModel). Its records are NamedTuples, and the bundled
+model and samples are read from ``data/`` beside this module.
 """
 
-import json
+import os
 import random
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from importlib import resources
+from typing import NamedTuple
 
 from .engine import Engine, Program, compile_model
 from .errors import EmptyResults, MalformedMove, UnscorableModel, WrongLength
@@ -31,10 +31,10 @@ OUTCOME_PREFIXES = (
     ("detect-draw-", "draw"),
     ("detect-defeat-", "defeat"),
 )
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     index: int
     utilities: tuple  # (U_r, U_p, U_s) as Fractions or floats
     wins: int
@@ -42,8 +42,7 @@ class RunResult:
     defeats: int
 
 
-@dataclass(frozen=True)
-class HarnessConfig:
+class HarnessConfig(NamedTuple):
     strategy: str = "reinforcement"
     alpha: Fraction = Fraction(1, 5)
     goal_value: Fraction = Fraction(20)
@@ -54,11 +53,10 @@ class HarnessConfig:
     t_limit: Fraction = Fraction(2)
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     rows: tuple[RunResult, ...]
     averages: RunResult
-    config: dict = field(default_factory=dict)
+    config: dict
 
 
 # -- samples -----------------------------------------------------------------
@@ -91,17 +89,13 @@ def builtin_samples(player: int) -> list[tuple[str, ...]]:
     if player == 1:
         return [("r",) * MOVES_PER_SAMPLE]
     if player in (2, 3):
-        text = resources.files("actrsim").joinpath(
-            f"data/player{player}_samples.txt"
-        ).read_text(encoding="utf-8")
-        return parse_samples(text)
+        return load_samples(os.path.join(DATA, f"player{player}_samples.txt"))
     raise ValueError(f"no builtin player {player}")
 
 
 def builtin_model_text() -> str:
-    return resources.files("actrsim").joinpath("data/rps.model").read_text(
-        encoding="utf-8"
-    )
+    with open(os.path.join(DATA, "rps.model"), encoding="utf-8") as handle:
+        return handle.read()
 
 
 # -- running -------------------------------------------------------------------
@@ -161,8 +155,7 @@ def run_experiment(model: Program | ModelAST, config: HarnessConfig, samples,
             rows.append(run_single(
                 program, config, sample, ordinal, config.seed + ordinal - 1, trace_sink
             ))
-    report = summarize(rows)
-    return Report(report.rows, report.averages, config_echo(config))
+    return summarize(rows)._replace(config=config_echo(config))
 
 
 def summarize(results) -> Report:
@@ -171,25 +164,17 @@ def summarize(results) -> Report:
     if not rows:
         raise EmptyResults("no run results to summarize")
     n = len(rows)
-    avg_utils = tuple(
-        sum(row.utilities[i] for row in rows) / n for i in range(3)
-    )
-    averages = RunResult(
-        0,
-        avg_utils,
-        Fraction(sum(r.wins for r in rows), n),
-        Fraction(sum(r.draws for r in rows), n),
-        Fraction(sum(r.defeats for r in rows), n),
-    )
-    return Report(rows, averages)
+    _, utilities, *counts = zip(*rows)  # the columns: a RunResult is a tuple
+    averages = RunResult(0, tuple(sum(column) / n for column in zip(*utilities)),
+                         *(Fraction(sum(column), n) for column in counts))
+    return Report(rows, averages, {})
 
 
 def config_echo(config: HarnessConfig) -> dict:
     """The config's fields in order, Fraction-typed ones as text, the tie-break resolved."""
-    echo = {}
-    for f in fields(config):
-        value = getattr(config, f.name)
-        echo[f.name] = str(value) if f.type is Fraction else value
+    types = HarnessConfig.__annotations__
+    echo = {name: str(value) if types[name] is Fraction else value
+            for name, value in zip(config._fields, config)}
     echo["tiebreak"] = config.tiebreak or STRATEGIES[config.strategy].default_tiebreak
     return echo
 
@@ -234,6 +219,8 @@ def report_to_csv(report: Report) -> str:
 
 
 def report_to_json(report: Report) -> str:
+    import json  # here, so that a CSV report does not load it
+
     def count(value):  # a row's counts are ints; the averages' round as in CSV
         return value if isinstance(value, int) else float(round_thousandths(value))
 

@@ -24,9 +24,10 @@ drawn first; ``modifications``, the ``(buffer, slot_updates)`` pairs in text
 order; ``clearings``, the cleared buffers. Where a ``!bind!`` stands among
 the actions carries no meaning.
 
-The records (``BufferTest``, ``Production``, ``ChunkSpec``, ``Annotation``)
-are NamedTuples: a model is read into tuples, and a record is changed with
-``_replace``. Like any tuple, a record equals a plain tuple of the same items.
+The records (``ModelAST``, ``BufferTest``, ``Production``, ``ChunkSpec``,
+``Annotation``) are NamedTuples: a model is read into tuples, and a record is
+changed with ``_replace``. Like any tuple, a record equals a plain tuple of the
+same items; ``ModelAST``'s default annotations are a read-only ``{}``.
 
 ``parse_model`` handles syntax: each ``ModelSyntaxError`` carries the line and
 column of the offending token, or of the ``(`` of the offending list. Tokens
@@ -45,9 +46,9 @@ one that is not only when that check fails.
 """
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .chunks import ChunkType
@@ -84,13 +85,12 @@ class Annotation(NamedTuple):
     failure: bool = False
 
 
-@dataclass(frozen=True)
-class ModelAST:
+class ModelAST(NamedTuple):
     chunk_types: tuple[ChunkType, ...] = ()
     initial_chunks: tuple[ChunkSpec, ...] = ()
     buffer_inits: tuple[tuple[str, str], ...] = ()
     productions: tuple[Production, ...] = ()
-    annotations: dict = field(default_factory=dict)  # rule name -> Annotation
+    annotations: dict = MappingProxyType({})  # rule name -> Annotation
 
 
 # -- tokenizer / reader ---------------------------------------------------------

@@ -8,7 +8,6 @@ import re
 import subprocess
 import sys
 import tempfile
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -191,6 +190,9 @@ class FullStream(io.StringIO):
     (["run", "--trace"], "stderr"),
     (["run"], "both"),
     (["run", "--trace"], "both"),
+    (["--help"], "stdout"),  # argparse drops its failed write, main flushes and fails
+    (["run", "--help"], "stdout"),
+    (["bogus"], "stderr"),
 ])
 def test_a_write_that_fails_exits_2_with_at_most_one_line(monkeypatch, capsys, argv, full):
     if full in ("stdout", "both"):
@@ -214,6 +216,9 @@ needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no 
     (["run", "--trace-file", "/dev/full"], subprocess.PIPE, subprocess.PIPE),
     (["run", "--trace"], subprocess.PIPE, "/dev/full"),
     (["run"], "/dev/full", "/dev/full"),
+    (["--help"], "/dev/full", subprocess.PIPE),  # argparse's own output
+    (["run", "--help"], "/dev/full", subprocess.PIPE),
+    (["bogus"], subprocess.PIPE, "/dev/full"),
 ])
 def test_output_on_a_full_device_exits_2_without_a_traceback(argv, stdout, stderr):
     # buffered streams, as by default: what a failed write leaves buffered would
@@ -229,6 +234,21 @@ def test_output_on_a_full_device_exits_2_without_a_traceback(argv, stdout, stder
     assert done.stdout in (None, "")
     if stderr != "/dev/full":  # else the status alone, and Python says nothing at exit
         assert done.stderr == "actrsim: cannot write output: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+def test_help_exits_0_with_the_parsers_text(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its help to this width
+    with pytest.raises(SystemExit) as stop:
+        build_arg_parser().parse_args(argv)
+    assert stop.value.code == 0
+    help_text = capsys.readouterr().out
+    assert help_text.startswith("usage: actrsim ")
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(actrsim.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-m", "actrsim.cli", *argv], env=env,
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, help_text, "")
 
 
 def test_json_format(capsys):
@@ -369,8 +389,8 @@ def test_sample_selector_out_of_range(capsys):
 
 def test_run_defaults_are_the_config_defaults():
     args = build_arg_parser().parse_args(["run"])
-    for f in fields(HarnessConfig):
-        assert getattr(args, f.name) == getattr(HarnessConfig(), f.name), f.name
+    for name in HarnessConfig._fields:
+        assert getattr(args, name) == getattr(HarnessConfig(), name), name
 
 
 # the harness reports the utilities of the three play rules, so a model it runs

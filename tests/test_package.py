@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ from actrsim.experiment import builtin_model_text
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+PUBLISHED = ROOT / "bench" / "published"
 
 EXPORTS = [
     "Engine", "Program", "compile_model", "TraceEntry", "Instantiation", "Chunk",
@@ -74,3 +76,29 @@ def test_the_readme_library_examples_run(tmp_path):
     result = run_python("\n".join(blocks), tmp_path)  # the second reuses the first's names
     assert result.returncode == 0, result.stderr
     assert "play-paper" in result.stdout
+
+
+def test_the_cli_imports_no_stdlib_it_does_not_use(tmp_path):
+    # -S: without site, which on some hosts preloads modules of its own
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, actrsim.cli; print(*sorted(sys.modules))"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    assert "actrsim.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "importlib.resources", "json"}
+
+
+def test_the_bundled_data_is_found_beside_the_package(tmp_path):
+    # a copy of the package, run from another directory: the data is found
+    # relative to the package, not to the checkout or the working directory
+    shutil.copytree(SRC / "actrsim", tmp_path / "lib" / "actrsim",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (tmp_path / "elsewhere").mkdir()
+    result = subprocess.run(
+        [sys.executable, "-S", "-m", "actrsim.cli", "run", "--player", "2"],
+        cwd=tmp_path / "elsewhere", env={**os.environ, "PYTHONPATH": str(tmp_path / "lib")},
+        capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == (PUBLISHED / "reinforcement-player2.csv").read_text(encoding="utf-8")

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 from hypothesis import HealthCheck, Phase, given, settings
@@ -50,7 +49,7 @@ def clearing_model(rng):
             clearings = production.clearings + (rng.choice(modified),)
             production = production._replace(clearings=clearings)
         productions.append(production)
-    return replace(model, productions=tuple(productions))
+    return model._replace(productions=tuple(productions))
 
 
 def modifies_and_clears(production):
