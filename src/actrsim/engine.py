@@ -8,15 +8,19 @@ checks its providers when built, then trusts the program: every modified
 buffer holds a chunk with the updated slots, and every right-hand-side
 variable is bound. Only a provider running out of values fails at run time.
 
-Each firing is one queue event, and at most one is ever pending. Popping it
-applies the rule in one pass, read straight off its ``Production``: the
-strategy is notified, annotation triggers fire, every ``!bind!`` is drawn in
-text order, then the modifications are applied in place, then the clearings.
-At the same instant the engine matches, the strategy picks a winner, and the
-winner is scheduled 50 ms later, so a firing's tick also gives its selection
-time. Nothing runs in between: the buffers a winner tested still hold what
-it matched. The first event, at tick 0, applies nothing; when nothing
-matches, the run halts.
+At most one firing is ever pending: a cycle selects one rule and fires it
+50 ms later. Within ``run`` that firing is a local ``(tick, instantiation)``
+pair, not an event; ``queue`` holds it only between calls. ``run`` pops it on
+entry, if it is due, and schedules the next one on exit, if the limit rather
+than a halt stopped the run. Firing applies the rule in one pass, read
+straight off its ``Production``: the strategy is notified, annotation
+triggers fire, every ``!bind!`` is drawn in text order, then the
+modifications are applied in place, then the clearings. At the same instant
+the engine matches, the strategy picks a winner, and the winner fires 50 ms
+later, so a firing's tick also gives its selection time. Nothing runs in
+between: the buffers a winner tested still hold what it matched. The first
+event, queued at tick 0 when the engine is built, applies nothing; when
+nothing matches, the run halts with the queue empty.
 
 Matching is indexed, after the alpha memories of Rete (Forgy 1982) without
 its beta network: a buffer holds one chunk and there are no requests, so
@@ -33,12 +37,13 @@ a memo in front of the index matches each state once per Program. It stores
 up to MATCH_MEMO_STATES states. Every slot value can be hashed: the model's
 are strings, and a provider's value that cannot be is an UnhashableValue.
 
-The queue runs on integer millisecond ticks. ``Engine.now()``,
-``TraceEntry.time`` and every time handed to a strategy are exact
-``Fraction`` seconds, all read from ``seconds(tick)``: one bounded table of
-the ticks' Fractions, shared by every run in the process, so a firing builds
-no Fraction for its two times. ``run`` compares ticks with the floor of its
-limit in ticks, which is exact for any rational or float limit.
+The clock runs on integer millisecond ticks. ``Engine.now()`` (the time of
+the last processed event), ``TraceEntry.time`` and every time handed to a
+strategy are exact ``Fraction`` seconds, all read from ``seconds(tick)``: one
+bounded table of the ticks' Fractions, shared by every run in the process,
+so a firing builds no Fraction for its two times. ``run`` compares ticks
+with the floor of its limit in ticks, which is exact for any rational or
+float limit; an infinite limit is compared as it is.
 """
 
 import math
@@ -215,10 +220,11 @@ class Engine:
         self.queue = EventQueue()
         self.trace: list[TraceEntry] = []
         self.queue.schedule(0, 0, None)  # the first match: nothing to apply
+        self.tick = 0  # of the last processed event
 
     def now(self) -> Fraction:
-        """The clock in exact seconds."""
-        return seconds(self.queue.now())
+        """The time of the last processed event in exact seconds."""
+        return seconds(self.tick)
 
     # -- matching ---------------------------------------------------------
 
@@ -336,22 +342,38 @@ class Engine:
     # -- driver --------------------------------------------------------------
 
     def run(self, t_limit) -> list[TraceEntry]:
-        """Fire until nothing is pending or the clock would pass t_limit."""
-        if t_limit == math.inf:
-            limit = math.inf
-        else:
+        """Fire until nothing matches or the next firing would pass t_limit.
+
+        t_limit is any rational or float number of seconds, ±inf included (a
+        NaN is a ValueError). The queue holds the pending firing only between
+        calls.
+        """
+        try:
             limit = math.floor(Fraction(t_limit) * TICKS_PER_SECOND)
+        except OverflowError:  # ±inf compares with every tick as it is
+            limit = t_limit
+        except ValueError:
+            raise ValueError(f"cannot run to the limit {t_limit!r}") from None
         queue = self.queue
-        while True:
-            next_time = queue.peek_time()
-            if next_time is None or next_time > limit:
-                return self.trace
-            inst = queue.pop_next().payload
-            if inst is not None:
-                self._apply(inst, next_time)
-            candidates = self.find_instantiations()
-            if self.refraction:
-                candidates = refraction_prune(candidates, self.refraction_history)
-            winner = self.strategy.select(candidates)
-            if winner is not None:  # else the queue stays empty: the run halts
-                queue.schedule(next_time + FIRE_LATENCY_TICKS, 0, winner)
+        tick = queue.peek_time()
+        if tick is None or tick > limit:
+            return self.trace
+        inst = queue.pop_next().payload
+        apply, find, select = self._apply, self.find_instantiations, self.strategy.select
+        refraction, history = self.refraction, self.refraction_history
+        try:
+            while True:
+                if inst is not None:
+                    apply(inst, tick)
+                candidates = find()
+                if refraction:
+                    candidates = refraction_prune(candidates, history)
+                inst = select(candidates)
+                if inst is None:  # the queue stays empty: the run halts
+                    return self.trace
+                if tick + FIRE_LATENCY_TICKS > limit:
+                    queue.schedule(tick + FIRE_LATENCY_TICKS, 0, inst)
+                    return self.trace
+                tick += FIRE_LATENCY_TICKS
+        finally:
+            self.tick = tick

@@ -220,6 +220,8 @@ def test_provider_exhausted(rps_model):
     engine = Engine(rps_model, ReinforcementUtility(), {"next-move": iter([])})
     with pytest.raises(ProviderExhausted):
         engine.run(Fraction(2))
+    assert engine.now() == Fraction(1, 20)  # the firing that ran out was processed
+    assert len(engine.queue) == 0
 
 
 def test_binds_are_drawn_in_text_order():
@@ -274,6 +276,7 @@ def test_clearing_action_empties_buffer():
 # 0.1 as a float lies just above 1/10, its lower neighbour just below
 @pytest.mark.parametrize("limit", [
     Fraction(1, 10), Fraction(999, 10000), 0.1, 0.09999999999999999, math.inf,
+    -math.inf, math.nan,
 ])
 def test_limits_compare_exactly_with_the_tick_clock(limit):
     model = parse_model(
@@ -282,9 +285,14 @@ def test_limits_compare_exactly_with_the_tick_clock(limit):
         "(p two =goal> isa count n two ==> -goal>)"
     )
     engine = engine_for(model)
+    if limit != limit:  # NaN is no limit: the run refuses it and fires nothing
+        with pytest.raises(ValueError, match="cannot run to the limit nan"):
+            engine.run(limit)
+        assert engine.trace == [] and len(engine.queue) == 1
+        return
     trace = engine.run(limit)
-    fired = 2 if limit >= Fraction(1, 10) else 1  # fire at 0.05 s and 0.1 s
-    assert [e.time for e in trace] == [Fraction(1, 20), Fraction(1, 10)][:fired]
+    times = [Fraction(1, 20), Fraction(1, 10)]  # fire at 0.05 s and 0.1 s
+    assert [e.time for e in trace] == [time for time in times if time <= limit]
 
 
 def test_trace_determinism(rps_model):
@@ -330,7 +338,9 @@ def test_only_one_apply_pending_at_a_time(rps_model):
             depths.append(len(engine.queue))
 
         engine.queue.schedule = counting_schedule
-        engine.run(Fraction(2))
+        # a firing is queued only when a run stops on its limit: stop every 50 ms
+        for step in range(1, 41):
+            engine.run(Fraction(step, 20))
     assert max(depths) == 1
     assert len(depths) > 1000  # the engines genuinely fire
 
@@ -593,7 +603,7 @@ def test_engines_sharing_a_program_and_its_memo_equal_the_reference_run(rps_mode
     for number, (model, t_limit, providers) in enumerate(memo_cases(rps_model)):
         program = compile_model(model)
         for index in range(6):  # three strategies, without and with refraction
-            firings += len(compare(model, index, number, t_limit, providers, program))
+            firings += len(compare(model, index, number, t_limit, providers, program).trace)
         states += len(program.memo)
     assert states < firings / 4  # the later runs matched from the earlier ones' memo
 

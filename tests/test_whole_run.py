@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +15,7 @@ from actrsim.model import validate_model
 from actrsim.strategies import RandomCostUtility, ReinforcementUtility, SuccessCostUtility
 
 from oracle import (
+    LATENCY,
     ReferenceRandomCost,
     ReferenceReinforcement,
     ReferenceSuccessCost,
@@ -57,24 +60,38 @@ def modifies_and_clears(production):
     return any(buffer in production.clearings for buffer, _ in production.modifications)
 
 
+def strategy_state(strategy, rules):
+    """What a strategy holds: utilities, its log, and counters and draws if it has them."""
+    state = [[strategy.utility(r) for r in rules], list(strategy.applied_log)]
+    if hasattr(strategy, "counters"):
+        state.append([tuple(strategy.counters(r)) for r in rules])
+    if hasattr(strategy, "rng"):
+        state.append(strategy.rng.getstate())
+    return state
+
+
 def compare(model, index, seed, t_limit, providers=lambda: {"next-move": iter(())},
-            program=None):
-    """Run model on the engine and on the reference; return the engine's trace.
+            program=None, steps=()):
+    """Run model on the engine and on the reference; return the engine.
 
     providers() gives each side its own fresh !bind! providers. The engine
-    runs program, model's compiled Program, when one is given.
+    runs program, model's compiled Program, when one is given, and stops at
+    each limit of steps before it runs to t_limit; the reference runs to
+    t_limit in one call.
     """
     rules = [p.name for p in model.productions]
     ours, theirs = strategy_pair(index, seed)
     refraction = index >= 3
     engine = Engine(model if program is None else program, ours, providers(), refraction)
-    engine.run(t_limit)
+    for limit in (*steps, t_limit):
+        engine.run(limit)
     trace, held, chunks = reference_run(model, theirs, providers(), refraction, t_limit)
     assert [(e.time, e.rule, e.bindings) for e in engine.trace] == trace
     assert engine.held == held
     assert chunk_state(engine.chunks) == chunk_state(chunks)
-    assert [ours.utility(r) for r in rules] == [theirs.utility(r) for r in rules]
-    return engine.trace
+    assert strategy_state(ours, rules) == strategy_state(theirs, rules)
+    assert engine.now() == (trace[-1][0] if trace else 0)  # the last processed event
+    return engine
 
 
 def test_engine_equals_the_reference_run_on_generated_models():
@@ -86,7 +103,7 @@ def test_engine_equals_the_reference_run_on_generated_models():
     for number, model in enumerate(models):
         shapes = {p.name: modifies_and_clears(p) for p in model.productions}
         for index in range(6):  # three strategies, without and with refraction
-            trace = compare(model, index, number, Fraction(1))
+            trace = compare(model, index, number, Fraction(1)).trace
             firings += len(trace)
             both += sum(shapes[entry.rule] for entry in trace)
     assert firings > 18000
@@ -100,11 +117,13 @@ def test_engine_equals_the_reference_run_on_the_bundled_model(rps_model):
         moves = [rng.choice(MOVES) for _ in range(20)]
         for index in range(6):
             firings += len(compare(rps_model, index, number, Fraction(2),
-                                   lambda: {"next-move": iter(moves)}))
+                                   lambda: {"next-move": iter(moves)}).trace)
     assert firings > 12 * 3 * 40  # without refraction every run plays 20 rounds
 
 
-def test_engine_equals_the_reference_run_on_annotated_generated_models():
+@functools.cache  # drawing takes seconds; two tests share the models
+def validated_model_asts():
+    """The models of 300 derandomized model_asts() draws that validate."""
     drawn = []
 
     @settings(max_examples=300, derandomize=True, database=None,
@@ -114,16 +133,92 @@ def test_engine_equals_the_reference_run_on_annotated_generated_models():
         drawn.append(ast)
 
     record()
-    models = [ast for ast in drawn if not validate_model(ast)]
+    return tuple(ast for ast in drawn if not validate_model(ast))
+
+
+def cycling_providers(model):
+    """Fresh providers for every !bind! of model, each cycling the moves."""
+    names = {provider for p in model.productions for _, provider in p.binds}
+    return lambda: {name: itertools.cycle(MOVES) for name in names}
+
+
+def test_engine_equals_the_reference_run_on_annotated_generated_models():
+    models = validated_model_asts()
     firings = annotated = 0
     for number, model in enumerate(models):
-        names = {provider for p in model.productions for _, provider in p.binds}
         for index in range(6):  # three strategies, without and with refraction
-            trace = compare(model, index, number, Fraction(1),
-                            lambda: {name: itertools.cycle(MOVES) for name in names})
+            trace = compare(model, index, number, Fraction(1), cycling_providers(model)).trace
             firings += len(trace)
             annotated += sum(entry.rule in model.annotations for entry in trace)
     # samples of 300 draws hold 169-246 such models, whose annotated rules fire
     # 938-1,841 times
     assert len(models) >= 120
     assert annotated > 500  # rules that trigger learning do fire
+
+
+# -- a run in steps against the reference run in one call -----------------------------
+
+def split_limits(rng, span):
+    """The limits of a run stepped up to span seconds, span excluded.
+
+    They fall off the 50 ms grid, repeat the one before, fall below the
+    clock (50 ms or more below every limit before them) or are -inf; some
+    are floats.
+    """
+    limits = []
+    for _ in range(rng.randrange(1, 7)):
+        kind = rng.randrange(4) if limits else 0
+        if kind == 0:
+            limit = Fraction(rng.randrange(-100, span * 1000), 1000)
+        elif kind == 1:
+            limit = limits[-1]
+        elif kind == 2:
+            limit = max(limits) - Fraction(rng.randrange(50, 300), 1000)
+        else:
+            limit = -math.inf
+        limits.append(float(limit) if rng.random() < 0.3 else limit)
+    return limits
+
+
+def compare_stepped(model, index, seed, rng, span, providers):
+    """compare() a run stepped through split_limits with one reference run.
+
+    The steps end at span or, when the reference halts by span, at span or
+    math.inf. Also checks that the queue holds the pending firing, and is
+    empty exactly when the run halted. Returns (firings, halted, ended at inf).
+    """
+    refraction = index >= 3
+    by_span, beyond = (
+        len(reference_run(model, strategy_pair(index, seed)[1], providers(), refraction, t)[0])
+        for t in (span, span + LATENCY))
+    halted = by_span == beyond  # 50 ms more fire nothing more
+    final = math.inf if halted and rng.random() < 0.5 else span
+    engine = compare(model, index, seed, final, providers, steps=split_limits(rng, span))
+    assert len(engine.queue) == (0 if halted else 1)
+    return len(engine.trace), halted, final == math.inf
+
+
+def test_stepped_runs_equal_one_reference_run_on_the_bundled_model(rps_model):
+    rng = random.Random(3030)
+    outcomes = []
+    for number in range(8):
+        moves = [rng.choice(MOVES) for _ in range(21)]  # 20 rounds and 50 ms beyond
+        for index in range(6):
+            outcomes.append(compare_stepped(rps_model, index, number, rng, 2,
+                                            lambda: {"next-move": iter(moves)}))
+    firings, halted, at_inf = zip(*outcomes)
+    assert sum(firings) > 8 * 3 * 40  # without refraction every run plays 20 rounds
+    assert 0 < sum(halted) < len(outcomes) and any(at_inf)
+
+
+def test_stepped_runs_equal_one_reference_run_on_generated_models():
+    rng = random.Random(4040)
+    models = validated_model_asts()
+    outcomes = []
+    for number, model in enumerate(models):
+        for index in range(6):
+            outcomes.append(compare_stepped(model, index, number, rng, 1,
+                                            cycling_providers(model)))
+    firings, halted, at_inf = zip(*outcomes)
+    assert sum(firings) > 4000
+    assert 0 < sum(halted) < len(outcomes) and sum(at_inf) > 100
