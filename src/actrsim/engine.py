@@ -11,16 +11,17 @@ variable is bound. Only a provider running out of values fails at run time.
 At most one firing is ever pending: a cycle selects one rule and fires it
 50 ms later. Within ``run`` that firing is a local ``(tick, instantiation)``
 pair, not an event; ``queue`` holds it only between calls. ``run`` pops it on
-entry, if it is due, and schedules the next one on exit, if the limit rather
-than a halt stopped the run. Firing applies the rule in one pass, read
-straight off its ``Production``: the strategy is notified, annotation
-triggers fire, every ``!bind!`` is drawn in text order, then the
-modifications are applied in place, then the clearings. At the same instant
-the engine matches, the strategy picks a winner, and the winner fires 50 ms
-later, so a firing's tick also gives its selection time. Nothing runs in
-between: the buffers a winner tested still hold what it matched. The first
-event, queued at tick 0 when the engine is built, applies nothing; when
-nothing matches, the run halts with the queue empty.
+entry, if it is due, and on exit schedules the next one, if the limit rather
+than a halt stopped the run, and moves the queue's clock to the last event it
+processed, so that nothing can be scheduled in the engine's past. Firing
+applies the rule in one pass, read straight off its ``Production``: the
+strategy is notified, annotation triggers fire, every ``!bind!`` is drawn in
+text order, then the modifications are applied in place, then the clearings.
+At the same instant the engine matches, the strategy picks a winner, and the
+winner fires 50 ms later, so a firing's tick also gives its selection time.
+Nothing runs in between: the buffers a winner tested still hold what it
+matched. The first event, queued at tick 0 when the engine is built, applies
+nothing; when nothing matches, the run halts with the queue empty.
 
 Matching is indexed, after the alpha memories of Rete (Forgy 1982) without
 its beta network: a buffer holds one chunk and there are no requests, so
@@ -62,6 +63,7 @@ from .strategies import refraction_prune
 TICKS_PER_SECOND = 1000
 FIRE_LATENCY_TICKS = 50  # 50 ms between selection and firing
 MATCH_MEMO_STATES = 4096  # buffer states a Program's memo stores; it never evicts
+_record = tuple.__new__  # a NamedTuple from a tuple of its fields, as in model.py
 
 
 @lru_cache(maxsize=4096)  # 4,096 ticks 50 ms apart span 204 s of a run
@@ -90,9 +92,10 @@ class TraceEntry(NamedTuple):
 
 
 def format_trace_entry(entry: TraceEntry) -> str:
-    bindings = ",".join(f"{v}={entry.bindings[v]}" for v in sorted(entry.bindings))
-    time = entry.time  # n / d is the correctly rounded float that float() gives
-    return f"{time.numerator / time.denominator:.3f}\t{entry.rule}\t{bindings or '-'}"
+    time, rule, bindings, _ = entry
+    text = ",".join([f"{v}={value}" for v, value in sorted(bindings.items())]) if bindings else "-"
+    # n / d is the correctly rounded float that float() gives
+    return f"{time.numerator / time.denominator:.3f}\t{rule}\t{text}"
 
 
 def _flagged(pairs):
@@ -220,11 +223,10 @@ class Engine:
         self.queue = EventQueue()
         self.trace: list[TraceEntry] = []
         self.queue.schedule(0, 0, None)  # the first match: nothing to apply
-        self.tick = 0  # of the last processed event
 
     def now(self) -> Fraction:
-        """The time of the last processed event in exact seconds."""
-        return seconds(self.tick)
+        """The time of the last processed event in exact seconds: the queue's clock."""
+        return seconds(self.queue.now())
 
     # -- matching ---------------------------------------------------------
 
@@ -304,21 +306,23 @@ class Engine:
         log and triggers) and the refraction history were updated, but before
         any modification or clearing.
         """
+        rule, source_index, bindings, matched = inst
+        identity = (rule, matched)  # inst.identity()
         now = seconds(tick)
-        selected = seconds(tick - FIRE_LATENCY_TICKS)
-        self.strategy.record_application(inst.rule, selected)
-        annotation = self.annotations.get(inst.rule)
+        strategy = self.strategy
+        strategy.record_application(rule, seconds(tick - FIRE_LATENCY_TICKS))
+        annotation = self.annotations.get(rule)
         if annotation is not None:
             if annotation.reward is not None:
-                self.strategy.trigger_reward(annotation.reward, now)
+                strategy.trigger_reward(annotation.reward, now)
             if annotation.success:
-                self.strategy.trigger_outcome("success", now)
+                strategy.trigger_outcome("success", now)
             if annotation.failure:
-                self.strategy.trigger_outcome("failure", now)
+                strategy.trigger_outcome("failure", now)
         if self.refraction:
-            self.refraction_history.add(inst.identity())
-        _, _, _, binds, modifications, clearings = self.rules[inst.source_index]
-        env = dict(inst.bindings)
+            self.refraction_history.add(identity)
+        _, _, _, binds, modifications, clearings = self.rules[source_index]
+        env = dict(bindings)
         for variable, provider in binds:
             try:
                 env[variable] = value = next(self.providers[provider])
@@ -337,7 +341,7 @@ class Engine:
                 values[slot] = env[value] if is_var else value
         for buffer in clearings:
             held[buffer] = None  # the chunk stays in chunks
-        self.trace.append(TraceEntry(now, inst.rule, env, inst.identity()))
+        self.trace.append(_record(TraceEntry, (now, rule, env, identity)))
 
     # -- driver --------------------------------------------------------------
 
@@ -376,4 +380,4 @@ class Engine:
                     return self.trace
                 tick += FIRE_LATENCY_TICKS
         finally:
-            self.tick = tick
+            queue.advance(tick)

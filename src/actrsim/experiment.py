@@ -13,7 +13,9 @@ model and samples are read from ``data/`` beside this module.
 
 import os
 import random
+from collections import Counter
 from fractions import Fraction
+from operator import itemgetter
 from typing import NamedTuple
 
 from .engine import Engine, Program, compile_model
@@ -124,10 +126,10 @@ def run_single(model: Program | ModelAST, config: HarnessConfig, sample: tuple[s
     if trace_sink is not None:
         trace_sink.extend((row_index, entry) for entry in trace)
     tally = {"win": 0, "draw": 0, "defeat": 0}
-    for entry in trace:
+    for rule, count in Counter(map(itemgetter(1), trace)).items():  # a few distinct rules
         for prefix, kind in OUTCOME_PREFIXES:
-            if entry.rule.startswith(prefix):
-                tally[kind] += 1
+            if rule.startswith(prefix):
+                tally[kind] += count
                 break
     utilities = tuple(strategy.utility(rule) for rule in PLAY_RULES)
     return RunResult(row_index, utilities, tally["win"], tally["draw"], tally["defeat"])

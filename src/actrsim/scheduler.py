@@ -40,6 +40,16 @@ class EventQueue:
         heapq.heappush(self._heap, (time, -priority, self._seq, payload))
         self._seq += 1
 
+    def advance(self, time) -> None:
+        """Move the clock to time, as popping an event at time would.
+
+        Neither the clock nor a queued event may lie after time.
+        """
+        if time < self._clock or self._heap and self._heap[0][0] < time:
+            raise TimeInPast(f"cannot move the clock from {self._clock} to {time} "
+                             f"with the next event at {self.peek_time()}")
+        self._clock = time
+
     def peek_time(self):
         """Time of the next event without popping, or None when empty."""
         return self._heap[0][0] if self._heap else None

@@ -34,9 +34,11 @@ denominator], reduced by a gcd of small ints, adds t - t_sel to the efforts
 and rescores each touched rule once per trigger. Random-cost draws a fresh
 estimated cost for every conflict-set member on every cycle, a lone one
 too, from a seedable uniform generator; it reads theta = efforts / successes
-as one correctly rounded integer division into a float. alpha, goal values,
-rewards and times are rationals: ints or Fractions; a float alpha or goal
-value is a TypeError.
+as one correctly rounded integer division into a float. Its select() draws
+and picks in one pass: it draws each candidate's utility in candidate order,
+with the very float operations of score(), and keeps the best as it goes.
+alpha, goal values, rewards and times are rationals: ints or Fractions; a
+float alpha or goal value is a TypeError.
 """
 
 import math
@@ -302,9 +304,6 @@ class RandomCostUtility(SuccessCostUtility):
     name = "random-cost"
     default_tiebreak = FIRST_DECLARED
 
-    # a lone candidate draws too: the draws are part of the seeded output
-    select = ConflictResolutionStrategy.select
-
     def __init__(self, goal_value=Fraction(20), rng=None, seed=0, tiebreak=None):
         super().__init__(goal_value, tiebreak)
         self.rng = rng if rng is not None else random.Random(seed)
@@ -314,6 +313,27 @@ class RandomCostUtility(SuccessCostUtility):
     def _state(self, s, f, en, ed):
         """What score() reads of a rule with these counters: float theta and P."""
         return en / (ed * s), s / (s + f)  # float(e / s), no Fraction
+
+    def select(self, candidates):
+        """Draw each candidate's utility, as score() does, and keep the best.
+
+        One pass in candidate order, a lone candidate drawing too: the draws
+        are part of the seeded output. Ties go by declaration order, as in
+        select_winner.
+        """
+        states, initial, goal = self._states, self._initial_state, self._goal_float
+        last_utility, draw, log = self._last_utility, self.rng.random, math.log
+        sign = 1 if self.tiebreak == LAST_DECLARED else -1
+        winner = best = None
+        for candidate in candidates:
+            theta, p = states.get(candidate.rule, initial)
+            # rc_utility(p, goal, draw_random_cost(theta, r)), operation for operation
+            u = last_utility[candidate.rule] = p * goal - -theta * log(1 - draw())
+            # max() on select_winner's key (u, sign * source_index)
+            if winner is None or u > best or u == best and (
+                    sign * candidate.source_index > sign * winner.source_index):
+                winner, best = candidate, u
+        return winner
 
     def score(self, candidates):
         scores = {}

@@ -19,7 +19,13 @@ from actrsim.engine import (
     format_trace_entry,
     seconds,
 )
-from actrsim.errors import EngineError, ModelSyntaxError, ProviderExhausted, UnhashableValue
+from actrsim.errors import (
+    EngineError,
+    ModelSyntaxError,
+    ProviderExhausted,
+    TimeInPast,
+    UnhashableValue,
+)
 from actrsim.experiment import builtin_samples
 from actrsim.model import (
     BufferTest,
@@ -147,6 +153,57 @@ def test_trace_time_prints_as_its_float():
         time = Fraction(tick, 1000)
         line = format_trace_entry(TraceEntry(time, "r", {}, ()))
         assert line == f"{float(time):.3f}\tr\t-"
+
+
+def reference_format_trace_entry(entry):
+    """format_trace_entry as one line builds it: sorted names, '-' for none."""
+    bindings = ",".join(f"{v}={entry.bindings[v]}" for v in sorted(entry.bindings))
+    time = entry.time  # n / d is the correctly rounded float that float() gives
+    return f"{time.numerator / time.denominator:.3f}\t{entry.rule}\t{bindings or '-'}"
+
+
+TRACE_TIMES = [
+    Fraction(0), Fraction(1, 20), Fraction(1, 3), Fraction(-2, 3), Fraction(7, 1000),
+    Fraction(1, 2000), Fraction(3, 2000), Fraction(2001, 2000), Fraction(-1, 2000),
+    Fraction(10**30 + 1, 10**30), Fraction(2**64 - 1, 2**61), Fraction(1, 10**40),
+    Fraction(10**20 * 2001, 2000 * 10**20 + 1),
+]
+
+
+@given(
+    time=st.one_of(st.sampled_from(TRACE_TIMES), st.fractions(),
+                   st.integers(-10**6, 10**8).map(lambda tick: Fraction(tick, 1000)),
+                   st.integers(-10**6, 10**6).map(lambda n: Fraction(2 * n + 1, 2000))),
+    bindings=st.dictionaries(st.from_regex(r"=[a-z]{1,3}", fullmatch=True),
+                             st.one_of(st.text(max_size=4), st.integers()), max_size=5),
+    order=st.randoms(use_true_random=False),
+)
+def test_trace_lines_equal_the_one_line_formatting(time, bindings, order):
+    items = list(bindings.items())
+    order.shuffle(items)  # the names in any insertion order
+    entry = TraceEntry(time, "rule-1", dict(items), ())
+    assert format_trace_entry(entry) == reference_format_trace_entry(entry)
+
+
+def test_trace_lines_for_none_one_and_several_bindings():
+    for bindings, text in [({}, "-"), ({"=x": "rock"}, "=x=rock"),
+                           ({"=y": 2, "=x": "a", "=b": ""}, "=b=,=x=a,=y=2")]:
+        for time in TRACE_TIMES:
+            entry = TraceEntry(time, "r", bindings, ())
+            assert format_trace_entry(entry) == reference_format_trace_entry(entry)
+            assert format_trace_entry(entry).endswith(f"\tr\t{text}")
+
+
+@pytest.mark.parametrize("refraction, now", [(False, 2), (True, Fraction(3, 10))])
+def test_nothing_can_be_queued_before_the_engine_clock(rps_model, refraction, now):
+    # the run stops on its limit, or halts under refraction at 0.3 s
+    engine = Engine(rps_model, ReinforcementUtility(), {"next-move": iter(["rock"] * 20)},
+                    refraction)
+    engine.run(Fraction(2))
+    assert engine.now() == now
+    assert engine.queue.now() == now * 1000
+    with pytest.raises(TimeInPast):
+        engine.queue.schedule(now * 1000 - 1000, 0, None)  # 1 s in the engine's past
 
 
 def test_halts_when_nothing_matches_and_queue_empty():

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from actrsim.engine import compile_model
 from actrsim.errors import EmptyResults, MalformedMove, WrongLength
 from actrsim.experiment import (
     HarnessConfig,
@@ -119,6 +121,25 @@ def test_round_accounting(rps_model):
     assert len(rules) == 40
     assert all(r.startswith("play-") for r in rules[0::2])
     assert all(r.startswith("detect-") for r in rules[1::2])
+
+
+def test_the_tally_equals_a_count_of_each_trace_entry(rps_model):
+    rng = random.Random(2424)
+    program = compile_model(rps_model)
+    tallied = 0
+    for number in range(40):
+        sample = tuple(rng.choice("rps") for _ in range(20))
+        for strategy in ("reinforcement", "success-cost", "random-cost"):
+            config = HarnessConfig(strategy=strategy, refraction=number % 4 == 0,
+                                   t_limit=Fraction(rng.randrange(2001), 1000))
+            sink = []
+            result = run_single(program, config, sample, 1, number, sink)
+            counts = tuple(
+                sum(entry.rule.startswith(f"detect-{kind}-") for _, entry in sink)
+                for kind in ("win", "draw", "defeat"))
+            assert (result.wins, result.draws, result.defeats) == counts
+            tallied += sum(counts)
+    assert tallied > 500  # runs stop at drawn limits, and some halt under refraction
 
 
 def test_summarize_single_result_is_identity():

@@ -122,18 +122,28 @@ def test_refraction_preserves_success_cost_arithmetic(rps_model):
 
 
 class RecordingRandomCost(RandomCostUtility):
-    """Random-cost strategy that checks each draw against its own inputs."""
+    """Random-cost strategy that checks each draw against its own inputs.
 
-    def score(self, candidates):
+    select() draws every candidate's utility in one pass, into _last_utility;
+    each candidate's entry is dropped first, so one select() did not draw
+    fails with a KeyError.
+    """
+
+    checked = 0
+
+    def select(self, candidates):
         ceilings = {
             c.rule: float(self.success_probability(c.rule) * self.goal_value)
             for c in candidates
         }
-        scores = super().score(candidates)
-        # a drawn cost is nonnegative, so every score sits at or below P*G
-        for rule, utility in scores.items():
-            assert utility <= ceilings[rule]
-        return scores
+        for rule in ceilings:
+            self._last_utility.pop(rule, None)
+        winner = super().select(candidates)
+        # a drawn cost is nonnegative, so every utility sits at or below P*G
+        for rule, ceiling in ceilings.items():
+            assert self._last_utility[rule] <= ceiling
+        self.checked += len(ceilings)
+        return winner
 
 
 def test_refraction_preserves_random_cost_counters(rps_model):
@@ -145,6 +155,7 @@ def test_refraction_preserves_random_cost_counters(rps_model):
     counters = replay_success_cost(trace, rps_model.annotations)
     for rule, expected in counters.items():
         assert strategy.counters(rule) == expected
+    assert strategy.checked >= len(trace)  # every firing's cycle drew
 
 
 def test_refraction_off_allows_refiring(rps_model):

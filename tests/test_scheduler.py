@@ -25,6 +25,21 @@ def test_schedule_in_past_rejected():
         q.schedule(0, 0, "b")
 
 
+def test_advance_moves_the_clock_forward_only_up_to_the_next_event():
+    q = EventQueue()
+    q.advance(3)
+    assert q.now() == 3
+    with pytest.raises(TimeInPast):
+        q.schedule(2, 0, "a")
+    with pytest.raises(TimeInPast):
+        q.advance(2)
+    q.schedule(5, 0, "b")
+    q.advance(5)
+    with pytest.raises(TimeInPast):  # past the queued event, which would then pop in the past
+        q.advance(6)
+    assert q.now() == 5 and q.pop_next().payload == "b"
+
+
 def test_fifo_among_exact_ties():
     q = EventQueue()
     q.schedule(1.0, 0, "first")

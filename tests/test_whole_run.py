@@ -85,6 +85,8 @@ def compare(model, index, seed, t_limit, providers=lambda: {"next-move": iter(()
     engine = Engine(model if program is None else program, ours, providers(), refraction)
     for limit in (*steps, t_limit):
         engine.run(limit)
+        # now() reads the queue's clock, which refuses events before it: the last firing's
+        assert engine.now() == (engine.trace[-1].time if engine.trace else 0)
     trace, held, chunks = reference_run(model, theirs, providers(), refraction, t_limit)
     assert [(e.time, e.rule, e.bindings) for e in engine.trace] == trace
     assert engine.held == held
