@@ -8,15 +8,17 @@ checks its providers when built, then trusts the program: every modified
 buffer holds a chunk with the updated slots, and every right-hand-side
 variable is bound. Only a provider running out of values fails at run time.
 
-At most one firing is ever pending: a cycle selects one rule and fires it
-50 ms later. Within ``run`` that firing is a local ``(tick, instantiation)``
-pair, not an event; ``queue`` holds it only between calls. ``run`` pops it on
-entry, if it is due, and on exit schedules the next one, if the limit rather
-than a halt stopped the run, and moves the queue's clock to the last event it
-processed, so that nothing can be scheduled in the engine's past. Firing
-applies the rule in one pass, read straight off its ``Production``: the
-strategy is notified, annotation triggers fire, every ``!bind!`` is drawn in
-text order, then the modifications are applied in place, then the clearings.
+A cycle selects one rule and fires it 50 ms later. Within ``run`` the
+pending firing is a local ``(tick, instantiation)`` pair, not an event;
+``queue`` holds it only between calls. ``run`` serves the queue in time
+order: it pops the next event, if it is due, and fires on from it until
+nothing matches, or until the next firing would pass the limit or reach
+another queued event, and then schedules that firing. It then moves the
+queue's clock to the last firing, so that nothing can be scheduled in the
+engine's past. Firing applies the rule in one pass, read straight off its
+``Production``: the strategy is notified, annotation triggers fire, every
+``!bind!`` is drawn in text order, then the modifications are applied in
+place, then the clearings.
 At the same instant the engine matches, the strategy picks a winner, and the
 winner fires 50 ms later, so a firing's tick also gives its selection time.
 Nothing runs in between: the buffers a winner tested still hold what it
@@ -306,8 +308,8 @@ class Engine:
         log and triggers) and the refraction history were updated, but before
         any modification or clearing.
         """
-        rule, source_index, bindings, matched = inst
-        identity = (rule, matched)  # inst.identity()
+        rule, source_index, bindings, _ = inst
+        identity = inst.identity()
         now = seconds(tick)
         strategy = self.strategy
         strategy.record_application(rule, seconds(tick - FIRE_LATENCY_TICKS))
@@ -350,7 +352,7 @@ class Engine:
 
         t_limit is any rational or float number of seconds, ±inf included (a
         NaN is a ValueError). The queue holds the pending firing only between
-        calls.
+        calls, and an event queued beside it is served in time order.
         """
         try:
             limit = math.floor(Fraction(t_limit) * TICKS_PER_SECOND)
@@ -359,25 +361,28 @@ class Engine:
         except ValueError:
             raise ValueError(f"cannot run to the limit {t_limit!r}") from None
         queue = self.queue
-        tick = queue.peek_time()
-        if tick is None or tick > limit:
-            return self.trace
-        inst = queue.pop_next().payload
         apply, find, select = self._apply, self.find_instantiations, self.strategy.select
         refraction, history = self.refraction, self.refraction_history
-        try:
-            while True:
-                if inst is not None:
-                    apply(inst, tick)
-                candidates = find()
-                if refraction:
-                    candidates = refraction_prune(candidates, history)
-                inst = select(candidates)
-                if inst is None:  # the queue stays empty: the run halts
-                    return self.trace
-                if tick + FIRE_LATENCY_TICKS > limit:
-                    queue.schedule(tick + FIRE_LATENCY_TICKS, 0, inst)
-                    return self.trace
-                tick += FIRE_LATENCY_TICKS
-        finally:
-            queue.advance(tick)
+        while True:  # one pass per event popped, in the queue's order
+            tick = queue.peek_time()
+            if tick is None or tick > limit:
+                return self.trace
+            inst = queue.pop_next().payload
+            stop = queue.peek_time()  # it pops before a firing due at or after it
+            stop = limit if stop is None else min(limit, stop - 1)
+            try:
+                while True:
+                    if inst is not None:
+                        apply(inst, tick)
+                    candidates = find()
+                    if refraction:
+                        candidates = refraction_prune(candidates, history)
+                    inst = select(candidates)
+                    if inst is None:  # nothing matches: this event's firings end
+                        break
+                    if tick + FIRE_LATENCY_TICKS > stop:
+                        queue.schedule(tick + FIRE_LATENCY_TICKS, 0, inst)
+                        break
+                    tick += FIRE_LATENCY_TICKS
+            finally:  # also when a firing raises; never past a queued event, so it cannot raise
+                queue.advance(tick)

@@ -43,7 +43,7 @@ class EventQueue:
     def advance(self, time) -> None:
         """Move the clock to time, as popping an event at time would.
 
-        Neither the clock nor a queued event may lie after time.
+        The clock may not move back, nor past a queued event.
         """
         if time < self._clock or self._heap and self._heap[0][0] < time:
             raise TimeInPast(f"cannot move the clock from {self._clock} to {time} "

@@ -36,7 +36,8 @@ estimated cost for every conflict-set member on every cycle, a lone one
 too, from a seedable uniform generator; it reads theta = efforts / successes
 as one correctly rounded integer division into a float. Its select() draws
 and picks in one pass: it draws each candidate's utility in candidate order,
-with the very float operations of score(), and keeps the best as it goes.
+with the very float operations of rc_utility and draw_random_cost, and keeps
+the best as it goes; its score() returns the utilities select() drew.
 alpha, goal values, rewards and times are rationals: ints or Fractions; a
 float alpha or goal value is a TypeError.
 """
@@ -311,11 +312,11 @@ class RandomCostUtility(SuccessCostUtility):
         self._goal_float = float(goal_value)
 
     def _state(self, s, f, en, ed):
-        """What score() reads of a rule with these counters: float theta and P."""
+        """What select() reads of a rule with these counters: float theta and P."""
         return en / (ed * s), s / (s + f)  # float(e / s), no Fraction
 
     def select(self, candidates):
-        """Draw each candidate's utility, as score() does, and keep the best.
+        """Draw each candidate's utility and keep the best.
 
         One pass in candidate order, a lone candidate drawing too: the draws
         are part of the seeded output. Ties go by declaration order, as in
@@ -336,12 +337,9 @@ class RandomCostUtility(SuccessCostUtility):
         return winner
 
     def score(self, candidates):
-        scores = {}
-        for c in candidates:
-            theta, p = self._states.get(c.rule, self._initial_state)
-            u = rc_utility(p, self._goal_float, draw_random_cost(theta, self.rng.random()))
-            self._last_utility[c.rule] = scores[c.rule] = u
-        return scores
+        """Draw each candidate's utility by select() and return the draws by rule."""
+        self.select(candidates)
+        return {c.rule: self._last_utility[c.rule] for c in candidates}
 
     def utility(self, rule):
         if rule in self._last_utility:

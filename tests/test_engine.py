@@ -36,7 +36,12 @@ from actrsim.model import (
     parse_model,
     validate_model,
 )
-from actrsim.strategies import RandomCostUtility, ReinforcementUtility, SuccessCostUtility
+from actrsim.strategies import (
+    RandomCostUtility,
+    ReinforcementUtility,
+    SuccessCostUtility,
+    refraction_prune,
+)
 
 from oracle import linear_scan
 from test_refraction import random_model, strategy_for
@@ -204,6 +209,54 @@ def test_nothing_can_be_queued_before_the_engine_clock(rps_model, refraction, no
     assert engine.queue.now() == now * 1000
     with pytest.raises(TimeInPast):
         engine.queue.schedule(now * 1000 - 1000, 0, None)  # 1 s in the engine's past
+
+
+def serve_every_event(engine, t_limit):
+    """Engine.run as one event per firing: pop every due event in the queue's order."""
+    limit = math.floor(Fraction(t_limit) * 1000)
+    queue = engine.queue
+    while queue.peek_time() is not None and queue.peek_time() <= limit:
+        event = queue.pop_next()
+        if event.payload is not None:
+            engine._apply(event.payload, event.time)
+        candidates = engine.find_instantiations()
+        if engine.refraction:
+            candidates = refraction_prune(candidates, engine.refraction_history)
+        winner = engine.strategy.select(candidates)
+        if winner is not None:
+            queue.schedule(event.time + FIRE_LATENCY_TICKS, 0, winner)
+
+
+@pytest.mark.parametrize("refraction", [False, True])
+@pytest.mark.parametrize("events", [[(1000, 0)], [(1000, -1)], [(1020, 0), (1500, 3)]])
+def test_an_event_queued_beside_the_pending_firing_is_served_in_time_order(
+        rps_model, refraction, events):
+    engines = [Engine(rps_model, RandomCostUtility(seed=5), {"next-move": iter(["rock"] * 200)},
+                      refraction) for _ in range(2)]
+    for engine in engines:
+        engine.run(0)
+        for time, priority in events:  # a match at time, beside the pending firing
+            engine.queue.schedule(time, priority, None)
+    engine, reference = engines
+    for limit in (Fraction(1, 2), 1, Fraction(21, 20), 2, 3):
+        engine.run(limit)
+        serve_every_event(reference, limit)
+        assert engine.trace == reference.trace
+        assert engine.queue.now() == reference.queue.now()
+        assert len(engine.queue) == len(reference.queue)
+    assert [entry.time for entry in engine.trace] == sorted(entry.time for entry in engine.trace)
+    assert refraction or engine.trace[-1].time == 3  # not halted: it fired on past the events
+
+
+def test_a_firing_that_raises_beside_a_queued_event_raises_its_own_error(rps_model):
+    engine = Engine(rps_model, ReinforcementUtility(), {"next-move": iter(["rock"] * 10)})
+    engine.run(0)
+    engine.queue.schedule(1000, 0, None)
+    with pytest.raises(ProviderExhausted):  # the eleventh play, at 1.05 s, past the event
+        engine.run(Fraction(2))
+    assert engine.now() == Fraction(21, 20)  # the firing that ran out was processed
+    assert engine.trace[-1].time == Fraction(21, 20)  # the other firing at 1.05 s
+    assert len(engine.queue) == 1
 
 
 def test_halts_when_nothing_matches_and_queue_empty():
