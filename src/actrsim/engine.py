@@ -16,9 +16,9 @@ nothing matches, or until the next firing would pass the limit or reach
 another queued event, and then schedules that firing. It then moves the
 queue's clock to the last firing, so that nothing can be scheduled in the
 engine's past. Firing applies the rule in one pass, read straight off its
-``Production``: the strategy is notified, annotation triggers fire, every
-``!bind!`` is drawn in text order, then the modifications are applied in
-place, then the clearings.
+``Production``: the strategy is notified, the learning triggers of the
+rule's annotation, compiled into the rule, fire, every ``!bind!`` is drawn in
+text order, then the modifications are applied in place, then the clearings.
 At the same instant the engine matches, the strategy picks a winner, and the
 winner fires 50 ms later, so a firing's tick also gives its selection time.
 Nothing runs in between: the buffers a winner tested still hold what it
@@ -44,12 +44,13 @@ The clock runs on integer millisecond ticks. ``Engine.now()`` (the time of
 the last processed event), ``TraceEntry.time`` and every time handed to a
 strategy are exact ``Fraction`` seconds, all read from ``seconds(tick)``: one
 bounded table of the ticks' Fractions, shared by every run in the process,
-so a firing builds no Fraction for its two times. ``run`` compares ticks
-with the floor of its limit in ticks, which is exact for any rational or
+so a firing builds no Fraction for its two times. A trace line reads its
+time's text from a second bounded table beside it, keyed by the time's
+integer ratio. ``run`` compares ticks with the floor of its limit in ticks,
+taken from the limit's integer ratio, which is exact for any rational or
 float limit; an infinite limit is compared as it is.
 """
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -93,11 +94,22 @@ class TraceEntry(NamedTuple):
     identity: tuple
 
 
+@lru_cache(maxsize=4096)  # sized like seconds(): a run's times are few and recur
+def _time_text(n: int, d: int) -> str:
+    """The time n / d as a trace prints it: n / d is the correctly rounded float."""
+    return f"{n / d:.3f}"
+
+
 def format_trace_entry(entry: TraceEntry) -> str:
     time, rule, bindings, _ = entry
-    text = ",".join([f"{v}={value}" for v, value in sorted(bindings.items())]) if bindings else "-"
-    # n / d is the correctly rounded float that float() gives
-    return f"{time.numerator / time.denominator:.3f}\t{rule}\t{text}"
+    if not bindings:
+        text = "-"
+    elif len(bindings) == 1:
+        (variable, value), = bindings.items()
+        text = f"{variable}={value}"
+    else:
+        text = ",".join([f"{v}={value}" for v, value in sorted(bindings.items())])
+    return f"{_time_text(*time.as_integer_ratio())}\t{rule}\t{text}"
 
 
 def _flagged(pairs):
@@ -113,12 +125,14 @@ def _flagged(pairs):
     return tuple(flagged)
 
 
-def _compile(source_index, p):
-    """(name, source_index, tests, binds, modifications, clearings), built once per rule.
+def _compile(source_index, p, annotation):
+    """The rule as its runs read it, built once per rule: (name, source_index,
+    tests, binds, modifications, clearings, annotation).
 
     tests: ((buffer, type, ((slot, expected, is_var), ...)), ...);
     modifications: ((buffer, ((slot, value, is_var), ...)), ...); binds and
-    clearings as in the Production.
+    clearings as in the Production; annotation is the rule's Annotation, or
+    None.
     """
     name, tests, binds, modifications, clearings = p
     compiled_tests, compiled_modifications = [], []
@@ -127,7 +141,7 @@ def _compile(source_index, p):
     for buffer, updates in modifications:
         compiled_modifications.append((buffer, _flagged(updates)))
     return (name, source_index, tuple(compiled_tests), binds,
-            tuple(compiled_modifications), clearings)
+            tuple(compiled_modifications), clearings, annotation)
 
 
 def _index(productions):
@@ -173,7 +187,6 @@ class Program(NamedTuple):
     rules: tuple
     index: tuple
     untested: tuple
-    annotations: dict  # rule name -> Annotation
     providers: tuple[str, ...]
     chunk_specs: tuple  # the initial chunks, ChunkSpec, ...
     buffer_inits: tuple[tuple[str, str], ...]
@@ -194,10 +207,11 @@ def compile_model(model: ModelAST | Program) -> Program:
     diagnostics = validate_model(model)
     if diagnostics:
         raise ModelSyntaxError("; ".join(diagnostics))
-    rules = tuple([_compile(i, p) for i, p in enumerate(model.productions)])
+    rules = tuple([_compile(i, p, model.annotations.get(p.name))
+                   for i, p in enumerate(model.productions)])
     providers = dict.fromkeys(provider for p in model.productions for _, provider in p.binds)
     tested = dict.fromkeys(t.buffer for p in model.productions for t in p.tests)
-    return Program(rules, *_index(rules), model.annotations, tuple(providers),
+    return Program(rules, *_index(rules), tuple(providers),
                    model.initial_chunks, model.buffer_inits, tuple(tested), {})
 
 
@@ -213,7 +227,7 @@ class Engine:
         # what each cycle reads of the Program, read once: an attribute of the
         # engine is read faster than a field of a NamedTuple
         self.memo, self.tested = program.memo, program.tested
-        self.annotations, self.rules = program.annotations, program.rules
+        self.rules = program.rules
         self.providers = dict(providers or {})
         program.check_providers(self.providers)
         self.strategy = strategy
@@ -270,7 +284,7 @@ class Engine:
         else:  # back into declaration order
             survivors = sorted(chain.from_iterable(groups), key=itemgetter(1))
         out = []
-        for name, source_index, tests, _, _, _ in survivors:
+        for name, source_index, tests, _, _, _, _ in survivors:
             bindings: dict = {}
             matched = []
             for buffer, ctype, slot_tests in tests:
@@ -313,17 +327,17 @@ class Engine:
         now = seconds(tick)
         strategy = self.strategy
         strategy.record_application(rule, seconds(tick - FIRE_LATENCY_TICKS))
-        annotation = self.annotations.get(rule)
+        _, _, _, binds, modifications, clearings, annotation = self.rules[source_index]
         if annotation is not None:
-            if annotation.reward is not None:
-                strategy.trigger_reward(annotation.reward, now)
-            if annotation.success:
+            reward, success, failure = annotation
+            if reward is not None:
+                strategy.trigger_reward(reward, now)
+            if success:
                 strategy.trigger_outcome("success", now)
-            if annotation.failure:
+            if failure:
                 strategy.trigger_outcome("failure", now)
         if self.refraction:
             self.refraction_history.add(identity)
-        _, _, _, binds, modifications, clearings = self.rules[source_index]
         env = dict(bindings)
         for variable, provider in binds:
             try:
@@ -355,11 +369,13 @@ class Engine:
         calls, and an event queued beside it is served in time order.
         """
         try:
-            limit = math.floor(Fraction(t_limit) * TICKS_PER_SECOND)
+            n, d = t_limit.as_integer_ratio()
         except OverflowError:  # ±inf compares with every tick as it is
             limit = t_limit
         except ValueError:
             raise ValueError(f"cannot run to the limit {t_limit!r}") from None
+        else:
+            limit = n * TICKS_PER_SECOND // d  # the exact floor, as d > 0
         queue = self.queue
         apply, find, select = self._apply, self.find_instantiations, self.strategy.select
         refraction, history = self.refraction, self.refraction_history

@@ -120,7 +120,7 @@ def build_strategy(config: HarnessConfig, run_seed: int):
 def run_single(model: Program | ModelAST, config: HarnessConfig, sample: tuple[str, ...],
                row_index: int, run_seed: int, trace_sink=None) -> RunResult:
     strategy = build_strategy(config, run_seed)
-    providers = {PROVIDERS[0]: iter(MOVE_NAMES[m] for m in sample)}
+    providers = {PROVIDERS[0]: map(MOVE_NAMES.__getitem__, sample)}
     engine = Engine(model, strategy, providers, refraction=config.refraction)
     trace = engine.run(config.t_limit)
     if trace_sink is not None:

@@ -45,6 +45,7 @@ float alpha or goal value is a TypeError.
 import math
 import random
 from fractions import Fraction
+from operator import itemgetter
 
 FIRST_DECLARED = "first-declared"
 LAST_DECLARED = "last-declared"
@@ -276,7 +277,7 @@ class SuccessCostUtility(ExactStrategy):
             en, ed = (en * nd + nn * ed) * sd - sn * ed * nd, ed * nd * sd
             g = math.gcd(en, ed)
             entry[2], entry[3] = en // g, ed // g
-        for rule in dict.fromkeys(rule for rule, _ in self.applied_log):
+        for rule in dict.fromkeys(map(itemgetter(0), self.applied_log)):
             self._states[rule] = self._state(*counters[rule])
         self.applied_log.clear()
 

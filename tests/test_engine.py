@@ -152,6 +152,19 @@ def test_seconds_table_is_bounded():
     assert seconds.cache_info().maxsize == 4096
 
 
+def test_time_text_table_is_bounded():
+    table = engine_module._time_text
+    assert table.cache_info().maxsize == 4096
+    # more distinct times than the table holds, then the first ones again
+    times = [Fraction(tick, 1000) for tick in range(-50, 5000)]
+    times += [Fraction(1, n) for n in range(3, 200)]
+    for time in times + times[:300]:
+        for bindings in ({}, {"=x": "rock"}, {"=y": 2, "=x": "a"}):
+            entry = TraceEntry(time, "r", bindings, ())
+            assert format_trace_entry(entry) == reference_format_trace_entry(entry)
+    assert table.cache_info().currsize == 4096
+
+
 def test_trace_time_prints_as_its_float():
     # every millisecond over the span of the 4,096 ticks the table holds, 50 ms apart
     for tick in range(-FIRE_LATENCY_TICKS, FIRE_LATENCY_TICKS * 4096):
@@ -403,6 +416,45 @@ def test_limits_compare_exactly_with_the_tick_clock(limit):
     trace = engine.run(limit)
     times = [Fraction(1, 20), Fraction(1, 10)]  # fire at 0.05 s and 0.1 s
     assert [e.time for e in trace] == [time for time in times if time <= limit]
+
+
+def chain_program(steps):
+    """steps rules, each firing once in turn: ticks 50, 100, ..., 50 * steps."""
+    rules = "".join(f"(p s{i} =goal> isa count n n{i} ==> =goal> n n{i + 1})"
+                    for i in range(steps))
+    return compile_model(parse_model(
+        "(chunk-type count n)(add-dm (c1 isa count n n0))(goal-focus goal c1)" + rules))
+
+
+CHAIN_STEPS = 42
+CHAIN = chain_program(CHAIN_STEPS)
+CHAIN_TICKS = range(FIRE_LATENCY_TICKS, FIRE_LATENCY_TICKS * CHAIN_STEPS + 1, FIRE_LATENCY_TICKS)
+LIMIT_EDGES = [
+    0, 1, 2, -1, 10**30, 1e300, -1e300, 5e-324, -5e-324, 0.0, -0.0, 0.05, 0.1, 1.033,
+    math.nextafter(0.05, 0), math.nextafter(0.1, 1), Fraction(1, 3), Fraction(-1, 20),
+    Fraction(1033, 1000), Fraction(1, 20) - Fraction(1, 10**40),
+    Fraction(10**40 + 1, 2 * 10**40 - 1), Fraction(-(10**40) - 1, 10**40),
+]
+LIMITS = st.one_of(
+    st.sampled_from(LIMIT_EDGES),
+    st.integers(-3, 3),
+    st.integers(),
+    # negative, off the 50 ms grid, and with denominators of up to 40 digits
+    st.fractions(min_value=-1, max_value=3, max_denominator=10**40),
+    st.builds(lambda tick, offset, d: Fraction(tick, 1000) + Fraction(offset, d),
+              st.integers(-60, 2200), st.integers(-2, 2), st.sampled_from([10**40, 3, 10**39 + 7])),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-0.2, 2.3),
+    st.integers(-60, 2200).map(lambda tick: tick / 1000),  # the floats nearest the ticks
+    st.integers(-60, 2200).map(lambda tick: math.nextafter(tick / 1000, 0)),
+)
+
+
+@given(limit=LIMITS)
+def test_drawn_limits_fire_the_ticks_at_or_below_their_floor_in_ticks(limit):
+    floor = math.floor(Fraction(limit) * 1000)
+    trace = Engine(CHAIN, ReinforcementUtility()).run(limit)
+    assert [entry.time * 1000 for entry in trace] == [t for t in CHAIN_TICKS if t <= floor]
 
 
 def test_trace_determinism(rps_model):
@@ -763,6 +815,25 @@ def test_engines_in_threads_share_a_program_and_its_memo(rps_model):
             assert results == [expected] * 4
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_changing_a_trace_entry_leaves_the_memo_as_it_was(rps_model):
+    # the detect rules bind nothing: their entries' empty dicts are changed as well
+    moves = [{"r": "rock", "p": "paper", "s": "scissors"}[m] for m in builtin_samples(2)[0]]
+
+    def trace(source, index):
+        engine = Engine(source, strategy_for(index, 7), {"next-move": iter(moves)}, index >= 3)
+        return engine.run(Fraction(2))
+
+    program = compile_model(rps_model)
+    for index in range(6):  # three strategies, without and with refraction
+        changed = trace(program, index)
+        assert any(not entry.bindings for entry in changed)
+        for entry in changed:
+            for variable in entry.bindings:
+                entry.bindings[variable] = "changed"
+            entry.bindings["=changed"] = "changed"
+        assert trace(program, index) == trace(compile_model(rps_model), index)
 
 
 def test_a_caller_cannot_change_a_memoized_conflict_set(rps_model):
