@@ -365,8 +365,9 @@ class Engine:
         """Fire until nothing matches or the next firing would pass t_limit.
 
         t_limit is any rational or float number of seconds, ±inf included (a
-        NaN is a ValueError). The queue holds the pending firing only between
-        calls, and an event queued beside it is served in time order.
+        NaN is a ValueError, anything else a TypeError). The queue holds the
+        pending firing only between calls, and an event queued beside it is
+        served in time order.
         """
         try:
             n, d = t_limit.as_integer_ratio()
@@ -374,6 +375,8 @@ class Engine:
             limit = t_limit
         except ValueError:
             raise ValueError(f"cannot run to the limit {t_limit!r}") from None
+        except AttributeError:
+            raise TypeError(f"the limit {t_limit!r} is not a rational or float number") from None
         else:
             limit = n * TICKS_PER_SECOND // d  # the exact floor, as d > 0
         queue = self.queue

@@ -22,6 +22,9 @@ class Event(NamedTuple):
     payload: Any
 
 
+_record = tuple.__new__  # an Event from a tuple of its fields, as in model.py
+
+
 class EventQueue:
     def __init__(self):
         self._heap: list[tuple] = []
@@ -60,4 +63,4 @@ class EventQueue:
             return None
         time, negated, seq, payload = heapq.heappop(self._heap)
         self._clock = time
-        return Event(time, -negated, seq, payload)
+        return _record(Event, (time, -negated, seq, payload))

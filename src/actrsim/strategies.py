@@ -1,43 +1,27 @@
 """Conflict-resolution strategies: utility learning, selection, refraction.
 
-All three learning strategies share the same shape: the engine reports every
-rule application (with its selection time) into an applied log, and annotated
-rules fire a trigger when applied. A trigger walks the whole log, including
-the entry of the triggering rule itself, updates the subsymbolic state of
-each logged application, and then empties the log. Draw-style rounds with no
-trigger simply leave their entries in the log for the next trigger. A rule
-has learning state only once a trigger has touched it; until then it reads
+The engine logs every rule application with its selection time, and an
+annotated rule fires a trigger when applied. A trigger updates each logged
+application in log order, the triggering rule's own included, then rescores
+each distinct rule it touched once and empties the log; a round without a
+trigger leaves its entries for the next one. A rule no trigger touched reads
 its strategy's initial values.
 
-The deterministic strategies are exact: equal utilities are exactly equal,
-and tie-breaking then falls back to declaration order (first- or
-last-declared). They keep each utility as a pair of integers n, d and learn
-on those pairs, and build a Fraction only when a value is read (utility(),
-counters(), score()). Next to each pair they store its key n / d, an int
-true division, which is correctly rounded; a value beyond float range keys
-as +-inf. Correct rounding is monotone, so a key that is lower than
-another's belongs to a lower utility: select() takes the maximum key, and
-only when several candidates share it does it compare their exact
-utilities, by cross-multiplying their pairs (after the filtered predicates
-of Shewchuk 1997, which need no error bound here), with select_winner's
-declaration-order tie-break. A lone candidate wins unscored, and a tie
-builds no Fraction.
+Reinforcement and success-cost are exact: a utility is a pair of ints n / d
+(d > 0), learned without rounding, and select() returns what select_winner
+returns on the exact utilities: max over (utility, sign * source_index), with
+sign 1 at last-declared and -1 at first-declared, so that of equal keys the
+first candidate wins. The float key n / d is correctly rounded and therefore
+monotone: it orders unequal keys, and equal keys compare exactly. A lone
+candidate wins unscored. At alpha = a/b with integer rewards on a
+millisecond clock, d divides b**k * 1000 after k reinforcement updates.
 
-A reinforcement update with alpha = a/b and a reward rn/rd is n, d ->
-(b - a) n (rd/g) + a rn (d/g), b d (rd/g), with g = gcd(d, rd): d gains a
-factor of b and the part of rd that it lacks, and no gcd is ever taken of
-two large numbers. On a millisecond clock with integer rewards d divides
-b**k * 1000 after k updates, and the cost of an update grows with its
-length in bits only, where one gcd per update grew with its square.
-Success-cost keeps [successes, failures, efforts numerator, efforts
-denominator], reduced by a gcd of small ints, adds t - t_sel to the efforts
-and rescores each touched rule once per trigger. Random-cost draws a fresh
-estimated cost for every conflict-set member on every cycle, a lone one
-too, from a seedable uniform generator; it reads theta = efforts / successes
-as one correctly rounded integer division into a float. Its select() draws
-and picks in one pass: it draws each candidate's utility in candidate order,
-with the very float operations of rc_utility and draw_random_cost, and keeps
-the best as it goes; its score() returns the utilities select() drew.
+Random-cost draws one uniform r for every candidate of every cycle, a lone
+one too, in candidate order, and takes u = p * G - -theta * log(1 - r), the
+float operations of rc_utility and draw_random_cost, with theta = efforts /
+successes and p = P as correctly rounded floats. It keeps the max of
+(u, sign * source_index) as max does; its score() returns the draws.
+
 alpha, goal values, rewards and times are rationals: ints or Fractions; a
 float alpha or goal value is a TypeError.
 """
@@ -45,7 +29,7 @@ float alpha or goal value is a TypeError.
 import math
 import random
 from fractions import Fraction
-from operator import itemgetter
+from math import gcd
 
 FIRST_DECLARED = "first-declared"
 LAST_DECLARED = "last-declared"
@@ -65,7 +49,7 @@ def _key(n, d):
 
 def _reinforce(un, ud, a, b, rn, rd):
     """(1 - a/b) U + (a/b) R for U = un/ud and R = rn/rd, as a pair over b lcm(ud, rd)."""
-    g = math.gcd(ud, rd)
+    g = gcd(ud, rd)
     return (b - a) * un * (rd // g) + a * rn * (ud // g), b * ud * (rd // g)
 
 
@@ -105,8 +89,9 @@ def refraction_prune(candidates, history):
 def select_winner(candidates, utilities, tiebreak):
     """Highest-utility candidate; declaration order decides exact ties.
 
-    One pass; the result does not depend on the order of `candidates`.
-    `tiebreak` is one of TIEBREAK_POLICIES, as a strategy's constructor checks.
+    One pass; the order of `candidates` decides only between candidates that
+    share a source_index, and then the first wins. `tiebreak` is one of
+    TIEBREAK_POLICIES, as a strategy's constructor checks.
     """
     if not candidates:
         return None
@@ -164,25 +149,20 @@ class ExactStrategy(ConflictResolutionStrategy):
     def select(self, candidates):
         if len(candidates) < 2:
             return candidates[0] if candidates else None
-        states, initial = self._states, self._initial_state
-        keys = [states.get(c.rule, initial)[0] for c in candidates]
-        best = max(keys)
-        if keys.count(best) == 1:  # every other utility is strictly lower
-            return candidates[keys.index(best)]
-        # among equal keys, n/d > wn/wd iff n wd > wn d, as d, wd > 0; then
-        # declaration order decides, as in select_winner
-        last = self.tiebreak == LAST_DECLARED
-        winner = wn = wd = None
-        for candidate, key in zip(candidates, keys):
-            if key != best:
-                continue
-            _, n, d = states.get(candidate.rule, initial)
-            if winner is not None:
+        get, initial = self._states.get, self._initial_state
+        sign = 1 if self.tiebreak == LAST_DECLARED else -1
+        winner = None
+        for candidate in candidates:
+            state = get(candidate.rule, initial)
+            if winner is None or state[0] > best:  # a greater key: a greater utility
+                winner, best, held = candidate, state[0], state
+            elif state[0] == best:  # n/d > wn/wd iff n wd > wn d, as d, wd > 0
+                _, n, d = state
+                _, wn, wd = held
                 cross = n * wd - wn * d
-                if cross < 0 or cross == 0 and (
-                        candidate.source_index > winner.source_index) != last:
-                    continue
-            winner, wn, wd = candidate, n, d
+                if cross > 0 or cross == 0 and (
+                        sign * candidate.source_index > sign * winner.source_index):
+                    winner, held = candidate, state
         return winner
 
     def utility(self, rule):
@@ -219,18 +199,21 @@ class ReinforcementUtility(ExactStrategy):
         return {rule: Fraction(n, d) for rule, (_, n, d) in self._states.items()}
 
     def trigger_reward(self, amount, now):
+        entries = self.applied_log
+        if not entries:
+            return
         (an, ad), (nn, nd) = amount.as_integer_ratio(), now.as_integer_ratio()
         bn, bd = an * nd - nn * ad, ad * nd  # base = amount - now
         a, b = self._alpha
         states, initial = self._states, self._initial_state
-        for rule, selected in self.applied_log:  # its reward is base + selected
+        for rule, selected in entries:  # its reward is base + selected
             sn, sd = selected.as_integer_ratio()
             rn, rd = bn * sd + sn * bd, bd * sd
-            g = math.gcd(rn, rd)  # of small ints: rewards sit on the clock's grid
+            g = gcd(rn, rd)  # of small ints: rewards sit on the clock's grid
             _, un, ud = states.get(rule, initial)
             n, d = _reinforce(un, ud, a, b, rn // g, rd // g)
             states[rule] = _key(n, d), n, d
-        self.applied_log.clear()
+        entries.clear()
 
 
 class SuccessCostUtility(ExactStrategy):
@@ -265,21 +248,27 @@ class SuccessCostUtility(ExactStrategy):
 
     def trigger_outcome(self, kind, now):
         index = _OUTCOME_COUNTER[kind]
+        entries = self.applied_log
+        if not entries:
+            return
         nn, nd = now.as_integer_ratio()
-        counters = self._counters
-        for rule, selected in self.applied_log:
-            if (entry := counters.get(rule)) is None:
+        counters, touched = self._counters, {}  # rule -> its counters, in one walk
+        for rule, selected in entries:
+            entry = counters.get(rule)
+            if entry is None:
                 entry = counters[rule] = [*self.INITIAL_COUNTERS]
+            touched[rule] = entry
             entry[index] += 1
             _, _, en, ed = entry
             sn, sd = selected.as_integer_ratio()
             # efforts + (now - selected) over one common denominator
             en, ed = (en * nd + nn * ed) * sd - sn * ed * nd, ed * nd * sd
-            g = math.gcd(en, ed)
+            g = gcd(en, ed)
             entry[2], entry[3] = en // g, ed // g
-        for rule in dict.fromkeys(map(itemgetter(0), self.applied_log)):
-            self._states[rule] = self._state(*counters[rule])
-        self.applied_log.clear()
+        states, state = self._states, self._state
+        for rule, entry in touched.items():  # each distinct rule rescored once
+            states[rule] = state(*entry)
+        entries.clear()
 
     def _state(self, s, f, en, ed):
         """What select() and utility() read of a rule with these counters: U's key and pair."""
@@ -328,9 +317,10 @@ class RandomCostUtility(SuccessCostUtility):
         sign = 1 if self.tiebreak == LAST_DECLARED else -1
         winner = best = None
         for candidate in candidates:
-            theta, p = states.get(candidate.rule, initial)
+            rule = candidate.rule
+            theta, p = states.get(rule, initial)
             # rc_utility(p, goal, draw_random_cost(theta, r)), operation for operation
-            u = last_utility[candidate.rule] = p * goal - -theta * log(1 - draw())
+            u = last_utility[rule] = p * goal - -theta * log(1 - draw())
             # max() on select_winner's key (u, sign * source_index)
             if winner is None or u > best or u == best and (
                     sign * candidate.source_index > sign * winner.source_index):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -394,6 +395,14 @@ def test_clearing_action_empties_buffer():
     assert engine.held["goal"] is None
     assert engine.chunks["g1"].slot_values.get("me") == "rock"  # chunk survives
     assert [e.rule for e in engine.trace] == ["done"]  # cannot rematch, halts
+
+
+@pytest.mark.parametrize("limit", ["2", None, 2 + 0j])
+def test_a_limit_that_is_no_real_number_is_a_type_error(limit, rps_model):
+    engine = engine_for(rps_model, providers={"next-move": iter(["rock"])})
+    with pytest.raises(TypeError, match=re.escape(f"the limit {limit!r} is not")):
+        engine.run(limit)
+    assert engine.trace == [] and len(engine.queue) == 1
 
 
 # 0.1 as a float lies just above 1/10, its lower neighbour just below

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from actrsim.errors import TimeInPast
-from actrsim.scheduler import EventQueue
+from actrsim.scheduler import Event, EventQueue
 
 
 def test_schedule_and_pop():
@@ -100,3 +100,21 @@ def test_clock_is_monotone(entries):
     while (event := q.pop_next()) is not None:
         assert q.now() == event.time >= previous
         previous = q.now()
+
+
+@given(schedules)
+def test_popped_events_are_the_records_the_constructor_builds(entries):
+    q = EventQueue()
+    for i, (t, p) in enumerate(entries):
+        q.schedule(t, p, f"payload {i}")
+    expected = sorted((Event(t, p, i, f"payload {i}") for i, (t, p) in enumerate(entries)),
+                      key=lambda e: (e.time, -e.priority, e.seq))
+    for record in expected:
+        event = q.pop_next()
+        assert type(event) is Event and event == record
+        assert (event.time, event.priority, event.seq, event.payload) == tuple(record)
+        assert event.payload == record.payload and event.priority == record.priority
+        moved = event._replace(priority=event.priority + 1, payload=None)
+        assert type(moved) is Event
+        assert moved == record._replace(priority=record.priority + 1, payload=None)
+    assert q.pop_next() is None

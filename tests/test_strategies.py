@@ -451,6 +451,34 @@ def test_select_compares_exactly_where_floats_are_equal(kind, tiebreak):
         assert strategy.select(candidates).rule == ("r0" if tiebreak == FIRST_DECLARED else "r2")
 
 
+@pytest.mark.parametrize("kind", ["reinforcement", "success-cost", "random-cost"])
+@pytest.mark.parametrize("tiebreak", [FIRST_DECLARED, LAST_DECLARED])
+@settings(max_examples=200, deadline=None)
+@given(
+    copies=st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=4),
+    targets=st.lists(st.sampled_from([None, 0, 1]), min_size=4, max_size=4),
+    order=st.randoms(use_true_random=False),
+)
+def test_select_keeps_the_first_of_candidates_that_share_a_source_index(
+        kind, tiebreak, copies, targets, order):
+    # rule ri, declared at index i, has copies[i] instantiations told apart by
+    # their bindings; max() keeps the first of equal keys, and so must select()
+    if kind == "random-cost":
+        # every draw is 0, so u = P G: equal for rules of equal counters
+        strategy = RandomCostUtility(rng=SimpleNamespace(random=lambda: 0.0), tiebreak=tiebreak)
+        for i, target in enumerate(targets[:len(copies)]):
+            if target == 1:  # one failure: P = 1/2
+                strategy.record_application(f"r{i}", Fraction(i))
+                strategy.trigger_outcome("failure", Fraction(i))
+    else:
+        strategy, _ = exact_strategy(kind, targets[:len(copies)], tiebreak)
+    candidates = [Instantiation(f"r{i}", i, {"=x": j}, ())
+                  for i, count in enumerate(copies) for j in range(count)]
+    order.shuffle(candidates)
+    utilities = strategy.score(candidates)
+    assert strategy.select(candidates) is select_winner(candidates, utilities, tiebreak)
+
+
 @pytest.mark.parametrize("cls", [ReinforcementUtility, SuccessCostUtility])
 def test_exact_select_scores_no_lone_candidate(cls, monkeypatch):
     strategy = cls()
