@@ -95,8 +95,7 @@ def _load_samples(args):
 
 
 def _check_config(config):
-    if config.strategy == "reinforcement" and not 0 < config.alpha <= 1:
-        raise ValueError("--alpha must be in (0, 1]")
+    experiment.build_strategy(config, config.seed)  # the strategy checks its own parameters
     if config.t_limit <= 0:
         raise ValueError("--t-limit must be positive")
     if config.runs < 1:

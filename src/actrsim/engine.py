@@ -1,54 +1,21 @@
 """The match-select-apply cycle over buffers, rules, and the event queue.
 
-A model is checked and compiled once, by ``compile_model``, into a
-``Program``: a NamedTuple of the immutable rules, index and initial state its
-runs share, and last the one thing they write, a bounded memo of conflict sets.
-An ``Engine`` is one run, its state the ``held`` and ``chunks`` dicts. It
-checks its providers when built, then trusts the program: every modified
-buffer holds a chunk with the updated slots, and every right-hand-side
-variable is bound. Only a provider running out of values fails at run time.
+``compile_model`` checks a model once and compiles it into a ``Program``: the
+rules and initial state that its runs share. An ``Engine`` is one run of it.
+A model that passes validation raises no structural error at run time; only
+a provider that runs out of values, or gives one that cannot be hashed, does.
 
-A cycle selects one rule and fires it 50 ms later. Within ``run`` the
-pending firing is a local ``(tick, instantiation)`` pair, not an event;
-``queue`` holds it only between calls. ``run`` serves the queue in time
-order: it pops the next event, if it is due, and fires on from it until
-nothing matches, or until the next firing would pass the limit or reach
-another queued event, and then schedules that firing. It then moves the
-queue's clock to the last firing, so that nothing can be scheduled in the
-engine's past. Firing applies the rule in one pass, read straight off its
-``Production``: the strategy is notified, the learning triggers of the
-rule's annotation, compiled into the rule, fire, every ``!bind!`` is drawn in
-text order, then the modifications are applied in place, then the clearings.
-At the same instant the engine matches, the strategy picks a winner, and the
-winner fires 50 ms later, so a firing's tick also gives its selection time.
-Nothing runs in between: the buffers a winner tested still hold what it
-matched. The first event, queued at tick 0 when the engine is built, applies
-nothing; when nothing matches, the run halts with the queue empty.
+A cycle matches, the strategy selects one instantiation, and the winner fires
+50 ms later, with nothing run in between: its buffers still hold what it
+matched. Firing notifies the strategy, fires the rule's learning triggers,
+draws every ``!bind!`` in text order, then modifies and clears buffers.
+``run`` serves queued events in time order; a run stepped in parts equals one.
 
-Matching is indexed, after the alpha memories of Rete (Forgy 1982) without
-its beta network: a buffer holds one chunk and there are no requests, so
-nothing needs to be joined across cycles. When the model is compiled, rules
-are grouped by their first buffer test, keyed by (buffer, type, slots that
-test compares with constants), and within a group by the tuple of those
-constants. Each match cycle looks up every group's key with the values its
-buffer holds now (one dict lookup; an unset slot reads None and matches no
-constant), merges the surviving rules, and rules without tests, back into
-declaration order, and runs the full tests, variable joins and snapshots on
-those survivors only. The conflict set is a pure function of what the tested
-buffers hold (a chunk's name, type and slot items, or None once cleared), so
-a memo in front of the index matches each state once per Program. It stores
-up to MATCH_MEMO_STATES states. Every slot value can be hashed: the model's
-are strings, and a provider's value that cannot be is an UnhashableValue.
-
-The clock runs on integer millisecond ticks. ``Engine.now()`` (the time of
-the last processed event), ``TraceEntry.time`` and every time handed to a
-strategy are exact ``Fraction`` seconds, all read from ``seconds(tick)``: one
-bounded table of the ticks' Fractions, shared by every run in the process,
-so a firing builds no Fraction for its two times. A trace line reads its
-time's text from a second bounded table beside it, keyed by the time's
-integer ratio. ``run`` compares ticks with the floor of its limit in ticks,
-taken from the limit's integer ratio, which is exact for any rational or
-float limit; an infinite limit is compared as it is.
+Times are exact. The clock counts integer milliseconds, every time a trace
+line or a strategy sees is a ``Fraction`` of seconds, and a limit is floored
+to ticks exactly. A conflict set is a pure function of what the tested
+buffers hold, so each Program memoizes it, for at most MATCH_MEMO_STATES
+states.
 """
 
 from fractions import Fraction
@@ -113,11 +80,11 @@ def format_trace_entry(entry: TraceEntry) -> str:
 
 
 def _flagged(pairs):
-    """((slot, value, is_var), ...) of (slot, value) pairs.
+    """((slot, value, is_var), ...) of (slot, value) pairs; a validated value
+    is a symbol, so a variable is one that starts with '='.
 
-    A validated value is a symbol, so a variable is one that starts with '='.
-    Here and below, loops build what comprehensions would, for before Python
-    3.12 a comprehension is a call of its own, and these run on a few items.
+    Here and in _compile, loops build what comprehensions would: before Python
+    3.12 a comprehension is a call of its own, and each model compiles anew.
     """
     flagged = []
     for slot, value in pairs:
@@ -145,7 +112,8 @@ def _compile(source_index, p, annotation):
 
 
 def _index(productions):
-    """The compiled rules grouped by the constants of their first buffer test.
+    """The compiled rules grouped by the constants of their first buffer test,
+    as Rete's alpha memories (Forgy 1982) group them.
 
     Returns (index, untested). index lists ((buffer, type, slots), table)
     pairs, one per distinct first test shape, where slots names the slots
@@ -167,11 +135,7 @@ def _index(productions):
                 slots.append(slot)
                 values.append(value)
         table = index.setdefault((buffer, ctype, tuple(slots)), {})
-        values = tuple(values)
-        if values in table:
-            table[values].append(rule)
-        else:
-            table[values] = [rule]
+        table.setdefault(tuple(values), []).append(rule)
     return tuple(index.items()), tuple(untested)
 
 
@@ -224,8 +188,6 @@ class Engine:
 
     def __init__(self, model, strategy, providers=None, refraction=False):
         self.program = program = compile_model(model)
-        # what each cycle reads of the Program, read once: an attribute of the
-        # engine is read faster than a field of a NamedTuple
         self.memo, self.tested = program.memo, program.tested
         self.rules = program.rules
         self.providers = dict(providers or {})
@@ -247,16 +209,13 @@ class Engine:
     # -- matching ---------------------------------------------------------
 
     def find_instantiations(self) -> tuple[Instantiation, ...]:
-        """One instantiation per rule whose every buffer test succeeds.
-
-        The result is the memo's own tuple for this buffer state, shared by
-        every engine of the Program, and being a tuple no caller can change it.
-        """
+        """One instantiation per rule whose every buffer test succeeds, in
+        declaration order: the Program's memo's tuple for this buffer state."""
         held, chunks, memo = self.held, self.chunks, self.memo
         state = []
         for buffer in self.tested:
             chunk = (name := held[buffer]) and chunks[name]  # None: a cleared buffer
-            state.append(chunk and (name, chunk.type, tuple(chunk.slot_values.items())))
+            state.append(chunk and (name, tuple(chunk.slot_values.items())))  # name fixes type
         key = tuple(state)
         found = memo.get(key)
         if found is None:

@@ -1,48 +1,27 @@
-"""Parser for the s-expression model language.
+"""Reader, validator and printer of the s-expression model language.
 
-A model file is a sequence of parenthesized forms; ``;`` starts a comment
-running to the end of the line. The accepted forms are:
+A model is a sequence of parenthesized forms; ``;`` comments to the end of
+the line. The forms:
 
     (chunk-type NAME SLOT...)
     (add-dm (NAME isa TYPE SLOT VALUE ...) ...)
     (goal-focus BUFFER CHUNK)
     (p NAME TEST... ==> ACTION...)
-    (spp RULE :reward NUMBER)
-    (spp RULE :success t)
-    (spp RULE :failure t)
+    (spp RULE :reward NUMBER)    (spp RULE :success t)    (spp RULE :failure t)
 
-A TEST is ``=buffer> isa TYPE SLOT VALUE ...`` where values may be constants
-or ``=variables``. An ACTION is either a modification ``=buffer> SLOT VALUE
-...``, a clearing ``-buffer>``, a host binding ``!bind! =VAR PROVIDER``
-(drawn at apply time from a provider registered with the engine), or an
-``!output!`` directive, whose argument is read and dropped. Buffer requests
-(``+buffer>``) are not supported and rejected at parse time.
+A TEST is ``=buffer> isa TYPE SLOT VALUE ...``, each value a constant or a
+``=variable``. An ACTION modifies (``=buffer> SLOT VALUE ...``), clears
+(``-buffer>``), binds a variable to a provider's next value at apply time
+(``!bind! =VAR PROVIDER``), or is an ``!output!`` whose argument is dropped;
+requests (``+buffer>``) are rejected. A ``Production`` keeps its actions as a
+firing runs them: ``binds``, ``modifications``, then ``clearings``, each in
+text order. The records are NamedTuples.
 
-A ``Production`` keeps its right-hand side as what a firing does, in that
-order: ``binds``, the ``(variable, provider)`` pairs in text order, all
-drawn first; ``modifications``, the ``(buffer, slot_updates)`` pairs in text
-order; ``clearings``, the cleared buffers. Where a ``!bind!`` stands among
-the actions carries no meaning.
-
-The records (``ModelAST``, ``BufferTest``, ``Production``, ``ChunkSpec``,
-``Annotation``) are NamedTuples: a model is read into tuples, and a record is
-changed with ``_replace``. Like any tuple, a record equals a plain tuple of the
-same items; ``ModelAST``'s default annotations are a read-only ``{}``.
-
-``parse_model`` handles syntax: each ``ModelSyntaxError`` carries the line and
-column of the offending token, or of the ``(`` of the offending list. Tokens
-are plain strings, read by string methods: comments are cut with one
-substitution (only from a text that holds a ``;``), tab, CR and LF become
-spaces, each parenthesis is padded with spaces, and one split on spaces gives
-the tokens. The reader jumps from parenthesis to parenthesis with
-``list.index`` and moves the atoms between two of them into their list as one
-slice; a list knows only the token indices of its ``(`` and ``)``. An error
-names a token index, and its line, column and message are worked out only
-when the error is raised.
-``validate_model`` handles semantics, each rule once; its diagnostics name the
-rule, chunk or slot but carry no position. A model it accepts round-trips. It
-checks every symbol at once, by a few scans of their join, and names each
-one that is not only when that check fails.
+``parse_model`` checks syntax; each ``ModelSyntaxError`` carries the
+LINE:COLUMN of the offending token or of the ``(`` of the offending list.
+``validate_model`` checks meaning, each rule once, naming the rule, chunk or
+slot but no position. A model it accepts round-trips:
+``parse_model(format_model(ast)) == ast``.
 """
 
 import re
@@ -108,12 +87,9 @@ class _Misread(Exception):
 
 _ATOM = re.compile(r"[^ \t\r\n();]+")
 _COMMENT = re.compile(r";[^\n]*")
-# a parenthesis or an atom, or a comment, which matches the empty group: where
-# each token starts, which only an error needs
+# a parenthesis or an atom, or a comment, which matches the empty group
 _LEXEME = re.compile(rf"([()]|{_ATOM.pattern})|{_COMMENT.pattern}")
-# a record from all its fields in order, as its constructor builds it, but
-# without the argument handling, which costs twice the tuple itself
-_record = tuple.__new__
+_record = tuple.__new__  # a record from a tuple of all its fields
 _ENDS_SLOTS = ("!bind!", "!output!")  # as does any token ending in '>', so '==>' too
 
 
@@ -133,8 +109,7 @@ def _position(text, index):
 
 
 def _read_forms(tokens):
-    """Group tokens into nested lists; returns the top-level forms. The atoms
-    between two parentheses move into their list as one slice."""
+    """Group tokens into nested lists; returns the top-level forms."""
     forms = current = []
     stack = []
     end = len(tokens)
@@ -460,8 +435,7 @@ def validate_model(ast: ModelAST) -> list[str]:
         if name in rule_names:
             out.append(f"rule {name!r} declared twice")
         rule_names.add(name)
-        # every tested value: a constant never equals a variable's name; loops,
-        # not comprehensions, which before Python 3.12 are calls of their own
+        # every tested value: a constant never equals a variable's name
         tested, bound = set(), set()
         for buffer, _, slot_tests in tests:
             tested.add(buffer)
@@ -499,7 +473,7 @@ def validate_model(ast: ModelAST) -> list[str]:
             if len(named) < len(updates):
                 out += _twice(f"rule {name!r} update of {buffer!r} names slot",
                               [s for s, _ in updates])
-            for slot, value in updates:  # is_variable, inline: this runs on every value
+            for slot, value in updates:
                 if value not in bound and value[:1] == "=" and value[-1:] != ">":
                     out.append(
                         f"rule {name!r} updates slot {slot!r} with unbound variable {value!r}"
@@ -514,10 +488,7 @@ def validate_model(ast: ModelAST) -> list[str]:
                 out += [f"rule {name!r} updates unknown slot {slot!r} "
                         f"of type {buffers[buffer].name!r} in buffer {buffer!r}"
                         for slot, _ in updates if slot not in slots]
-        for buffer, _ in modifications:
-            if buffer not in buffers:
-                out.append(f"rule {name!r} acts on undeclared buffer {buffer!r}")
-        for buffer in clearings:
+        for buffer in [b for b, _ in modifications] + list(clearings):
             if buffer not in buffers:
                 out.append(f"rule {name!r} acts on undeclared buffer {buffer!r}")
         symbols |= bound  # the tested values and the !bind! variables

@@ -17,13 +17,14 @@ candidate wins unscored. At alpha = a/b with integer rewards on a
 millisecond clock, d divides b**k * 1000 after k reinforcement updates.
 
 Random-cost draws one uniform r for every candidate of every cycle, a lone
-one too, in candidate order, and takes u = p * G - -theta * log(1 - r), the
-float operations of rc_utility and draw_random_cost, with theta = efforts /
-successes and p = P as correctly rounded floats. It keeps the max of
-(u, sign * source_index) as max does; its score() returns the draws.
+one too, in candidate order, and takes u = p * G - draw_random_cost(theta, r)
+in floats, with theta = efforts / successes and p = P correctly rounded. It
+keeps the max of (u, sign * source_index) as max does; its score() returns
+the draws.
 
 alpha, goal values, rewards and times are rationals: ints or Fractions; a
-float alpha or goal value is a TypeError.
+float alpha or goal value is a TypeError. Each strategy checks its own
+parameters when it is built.
 """
 
 import math
@@ -77,10 +78,6 @@ def draw_random_cost(theta, r):
     return -theta * math.log(1 - r)
 
 
-def rc_utility(p, goal_value, zeta):
-    return p * goal_value - zeta
-
-
 def refraction_prune(candidates, history):
     """Drop every instantiation whose identity has already been applied."""
     return [c for c in candidates if c.identity() not in history]
@@ -89,8 +86,8 @@ def refraction_prune(candidates, history):
 def select_winner(candidates, utilities, tiebreak):
     """Highest-utility candidate; declaration order decides exact ties.
 
-    One pass; the order of `candidates` decides only between candidates that
-    share a source_index, and then the first wins. `tiebreak` is one of
+    The order of `candidates` decides only between candidates that share a
+    source_index, and then the first wins. `tiebreak` is one of
     TIEBREAK_POLICIES, as a strategy's constructor checks.
     """
     if not candidates:
@@ -118,6 +115,7 @@ class ConflictResolutionStrategy:
         self.tiebreak = tiebreak or self.default_tiebreak
         if self.tiebreak not in TIEBREAK_POLICIES:
             raise ValueError(f"unknown tie-break policy {self.tiebreak!r}")
+        self._sign = 1 if self.tiebreak == LAST_DECLARED else -1  # of select_winner's key
         self.applied_log: list[tuple[str, Fraction]] = []
 
     def score(self, candidates) -> dict:
@@ -149,8 +147,7 @@ class ExactStrategy(ConflictResolutionStrategy):
     def select(self, candidates):
         if len(candidates) < 2:
             return candidates[0] if candidates else None
-        get, initial = self._states.get, self._initial_state
-        sign = 1 if self.tiebreak == LAST_DECLARED else -1
+        get, initial, sign = self._states.get, self._initial_state, self._sign
         winner = None
         for candidate in candidates:
             state = get(candidate.rule, initial)
@@ -252,7 +249,7 @@ class SuccessCostUtility(ExactStrategy):
         if not entries:
             return
         nn, nd = now.as_integer_ratio()
-        counters, touched = self._counters, {}  # rule -> its counters, in one walk
+        counters, touched = self._counters, {}  # rule -> its counters
         for rule, selected in entries:
             entry = counters.get(rule)
             if entry is None:
@@ -299,27 +296,29 @@ class RandomCostUtility(SuccessCostUtility):
         super().__init__(goal_value, tiebreak)
         self.rng = rng if rng is not None else random.Random(seed)
         self._last_utility: dict[str, float] = {}
-        self._goal_float = float(goal_value)
+        try:
+            self._goal_float = float(goal_value)
+        except OverflowError:
+            raise ValueError(f"goal value {goal_value} is beyond float range") from None
 
     def _state(self, s, f, en, ed):
         """What select() reads of a rule with these counters: float theta and P."""
-        return en / (ed * s), s / (s + f)  # float(e / s), no Fraction
+        return en / (ed * s), s / (s + f)
 
     def select(self, candidates):
         """Draw each candidate's utility and keep the best.
 
-        One pass in candidate order, a lone candidate drawing too: the draws
-        are part of the seeded output. Ties go by declaration order, as in
+        In candidate order, a lone candidate drawing too: the draws are part
+        of the seeded output. Ties go by declaration order, as in
         select_winner.
         """
         states, initial, goal = self._states, self._initial_state, self._goal_float
-        last_utility, draw, log = self._last_utility, self.rng.random, math.log
-        sign = 1 if self.tiebreak == LAST_DECLARED else -1
+        last_utility, draw, log, sign = self._last_utility, self.rng.random, math.log, self._sign
         winner = best = None
         for candidate in candidates:
             rule = candidate.rule
             theta, p = states.get(rule, initial)
-            # rc_utility(p, goal, draw_random_cost(theta, r)), operation for operation
+            # p * G - draw_random_cost(theta, r), operation for operation
             u = last_utility[rule] = p * goal - -theta * log(1 - draw())
             # max() on select_winner's key (u, sign * source_index)
             if winner is None or u > best or u == best and (

@@ -78,7 +78,6 @@ from actrsim.strategies import (
     LAST_DECLARED,
     ConflictResolutionStrategy,
     draw_random_cost,
-    rc_utility,
 )
 
 LATENCY = Fraction(1, 20)
@@ -660,6 +659,11 @@ def textbook_success_cost(s, f, e, goal_value):
     p = Fraction(s, s + f)
     c = e / (s + f)
     return p, c, p * goal_value - c
+
+
+def rc_utility(p, goal_value, zeta):
+    """U = P G - zeta: a random-cost utility from its cost draw zeta."""
+    return p * goal_value - zeta
 
 
 def replay_reinforcement(trace, annotations, alpha=Fraction(1, 5)):

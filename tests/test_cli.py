@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -102,7 +103,18 @@ def test_provider_exhaustion_exits_2(capsys):
 def test_bad_alpha_exits_1(capsys):
     code, _, err = run_cli(capsys, "run", "--player", "1", "--alpha", "3")
     assert code == 1
-    assert err == "actrsim: --alpha must be in (0, 1]\n"
+    assert err == "actrsim: alpha must be in (0, 1]\n"
+
+
+def test_a_goal_value_beyond_float_range_exits_1_before_the_trace_file_is_opened(
+        tmp_path, capsys):
+    # random-cost draws in floats, so its goal value must be within their range
+    trace_path = tmp_path / "run.trace"
+    code, out, err = run_cli(capsys, "run", "--strategy", "random-cost", "--goal-value",
+                             "1e400", "--trace-file", str(trace_path))
+    assert (code, out) == (1, "")
+    assert err == f"actrsim: goal value {10 ** 400} is beyond float range\n"
+    assert not trace_path.exists()
 
 
 def test_alpha_is_checked_only_for_reinforcement(capsys):
@@ -417,6 +429,33 @@ def test_deeply_nested_output_argument_is_dropped_without_a_traceback(tmp_path):
     assert done.stdout.startswith("sample,U_r,U_p,U_s,wins,draws,defeats\n")
     assert done.stdout.splitlines()[-1].startswith("avg,")
     assert "Traceback" not in done.stderr
+
+
+# -- fuzz: numeric flags at any magnitude ------------------------------------------------
+
+# 0, and numbers of either sign from 10**-400 to 10**400, as exact "n/d" text
+MAGNITUDES = st.builds(lambda m, e: m * Fraction(10) ** e,
+                       st.fractions(1, 10, max_denominator=1000), st.integers(-400, 399))
+NUMBERS = st.just(Fraction(0)) | st.builds(
+    lambda sign, m: sign * m, st.sampled_from([1, -1]), MAGNITUDES)
+
+
+@settings(max_examples=120, deadline=None)
+@given(flag=st.sampled_from(["--alpha", "--goal-value", "--t-limit"]),
+       value=NUMBERS.map(str),
+       strategy=st.sampled_from(["reinforcement", "success-cost", "random-cost"]))
+@example(flag="--goal-value", value="1e400", strategy="random-cost")
+@example(flag="--goal-value", value="-1e400", strategy="random-cost")
+@example(flag="--alpha", value="1e-400", strategy="reinforcement")
+@example(flag="--t-limit", value="1e400", strategy="random-cost")
+def test_no_numeric_flag_ends_in_a_traceback(flag, value, strategy):
+    # the '=' form: argparse would read a bare '-1e400' as an option
+    argv = ["run", f"{flag}={value}", "--strategy", strategy, "--player", "1", "--sample", "1"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)  # no exception, SystemExit included, may leave main
+    assert code in (0, 1, 2)
+    assert len(err.getvalue().splitlines()) <= 1
 
 
 # -- fuzz: mutated model text under varied flags ----------------------------------------

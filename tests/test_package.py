@@ -34,7 +34,6 @@ MODULE_NAMES = [
     ("scheduler", "Event"),
     ("scheduler", "EventQueue"),
     ("strategies", "draw_random_cost"),
-    ("strategies", "rc_utility"),
     ("strategies", "refraction_prune"),
     ("strategies", "reinforcement_update"),
     ("strategies", "sc_recompute"),

@@ -18,13 +18,12 @@ from actrsim.strategies import (
     ReinforcementUtility,
     SuccessCostUtility,
     draw_random_cost,
-    rc_utility,
     refraction_prune,
     reinforcement_update,
     sc_recompute,
     select_winner,
 )
-from oracle import ReferenceRandomCost, ReferenceReinforcement, ReferenceSuccessCost
+from oracle import ReferenceRandomCost, ReferenceReinforcement, ReferenceSuccessCost, rc_utility
 
 
 def inst(rule, index):
@@ -257,6 +256,16 @@ def test_rc_utility_values():
     assert rc_utility(1.0, 20, 0.1) == pytest.approx(19.9)
     assert rc_utility(0.75, 0, 0.3) == pytest.approx(-0.3)
     assert rc_utility(0.5, 20, 0.0) == pytest.approx(10.0)
+
+
+@pytest.mark.parametrize("goal_value", [Fraction(10) ** 400, -Fraction(10) ** 400,
+                                        Fraction(2) ** 1024, Fraction(-(10 ** 999), 3)])
+def test_random_cost_refuses_a_goal_value_beyond_float_range(goal_value):
+    # random-cost draws in floats; the exact strategies take any rational
+    with pytest.raises(ValueError, match=f"^goal value {goal_value} is beyond float range$"):
+        RandomCostUtility(goal_value=goal_value)
+    assert SuccessCostUtility(goal_value=goal_value).utility("r") == goal_value - Fraction(1, 20)
+    assert RandomCostUtility(goal_value=Fraction(2) ** 1023).utility("r") == 2.0 ** 1023
 
 
 def test_random_cost_theta_tracks_counters():
