@@ -15,7 +15,16 @@ Times are exact. The clock counts integer milliseconds, every time a trace
 line or a strategy sees is a ``Fraction`` of seconds, and a limit is floored
 to ticks exactly. A conflict set is a pure function of what the tested
 buffers hold, so each Program memoizes it, for at most MATCH_MEMO_STATES
-states.
+states. The memo also links each recurring firing to the state it leads to,
+keyed by its rule and the values its !bind!s drew, so that the next match
+follows the link instead of rebuilding the state's key. A link is written
+from a memoized state to one already in the memo, and followed only
+
+- when the firing is the very instantiation the link recorded: one selected
+  in an earlier state can fire later, beside an event queued next to it;
+- for a rule that modifies only tested buffers, as compile_model decides: the
+  chunk an untested buffer holds is not in the key;
+- within one run() call: a caller may change held or a chunk between calls.
 """
 
 from fractions import Fraction
@@ -28,11 +37,12 @@ from .chunks import Chunk
 from .errors import ModelSyntaxError, ProviderExhausted, UnhashableValue
 from .model import ModelAST, validate_model
 from .scheduler import EventQueue
-from .strategies import refraction_prune
+from .strategies import ConflictResolutionStrategy, refraction_prune
 
 TICKS_PER_SECOND = 1000
 FIRE_LATENCY_TICKS = 50  # 50 ms between selection and firing
 MATCH_MEMO_STATES = 4096  # buffer states a Program's memo stores; it never evicts
+MATCH_MEMO_LINKS = 64  # links one memoized state stores, however many values binds draw
 _record = tuple.__new__  # a NamedTuple from a tuple of its fields, as in model.py
 
 
@@ -92,23 +102,26 @@ def _flagged(pairs):
     return tuple(flagged)
 
 
-def _compile(source_index, p, annotation):
+def _compile(source_index, p, annotation, tested):
     """The rule as its runs read it, built once per rule: (name, source_index,
-    tests, binds, modifications, clearings, annotation).
+    tests, binds, modifications, clearings, annotation, linkable).
 
     tests: ((buffer, type, ((slot, expected, is_var), ...)), ...);
     modifications: ((buffer, ((slot, value, is_var), ...)), ...); binds and
     clearings as in the Production; annotation is the rule's Annotation, or
-    None.
+    None; linkable is whether the memo may link its firings: whether it
+    modifies only buffers in tested.
     """
     name, tests, binds, modifications, clearings = p
     compiled_tests, compiled_modifications = [], []
+    linkable = True
     for buffer, ctype, slot_tests in tests:
         compiled_tests.append((buffer, ctype, _flagged(slot_tests)))
     for buffer, updates in modifications:
         compiled_modifications.append((buffer, _flagged(updates)))
+        linkable = linkable and buffer in tested
     return (name, source_index, tuple(compiled_tests), binds,
-            tuple(compiled_modifications), clearings, annotation)
+            tuple(compiled_modifications), clearings, annotation, linkable)
 
 
 def _index(productions):
@@ -144,8 +157,11 @@ class Program(NamedTuple):
 
     providers names each !bind! provider once; index and untested: see _index;
     tested names the buffers rules test, in first-test order. memo, the one
-    thing runs write, maps a state of those buffers to its conflict set; being
-    a field, it takes part when two Programs are compared.
+    thing runs write, maps a state of those buffers to its entry, the list
+    [conflict set, links]: links is None until a firing from the state is
+    linked, then maps a firing's key (its rule's source_index and !bind!
+    draws) to (the Instantiation that fired, the entry of the state reached).
+    Being a field, memo takes part when two Programs are compared.
     """
 
     rules: tuple
@@ -171,10 +187,10 @@ def compile_model(model: ModelAST | Program) -> Program:
     diagnostics = validate_model(model)
     if diagnostics:
         raise ModelSyntaxError("; ".join(diagnostics))
-    rules = tuple([_compile(i, p, model.annotations.get(p.name))
+    tested = dict.fromkeys(t.buffer for p in model.productions for t in p.tests)
+    rules = tuple([_compile(i, p, model.annotations.get(p.name), tested)
                    for i, p in enumerate(model.productions)])
     providers = dict.fromkeys(provider for p in model.productions for _, provider in p.binds)
-    tested = dict.fromkeys(t.buffer for p in model.productions for t in p.tests)
     return Program(rules, *_index(rules), tuple(providers),
                    model.initial_chunks, model.buffer_inits, tuple(tested), {})
 
@@ -193,6 +209,11 @@ class Engine:
         self.providers = dict(providers or {})
         program.check_providers(self.providers)
         self.strategy = strategy
+        # a strategy hears only the triggers its class handles: the base's are no-ops
+        kind, base = type(strategy), ConflictResolutionStrategy
+        self._hears_reward = getattr(kind, "trigger_reward", None) is not base.trigger_reward
+        self._hears_outcome = getattr(kind, "trigger_outcome", None) is not base.trigger_outcome
+        self._entry = self._fired = self._link = None  # see find_instantiations
         self.refraction = refraction
         self.refraction_history: set = set()
         self.held = dict(program.buffer_inits)
@@ -210,7 +231,20 @@ class Engine:
 
     def find_instantiations(self) -> tuple[Instantiation, ...]:
         """One instantiation per rule whose every buffer test succeeds, in
-        declaration order: the Program's memo's tuple for this buffer state."""
+        declaration order: the Program's memo's tuple for this buffer state.
+
+        _entry is the memo entry this returned last, None when unknown;
+        _fired the Instantiation fired since, when its rule links, and _link
+        its key in _entry's links.
+        """
+        entry, fired, self._fired = self._entry, self._fired, None
+        if fired is not None and entry is not None:
+            links = entry[1]
+            if links is not None:
+                link = links.get(self._link)
+                if link is not None and link[0] is fired:
+                    self._entry = entry = link[1]
+                    return entry[0]
         held, chunks, memo = self.held, self.chunks, self.memo
         state = []
         for buffer in self.tested:
@@ -219,10 +253,19 @@ class Engine:
         key = tuple(state)
         found = memo.get(key)
         if found is None:
-            found = tuple(self._match())
-            if len(memo) < MATCH_MEMO_STATES:
-                memo[key] = found
-        return found
+            conflict_set = tuple(self._match())
+            if len(memo) >= MATCH_MEMO_STATES:
+                self._entry = None  # unmemoized: no link leads from it
+                return conflict_set
+            memo[key] = found = [conflict_set, None]
+        elif fired is not None and entry is not None:  # a firing led to a recurring state
+            links = entry[1]
+            if links is None:
+                links = entry[1] = {}
+            if len(links) < MATCH_MEMO_LINKS:
+                links[self._link] = (fired, found)
+        self._entry = found
+        return found[0]
 
     def _match(self) -> list[Instantiation]:
         held, chunks, program = self.held, self.chunks, self.program
@@ -243,7 +286,7 @@ class Engine:
         else:  # back into declaration order
             survivors = sorted(chain.from_iterable(groups), key=itemgetter(1))
         out = []
-        for name, source_index, tests, _, _, _, _ in survivors:
+        for name, source_index, tests, _, _, _, _, _ in survivors:
             bindings: dict = {}
             matched = []
             for buffer, ctype, slot_tests in tests:
@@ -281,23 +324,25 @@ class Engine:
         log and triggers) and the refraction history were updated, but before
         any modification or clearing.
         """
-        rule, source_index, bindings, _ = inst
-        identity = inst.identity()
+        rule, source_index, bindings, matched = inst
+        identity = (rule, matched)  # Instantiation.identity()
         now = seconds(tick)
         strategy = self.strategy
         strategy.record_application(rule, seconds(tick - FIRE_LATENCY_TICKS))
-        _, _, _, binds, modifications, clearings, annotation = self.rules[source_index]
+        _, _, _, binds, modifications, clearings, annotation, linkable = self.rules[source_index]
         if annotation is not None:
             reward, success, failure = annotation
-            if reward is not None:
+            if reward is not None and self._hears_reward:
                 strategy.trigger_reward(reward, now)
-            if success:
-                strategy.trigger_outcome("success", now)
-            if failure:
-                strategy.trigger_outcome("failure", now)
+            if self._hears_outcome:
+                if success:
+                    strategy.trigger_outcome("success", now)
+                if failure:
+                    strategy.trigger_outcome("failure", now)
         if self.refraction:
             self.refraction_history.add(identity)
         env = dict(bindings)
+        link = source_index  # the firing's key in the memo's links
         for variable, provider in binds:
             try:
                 env[variable] = value = next(self.providers[provider])
@@ -308,6 +353,7 @@ class Engine:
             except TypeError:
                 raise UnhashableValue(
                     f"provider {provider!r} gave {value!r}, which cannot be hashed") from None
+            link = (link, value)
         held, chunks = self.held, self.chunks
         for buffer, updates in modifications:
             # validation proved the buffer holds a chunk with these slots
@@ -317,6 +363,8 @@ class Engine:
         for buffer in clearings:
             held[buffer] = None  # the chunk stays in chunks
         self.trace.append(_record(TraceEntry, (now, rule, env, identity)))
+        if linkable:
+            self._fired, self._link = inst, link
 
     # -- driver --------------------------------------------------------------
 
@@ -338,6 +386,7 @@ class Engine:
             raise TypeError(f"the limit {t_limit!r} is not a rational or float number") from None
         else:
             limit = n * TICKS_PER_SECOND // d  # the exact floor, as d > 0
+        self._entry = None  # held or a chunk may have changed since the last call
         queue = self.queue
         apply, find, select = self._apply, self.find_instantiations, self.strategy.select
         refraction, history = self.refraction, self.refraction_history

@@ -488,7 +488,10 @@ def validate_model(ast: ModelAST) -> list[str]:
                 out += [f"rule {name!r} updates unknown slot {slot!r} "
                         f"of type {buffers[buffer].name!r} in buffer {buffer!r}"
                         for slot, _ in updates if slot not in slots]
-        for buffer in [b for b, _ in modifications] + list(clearings):
+        for buffer, _ in modifications:  # the modified buffers, then the cleared ones
+            if buffer not in buffers:
+                out.append(f"rule {name!r} acts on undeclared buffer {buffer!r}")
+        for buffer in clearings:
             if buffer not in buffers:
                 out.append(f"rule {name!r} acts on undeclared buffer {buffer!r}")
         symbols |= bound  # the tested values and the !bind! variables

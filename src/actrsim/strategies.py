@@ -48,6 +48,17 @@ def _key(n, d):
         return math.inf if n > 0 else -math.inf
 
 
+def _about(value):
+    """A rational beyond float range in bounded text: 1e+400, -3.33e+998."""
+    n, d = value.as_integer_ratio()
+    exponent = math.log10(abs(n)) - math.log10(d)  # math.log10 reads an int of any size
+    whole = math.floor(exponent)
+    mantissa = round(10 ** (exponent - whole), 2)
+    if mantissa >= 10:  # 9.995 and up
+        mantissa, whole = mantissa / 10, whole + 1
+    return f"{'-' if n < 0 else ''}{mantissa:g}e+{whole}"
+
+
 def _reinforce(un, ud, a, b, rn, rd):
     """(1 - a/b) U + (a/b) R for U = un/ud and R = rn/rd, as a pair over b lcm(ud, rd)."""
     g = gcd(ud, rd)
@@ -105,7 +116,8 @@ class ConflictResolutionStrategy:
 
     Subclasses implement utility(), which the default score() reads for
     each candidate; the reward/outcome hooks are no-ops by default so
-    annotations a strategy does not use are simply ignored.
+    annotations a strategy does not use are simply ignored: an Engine calls
+    only the hooks its strategy's class overrides.
     """
 
     name = "base"
@@ -299,7 +311,8 @@ class RandomCostUtility(SuccessCostUtility):
         try:
             self._goal_float = float(goal_value)
         except OverflowError:
-            raise ValueError(f"goal value {goal_value} is beyond float range") from None
+            raise ValueError(
+                f"goal value about {_about(goal_value)} is beyond float range") from None
 
     def _state(self, s, f, en, ed):
         """What select() reads of a rule with these counters: float theta and P."""

@@ -113,7 +113,7 @@ def test_a_goal_value_beyond_float_range_exits_1_before_the_trace_file_is_opened
     code, out, err = run_cli(capsys, "run", "--strategy", "random-cost", "--goal-value",
                              "1e400", "--trace-file", str(trace_path))
     assert (code, out) == (1, "")
-    assert err == f"actrsim: goal value {10 ** 400} is beyond float range\n"
+    assert err == "actrsim: goal value about 1e+400 is beyond float range\n"
     assert not trace_path.exists()
 
 
@@ -448,6 +448,7 @@ NUMBERS = st.just(Fraction(0)) | st.builds(
 @example(flag="--goal-value", value="-1e400", strategy="random-cost")
 @example(flag="--alpha", value="1e-400", strategy="reinforcement")
 @example(flag="--t-limit", value="1e400", strategy="random-cost")
+@example(flag="--goal-value", value="1e5000", strategy="random-cost")
 def test_no_numeric_flag_ends_in_a_traceback(flag, value, strategy):
     # the '=' form: argparse would read a bare '-1e400' as an option
     argv = ["run", f"{flag}={value}", "--strategy", strategy, "--player", "1", "--sample", "1"]
@@ -456,6 +457,7 @@ def test_no_numeric_flag_ends_in_a_traceback(flag, value, strategy):
         code = main(argv)  # no exception, SystemExit included, may leave main
     assert code in (0, 1, 2)
     assert len(err.getvalue().splitlines()) <= 1
+    assert len(err.getvalue()) <= 201  # a value of any size is named in a few characters
 
 
 # -- fuzz: mutated model text under varied flags ----------------------------------------

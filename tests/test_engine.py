@@ -867,6 +867,114 @@ def test_the_memo_tells_apart_chunks_that_hold_equal_slots():
     assert len(engine.program.memo) == 3
 
 
+# -- links between memoized states ------------------------------------------------
+
+def linked(program):
+    """The rule of each link's instantiation, one per link in the program's memo."""
+    return [inst.rule for _, links in program.memo.values() if links
+            for inst, _ in links.values()]
+
+
+# copy's instantiation depends on a, which the move rules change: a copy selected
+# while a is x can fire after a became y, and then writes x
+COPY = (
+    "(chunk-type g a b)(add-dm (g1 isa g a x b nil))(goal-focus goal g1)"
+    "(p copy =goal> isa g a =v b nil ==> =goal> b =v)"
+    "(p to-y =goal> isa g a x ==> =goal> a y)"
+    "(p to-x =goal> isa g a y ==> =goal> a x)"
+    "(p reset =goal> isa g b =w ==> =goal> b nil)"
+)
+
+
+def test_a_link_is_followed_only_for_the_instantiation_it_recorded():
+    model = parse_model(COPY)
+    program = compile_model(model)
+    late = 0  # firings selected before the state they fired from
+    for seed in range(12):  # engines sharing the program and its links
+        engine = Engine(program, RandomCostUtility(seed=seed))
+        check_every_cycle(engine, model)
+        engine.run(0)
+        rng = random.Random(seed)
+        for _ in range(30):  # a match beside the pending firing
+            engine.queue.schedule(rng.randrange(1, 3000), rng.choice([-1, 0, 1]), None)
+        for limit in (Fraction(1, 2), 1, Fraction(7, 4), 3):
+            engine.run(limit)
+        times = [entry.time for entry in engine.trace]
+        late += len(times) - len(set(times))  # two firings at one time: one fired late
+    assert late > 50
+    assert len(linked(program)) > 10
+
+
+def test_a_rule_that_modifies_an_untested_buffer_is_never_linked():
+    # flip writes the chunk other holds; the key records only what goal holds
+    model = parse_model(
+        "(chunk-type g a)(add-dm (g1 isa g a x) (g2 isa g a x))"
+        "(goal-focus goal g1)(goal-focus other g2)"
+        "(p flip =goal> isa g a x ==> =other> a y)"
+        "(p back =goal> isa g a y ==> =goal> a x)"
+    )
+    program = compile_model(model)
+    for other in ("g2", "g1", "g2", "g1"):  # focused on the tested chunk in every other engine
+        engine = Engine(program, SuccessCostUtility())
+        engine.held["other"] = other
+        cycles = check_every_cycle(engine, model)
+        engine.run(1)
+        assert len(cycles) == 21
+        assert [entry.rule for entry in engine.trace[:2]] == (
+            ["flip", "back"] if other == "g1" else ["flip", "flip"])
+    assert set(linked(program)) == {"back"}
+
+
+def test_a_run_forgets_its_state_when_a_caller_changes_a_chunk_between_calls():
+    # no rule writes on, which every rule tests: only the caller changes it
+    model = parse_model(
+        "(chunk-type g a on)(add-dm (g1 isa g a x on yes))(goal-focus goal g1)"
+        "(p to-y =goal> isa g a x on yes ==> =goal> a y)"
+        "(p to-x =goal> isa g a y on yes ==> =goal> a x)"
+        "(p halt =goal> isa g a =v on no ==> -goal>)"
+    )
+    program = compile_model(model)
+    for index in range(6):  # three strategies, two engines each
+        engine = Engine(program, strategy_for(index, index))
+        cycles = check_every_cycle(engine, model)
+        for step in range(1, 5):  # the firing pending at 1 s fires in the changed state
+            engine.chunks["g1"].slot_values["on"] = "yes" if step < 3 else "no"
+            engine.run(Fraction(step, 2))
+        assert [entry.time for entry in engine.trace[-2:]] == [Fraction(21, 20), Fraction(11, 10)]
+        assert engine.trace[-1].rule == "halt"
+        assert len(cycles) == 23  # 21 by 1 s, then after the firings at 1.05 s and 1.1 s
+    assert linked(program)
+
+
+def test_a_state_stores_at_most_match_memo_links_links():
+    # take writes its draw to aux and clears it: every engine leaves the first
+    # state for the same one, by a key of its own
+    model = parse_model(
+        "(chunk-type g a)(chunk-type h c)(add-dm (g1 isa g a x) (h1 isa h c nil))"
+        "(goal-focus goal g1)(goal-focus aux h1)"
+        "(p take =goal> isa g a x =aux> isa h c nil ==> !bind! =v src =aux> c =v -aux>)"
+    )
+    program = compile_model(model)
+    for number in range(100):
+        engine = Engine(program, ReinforcementUtility(), {"src": iter([f"v{number}"])})
+        check_every_cycle(engine, model)
+        engine.run(1)
+        assert engine.chunks["h1"].slot_values == {"c": f"v{number}"}
+    assert len(linked(program)) == engine_module.MATCH_MEMO_LINKS == 64
+
+
+def test_states_that_never_recur_are_never_linked():
+    model = parse_model(
+        "(chunk-type link state)(add-dm (c0 isa link state s0))(goal-focus goal c0)"
+        + "".join(f"(p r{k} =goal> isa link state s{k} ==> =goal> state s{k + 1})"
+                  for k in range(50))
+    )
+    engine = engine_for(model)
+    engine.run(math.inf)
+    assert len(engine.trace) == 50
+    assert all(links is None for _, links in engine.program.memo.values())
+
+
 # start's first test compares me with a constant, so its value is a lookup key
 UNHASHABLE = (
     "(chunk-type game me)(add-dm (g1 isa game me nil))(goal-focus goal g1)"

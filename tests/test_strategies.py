@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -258,11 +259,15 @@ def test_rc_utility_values():
     assert rc_utility(0.5, 20, 0.0) == pytest.approx(10.0)
 
 
-@pytest.mark.parametrize("goal_value", [Fraction(10) ** 400, -Fraction(10) ** 400,
-                                        Fraction(2) ** 1024, Fraction(-(10 ** 999), 3)])
-def test_random_cost_refuses_a_goal_value_beyond_float_range(goal_value):
-    # random-cost draws in floats; the exact strategies take any rational
-    with pytest.raises(ValueError, match=f"^goal value {goal_value} is beyond float range$"):
+@pytest.mark.parametrize("goal_value, text", [
+    (Fraction(10) ** 400, "1e+400"), (-Fraction(10) ** 400, "-1e+400"),
+    (Fraction(2) ** 1024, "1.8e+308"), (Fraction(-(10 ** 999), 3), "-3.33e+998"),
+    (Fraction(9996, 1000) * 10 ** 400, "1e+401"), (Fraction(10) ** 5000, "1e+5000")])
+def test_random_cost_refuses_a_goal_value_beyond_float_range(goal_value, text):
+    # random-cost draws in floats; the exact strategies take any rational. The
+    # message names the value in a few characters: 10**5000 has 5,001 digits
+    with pytest.raises(ValueError,
+                       match=f"^goal value about {re.escape(text)} is beyond float range$"):
         RandomCostUtility(goal_value=goal_value)
     assert SuccessCostUtility(goal_value=goal_value).utility("r") == goal_value - Fraction(1, 20)
     assert RandomCostUtility(goal_value=Fraction(2) ** 1023).utility("r") == 2.0 ** 1023
