@@ -13,17 +13,17 @@ draws every ``!bind!`` in text order, then modifies and clears buffers.
 
 Times are exact. The clock counts integer milliseconds, every time a trace
 line or a strategy sees is a ``Fraction`` of seconds, and a limit is floored
-to ticks exactly. A conflict set is a pure function of what the tested
-buffers hold, so each Program memoizes it, for at most MATCH_MEMO_STATES
-states. The memo also links each recurring firing to the state it leads to,
-keyed by its rule and the values its !bind!s drew, so that the next match
-follows the link instead of rebuilding the state's key. A link is written
-from a memoized state to one already in the memo, and followed only
+to ticks exactly. A conflict set is a pure function of what the buffers
+hold, so each Program memoizes it, keyed by every buffer's chunk, for at most
+MATCH_MEMO_STATES states. As the key covers every buffer, a firing's next
+state follows from its state, its instantiation and its !bind! draws: the
+memo links each recurring firing to the state it leads to, keyed by its rule
+and the values its !bind!s drew, so that the next match follows the link
+instead of rebuilding the state's key. A link is written from a state to one
+already in the memo, and followed only
 
 - when the firing is the very instantiation the link recorded: one selected
   in an earlier state can fire later, beside an event queued next to it;
-- for a rule that modifies only tested buffers, as compile_model decides: the
-  chunk an untested buffer holds is not in the key;
 - within one run() call: a caller may change held or a chunk between calls.
 """
 
@@ -102,26 +102,23 @@ def _flagged(pairs):
     return tuple(flagged)
 
 
-def _compile(source_index, p, annotation, tested):
+def _compile(source_index, p, annotation):
     """The rule as its runs read it, built once per rule: (name, source_index,
-    tests, binds, modifications, clearings, annotation, linkable).
+    tests, binds, modifications, clearings, annotation).
 
     tests: ((buffer, type, ((slot, expected, is_var), ...)), ...);
     modifications: ((buffer, ((slot, value, is_var), ...)), ...); binds and
     clearings as in the Production; annotation is the rule's Annotation, or
-    None; linkable is whether the memo may link its firings: whether it
-    modifies only buffers in tested.
+    None.
     """
     name, tests, binds, modifications, clearings = p
     compiled_tests, compiled_modifications = [], []
-    linkable = True
     for buffer, ctype, slot_tests in tests:
         compiled_tests.append((buffer, ctype, _flagged(slot_tests)))
     for buffer, updates in modifications:
         compiled_modifications.append((buffer, _flagged(updates)))
-        linkable = linkable and buffer in tested
     return (name, source_index, tuple(compiled_tests), binds,
-            tuple(compiled_modifications), clearings, annotation, linkable)
+            tuple(compiled_modifications), clearings, annotation)
 
 
 def _index(productions):
@@ -155,13 +152,12 @@ def _index(productions):
 class Program(NamedTuple):
     """A checked, compiled model: all that its runs share.
 
-    providers names each !bind! provider once; index and untested: see _index;
-    tested names the buffers rules test, in first-test order. memo, the one
-    thing runs write, maps a state of those buffers to its entry, the list
-    [conflict set, links]: links is None until a firing from the state is
-    linked, then maps a firing's key (its rule's source_index and !bind!
-    draws) to (the Instantiation that fired, the entry of the state reached).
-    Being a field, memo takes part when two Programs are compared.
+    providers names each !bind! provider once; index and untested: see _index.
+    memo, the one thing runs write, maps a state of every buffer, in
+    buffer_inits order, to its entry, the pair (conflict set, links): links
+    maps a firing's key (its rule's source_index and !bind! draws) to (the
+    Instantiation that fired, the entry of the state reached). Being a field,
+    memo takes part when two Programs are compared.
     """
 
     rules: tuple
@@ -170,7 +166,6 @@ class Program(NamedTuple):
     providers: tuple[str, ...]
     chunk_specs: tuple  # the initial chunks, ChunkSpec, ...
     buffer_inits: tuple[tuple[str, str], ...]
-    tested: tuple[str, ...]
     memo: dict
 
     def check_providers(self, names) -> None:
@@ -187,12 +182,11 @@ def compile_model(model: ModelAST | Program) -> Program:
     diagnostics = validate_model(model)
     if diagnostics:
         raise ModelSyntaxError("; ".join(diagnostics))
-    tested = dict.fromkeys(t.buffer for p in model.productions for t in p.tests)
-    rules = tuple([_compile(i, p, model.annotations.get(p.name), tested)
+    rules = tuple([_compile(i, p, model.annotations.get(p.name))
                    for i, p in enumerate(model.productions)])
     providers = dict.fromkeys(provider for p in model.productions for _, provider in p.binds)
     return Program(rules, *_index(rules), tuple(providers),
-                   model.initial_chunks, model.buffer_inits, tuple(tested), {})
+                   model.initial_chunks, model.buffer_inits, {})
 
 
 class Engine:
@@ -204,7 +198,7 @@ class Engine:
 
     def __init__(self, model, strategy, providers=None, refraction=False):
         self.program = program = compile_model(model)
-        self.memo, self.tested = program.memo, program.tested
+        self.memo = program.memo
         self.rules = program.rules
         self.providers = dict(providers or {})
         program.check_providers(self.providers)
@@ -234,36 +228,28 @@ class Engine:
         declaration order: the Program's memo's tuple for this buffer state.
 
         _entry is the memo entry this returned last, None when unknown;
-        _fired the Instantiation fired since, when its rule links, and _link
-        its key in _entry's links.
+        _fired the Instantiation fired since, and _link its key in _entry's
+        links.
         """
         entry, fired, self._fired = self._entry, self._fired, None
         if fired is not None and entry is not None:
-            links = entry[1]
-            if links is not None:
-                link = links.get(self._link)
-                if link is not None and link[0] is fired:
-                    self._entry = entry = link[1]
-                    return entry[0]
-        held, chunks, memo = self.held, self.chunks, self.memo
+            link = entry[1].get(self._link)
+            if link is not None and link[0] is fired:
+                self._entry = entry = link[1]
+                return entry[0]
+        chunks, memo = self.chunks, self.memo
         state = []
-        for buffer in self.tested:
-            chunk = (name := held[buffer]) and chunks[name]  # None: a cleared buffer
+        for name in self.held.values():  # in buffer_inits order
+            chunk = name and chunks[name]  # None: a cleared buffer
             state.append(chunk and (name, tuple(chunk.slot_values.items())))  # name fixes type
         key = tuple(state)
         found = memo.get(key)
-        if found is None:
-            conflict_set = tuple(self._match())
-            if len(memo) >= MATCH_MEMO_STATES:
-                self._entry = None  # unmemoized: no link leads from it
-                return conflict_set
-            memo[key] = found = [conflict_set, None]
-        elif fired is not None and entry is not None:  # a firing led to a recurring state
-            links = entry[1]
-            if links is None:
-                links = entry[1] = {}
-            if len(links) < MATCH_MEMO_LINKS:
-                links[self._link] = (fired, found)
+        if found is None:  # past the bound, an entry that is not stored
+            found = (tuple(self._match()), {})
+            if len(memo) < MATCH_MEMO_STATES:
+                memo[key] = found
+        elif fired is not None and entry is not None and len(entry[1]) < MATCH_MEMO_LINKS:
+            entry[1][self._link] = (fired, found)  # a firing led to a recurring state
         self._entry = found
         return found[0]
 
@@ -286,7 +272,7 @@ class Engine:
         else:  # back into declaration order
             survivors = sorted(chain.from_iterable(groups), key=itemgetter(1))
         out = []
-        for name, source_index, tests, _, _, _, _, _ in survivors:
+        for name, source_index, tests, _, _, _, _ in survivors:
             bindings: dict = {}
             matched = []
             for buffer, ctype, slot_tests in tests:
@@ -329,7 +315,7 @@ class Engine:
         now = seconds(tick)
         strategy = self.strategy
         strategy.record_application(rule, seconds(tick - FIRE_LATENCY_TICKS))
-        _, _, _, binds, modifications, clearings, annotation, linkable = self.rules[source_index]
+        _, _, _, binds, modifications, clearings, annotation = self.rules[source_index]
         if annotation is not None:
             reward, success, failure = annotation
             if reward is not None and self._hears_reward:
@@ -363,8 +349,7 @@ class Engine:
         for buffer in clearings:
             held[buffer] = None  # the chunk stays in chunks
         self.trace.append(_record(TraceEntry, (now, rule, env, identity)))
-        if linkable:
-            self._fired, self._link = inst, link
+        self._fired, self._link = inst, link
 
     # -- driver --------------------------------------------------------------
 

@@ -27,7 +27,7 @@ from actrsim.errors import (
     TimeInPast,
     UnhashableValue,
 )
-from actrsim.experiment import builtin_samples
+from actrsim.experiment import builtin_model_text, builtin_samples
 from actrsim.model import (
     BufferTest,
     ChunkSpec,
@@ -871,8 +871,7 @@ def test_the_memo_tells_apart_chunks_that_hold_equal_slots():
 
 def linked(program):
     """The rule of each link's instantiation, one per link in the program's memo."""
-    return [inst.rule for _, links in program.memo.values() if links
-            for inst, _ in links.values()]
+    return [inst.rule for _, links in program.memo.values() for inst, _ in links.values()]
 
 
 # copy's instantiation depends on a, which the move rules change: a copy selected
@@ -905,8 +904,8 @@ def test_a_link_is_followed_only_for_the_instantiation_it_recorded():
     assert len(linked(program)) > 10
 
 
-def test_a_rule_that_modifies_an_untested_buffer_is_never_linked():
-    # flip writes the chunk other holds; the key records only what goal holds
+def test_a_rule_that_modifies_an_untested_buffer_links_as_well():
+    # flip writes the chunk other holds, which no rule tests; the key records it
     model = parse_model(
         "(chunk-type g a)(add-dm (g1 isa g a x) (g2 isa g a x))"
         "(goal-focus goal g1)(goal-focus other g2)"
@@ -922,7 +921,23 @@ def test_a_rule_that_modifies_an_untested_buffer_is_never_linked():
         assert len(cycles) == 21
         assert [entry.rule for entry in engine.trace[:2]] == (
             ["flip", "back"] if other == "g1" else ["flip", "flip"])
-    assert set(linked(program)) == {"back"}
+    assert set(linked(program)) == {"back", "flip"}
+
+
+def test_a_buffer_that_no_rule_tests_or_writes_adds_no_state(rps_model):
+    # the key records the chunk notes holds, which no firing changes
+    noted = parse_model(builtin_model_text() + (
+        "(chunk-type note last)(add-dm (n1 isa note last nil))(goal-focus notes n1)"))
+    moves = [{"r": "rock", "p": "paper", "s": "scissors"}[m] for m in builtin_samples(3)[0]]
+    programs = compile_model(rps_model), compile_model(noted)
+    traces = []
+    for program in programs:
+        for index in range(6):  # three strategies, without and with refraction
+            engine = Engine(program, strategy_for(index, index), {"next-move": iter(moves)},
+                            index >= 3)
+            traces.append(engine.run(Fraction(2)))
+    assert traces[:6] == traces[6:]
+    assert len(programs[1].memo) == len(programs[0].memo) == 10  # (nil, nil) and 9 pairs
 
 
 def test_a_run_forgets_its_state_when_a_caller_changes_a_chunk_between_calls():
@@ -972,7 +987,7 @@ def test_states_that_never_recur_are_never_linked():
     engine = engine_for(model)
     engine.run(math.inf)
     assert len(engine.trace) == 50
-    assert all(links is None for _, links in engine.program.memo.values())
+    assert all(links == {} for _, links in engine.program.memo.values())
 
 
 # start's first test compares me with a constant, so its value is a lookup key

@@ -12,6 +12,7 @@ from actrsim.errors import EmptyResults, MalformedMove, WrongLength
 from actrsim.experiment import (
     HarnessConfig,
     RunResult,
+    build_strategy,
     builtin_samples,
     config_echo,
     format_count,
@@ -61,6 +62,11 @@ def test_builtin_sample_frequencies(player, expected):
     assert len(samples) == 20
     assert all(isinstance(s, tuple) and len(s) == 20 for s in samples)
     assert [counts(s) for s in samples] == expected
+
+
+def test_unknown_strategy():
+    with pytest.raises(ValueError, match="^unknown strategy 'bogus'$"):
+        build_strategy(HarnessConfig(strategy="bogus"), 0)
 
 
 def test_unknown_builtin_player():

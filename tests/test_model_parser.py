@@ -763,6 +763,51 @@ def test_syntax_error_positions_equal_character_reader(text):
         assert ast == reference
 
 
+G_DECLARED = "(chunk-type g a)(add-dm (g1 isa g a x))(goal-focus goal g1)"
+RULE_R = "(p r =goal> isa g ==> -goal>)"
+
+
+@pytest.mark.parametrize("piece, message", [
+    ("(^chunk-type)", "chunk-type needs a name"),
+    ("(add-dm ^(g1 g a x))", "chunk must read (NAME isa TYPE ...)"),
+    ("(p ^(r) =goal> isa g ==> -goal>)", "expected a rule name, found a nested list"),
+    ("(p r ^(x) ==> -goal>)", "expected a buffer test, found a nested list"),
+    ("(p r =goal> isa ^(g) ==> -goal>)", "expected a type name, found a nested list"),
+    ("(chunk-type ^(h) b)", "expected a type name, found a nested list"),
+    ("(p r =goal> isa g ==> !bind! ^(v) src =goal> a =v)",
+     "expected a variable, found a nested list"),
+    ("(p r =goal> isa g ==> !bind! =v ^(src) =goal> a =v)",
+     "expected a provider name, found a nested list"),
+    (RULE_R + "(spp r :success ^yes)", ":success takes the literal 't'"),
+    (RULE_R + "(spp r :failure ^yes)", ":failure takes the literal 't'"),
+    (RULE_R + "(^spp r :cost 1)", "unknown annotation key ':cost'"),
+], ids=["chunk-type-without-name", "chunk-without-isa", "nested-rule-name",
+        "nested-buffer-test", "nested-test-type", "nested-chunk-type-name",
+        "nested-bind-variable", "nested-bind-provider", "success-not-t", "failure-not-t",
+        "unknown-annotation-key"])
+def test_reader_errors_stand_at_the_token_they_name(piece, message):
+    """'^' marks the token the error names in piece: the error stands where the
+    character reader places that token, and where the reference reader places
+    the error at the same token, it raises the same error."""
+    text = G_DECLARED + piece.replace("^", "")
+    column = len(G_DECLARED) + piece.index("^") + 1
+    token, = [t for t in char_tokenize(text) if t.column == column]
+    expected = ("error", ModelSyntaxError, message, token.line, token.column)
+    assert outcome(parse_model, text) == expected
+    if not PLACED_ELSEWHERE.search(message):
+        assert outcome(reference_parse, text) == expected
+
+
+@pytest.mark.parametrize("piece, diagnostic", [
+    ("(chunk-type g a)", "chunk type 'g' declared twice"),
+    ("(add-dm (g1 isa g a x))", "chunk 'g1' declared twice"),
+    ("(goal-focus goal g1)", "buffer 'goal' initialized twice"),
+], ids=["chunk-type", "chunk", "buffer"])
+def test_a_declaration_made_twice_is_reported_as_the_reference_reports_it(piece, diagnostic):
+    ast = parse_model(G_DECLARED + piece)
+    assert validate_model(ast) == reference_validate(ast) == [diagnostic]
+
+
 def test_unusual_spaces_stay_inside_atoms():
     assert spelled("(a\fb\vc\u00a0d\r\te ;x y\n f)") == [
         ("(", 1, 1), ("a\fb\vc\u00a0d", 1, 2), ("e", 1, 11), ("f", 2, 2), (")", 2, 3),
