@@ -163,12 +163,14 @@ def main(argv=None) -> int:
     # `run` is the one command, and argparse exits 2 on anything else
     try:
         args = build_arg_parser().parse_args(argv)
-    except SystemExit:  # after help or a usage error: argparse drops a failed
-        try:  # write, so what it left is flushed here rather than at exit
-            _emit(sys.stdout, "")
+    except (SystemExit, OSError) as stop:  # after help or a usage error: argparse
+        try:  # drops a failed write (before Python 3.11 it raises it), so what it
+            _emit(sys.stdout, "")  # left is flushed here rather than at exit
             _emit(sys.stderr, "")
         except OSError as exc:
             return _fail(2, f"cannot write output: {exc}")
+        if isinstance(stop, OSError):
+            return _fail(2, f"cannot write output: {stop}")
         raise
     return run_command(args)
 

@@ -12,8 +12,13 @@ draws every ``!bind!`` in text order, then modifies and clears buffers.
 ``run`` serves queued events in time order; a run stepped in parts equals one.
 
 Times are exact. The clock counts integer milliseconds, every time a trace
-line or a strategy sees is a ``Fraction`` of seconds, and a limit is floored
-to ticks exactly. A conflict set is a pure function of what the buffers
+line or a strategy's hook sees is a ``Fraction`` of seconds, and a limit is
+floored to ticks exactly. A strategy whose class keeps the bundled tick log
+(``ExactStrategy.record_application``) is not called per firing: the engine
+appends (rule, selection tick) to its ``applied_log`` in the strategy's own
+clock, whose rate it reads at each ``run`` call, as a caller may refine that
+clock between calls. Any other strategy hears ``record_application`` in
+seconds. A conflict set is a pure function of what the buffers
 hold, so each Program memoizes it, keyed by every buffer's chunk, for at most
 MATCH_MEMO_STATES states. As the key covers every buffer, a firing's next
 state follows from its state, its instantiation and its !bind! draws: the
@@ -37,9 +42,9 @@ from .chunks import Chunk
 from .errors import ModelSyntaxError, ProviderExhausted, UnhashableValue
 from .model import ModelAST, validate_model
 from .scheduler import EventQueue
-from .strategies import ConflictResolutionStrategy, refraction_prune
+from .strategies import (TICKS_PER_SECOND, ConflictResolutionStrategy, ExactStrategy,
+                         refraction_prune)
 
-TICKS_PER_SECOND = 1000
 FIRE_LATENCY_TICKS = 50  # 50 ms between selection and firing
 MATCH_MEMO_STATES = 4096  # buffer states a Program's memo stores; it never evicts
 MATCH_MEMO_LINKS = 64  # links one memoized state stores, however many values binds draw
@@ -207,6 +212,9 @@ class Engine:
         kind, base = type(strategy), ConflictResolutionStrategy
         self._hears_reward = getattr(kind, "trigger_reward", None) is not base.trigger_reward
         self._hears_outcome = getattr(kind, "trigger_outcome", None) is not base.trigger_outcome
+        self._logs_ticks = (getattr(kind, "record_application", None)
+                            is ExactStrategy.record_application)
+        self._tick_factor = 0  # read at each run() call
         self._entry = self._fired = self._link = None  # see find_instantiations
         self.refraction = refraction
         self.refraction_history: set = set()
@@ -313,8 +321,11 @@ class Engine:
         rule, source_index, bindings, matched = inst
         identity = (rule, matched)  # Instantiation.identity()
         now = seconds(tick)
-        strategy = self.strategy
-        strategy.record_application(rule, seconds(tick - FIRE_LATENCY_TICKS))
+        strategy, factor = self.strategy, self._tick_factor
+        if factor:
+            strategy.applied_log.append((rule, (tick - FIRE_LATENCY_TICKS) * factor))
+        else:
+            strategy.record_application(rule, seconds(tick - FIRE_LATENCY_TICKS))
         _, _, _, binds, modifications, clearings, annotation = self.rules[source_index]
         if annotation is not None:
             reward, success, failure = annotation
@@ -372,6 +383,9 @@ class Engine:
         else:
             limit = n * TICKS_PER_SECOND // d  # the exact floor, as d > 0
         self._entry = None  # held or a chunk may have changed since the last call
+        # and a caller may have refined the strategy's clock: its ticks per engine
+        # tick, or 0 for a strategy that hears record_application
+        self._tick_factor = self.strategy.ticks // TICKS_PER_SECOND if self._logs_ticks else 0
         queue = self.queue
         apply, find, select = self._apply, self.find_instantiations, self.strategy.select
         refraction, history = self.refraction, self.refraction_history

@@ -7,6 +7,13 @@ each distinct rule it touched once and empties the log; a round without a
 trigger leaves its entries for the next one. A rule no trigger touched reads
 its strategy's initial values.
 
+The bundled strategies learn on a clock of their own: `ticks` per second,
+the engine's TICKS_PER_SECOND to start. Their applied log holds (rule, tick)
+pairs, which an Engine appends itself, and their efforts are tick counts. The
+hooks take rational seconds; a time between two ticks refines the clock to
+the exact lcm and rescales the ticks stored. The base class logs and hears
+seconds, so a strategy built on it sees times as Fractions.
+
 Reinforcement and success-cost are exact: a utility is a pair of ints n / d
 (d > 0), learned without rounding, and select() returns what select_winner
 returns on the exact utilities: max over (utility, sign * source_index), with
@@ -34,6 +41,7 @@ from math import gcd
 
 FIRST_DECLARED = "first-declared"
 LAST_DECLARED = "last-declared"
+TICKS_PER_SECOND = 1000  # the engine's clock, and each strategy's to start
 TIEBREAK_POLICIES = (FIRST_DECLARED, LAST_DECLARED)
 _OUTCOME_COUNTER = {"success": 0, "failure": 1}  # the counter each trigger kind bumps
 
@@ -59,20 +67,9 @@ def _about(value):
     return f"{'-' if n < 0 else ''}{mantissa:g}e+{whole}"
 
 
-def _reinforce(un, ud, a, b, rn, rd):
-    """(1 - a/b) U + (a/b) R for U = un/ud and R = rn/rd, as a pair over b lcm(ud, rd)."""
-    g = gcd(ud, rd)
-    return (b - a) * un * (rd // g) + a * rn * (ud // g), b * ud * (rd // g)
-
-
 def reinforcement_update(utility, alpha, reward):
-    """One learning step: move the utility toward the reward by factor alpha.
-
-    U + alpha (R - U), written as (1 - alpha) U + alpha R over one common
-    denominator.
-    """
-    return Fraction(*_reinforce(*utility.as_integer_ratio(), *alpha.as_integer_ratio(),
-                                *reward.as_integer_ratio()))
+    """One learning step, U + alpha (R - U): the utility moved toward the reward."""
+    return Fraction(utility + alpha * (reward - utility))
 
 
 def sc_recompute(successes, failures, efforts, goal_value):
@@ -128,7 +125,7 @@ class ConflictResolutionStrategy:
         if self.tiebreak not in TIEBREAK_POLICIES:
             raise ValueError(f"unknown tie-break policy {self.tiebreak!r}")
         self._sign = 1 if self.tiebreak == LAST_DECLARED else -1  # of select_winner's key
-        self.applied_log: list[tuple[str, Fraction]] = []
+        self.applied_log: list = []  # (rule, selection time) pairs
 
     def score(self, candidates) -> dict:
         return {c.rule: self.utility(c.rule) for c in candidates}
@@ -150,19 +147,43 @@ class ConflictResolutionStrategy:
 
 
 class ExactStrategy(ConflictResolutionStrategy):
-    """A deterministic strategy: exact utilities, selected on their float keys.
+    """A strategy that learns exactly on its tick clock and selects on float keys.
 
-    _states maps each rule a trigger touched to (key, n, d), its utility
-    n / d (d > 0) and key = _key(n, d); other rules read _initial_state.
+    _tick turns a time into ticks, refining the clock first where the time
+    falls between two ticks. _states maps a rule to (key, n, d), its utility
+    n / d (d > 0) and key = _key(n, d); a rule without an entry reads
+    _unkeyed(rule).
     """
+
+    def __init__(self, tiebreak=None):
+        super().__init__(tiebreak)
+        self.ticks = TICKS_PER_SECOND
+
+    def _tick(self, time):
+        """time, in rational seconds, as a whole count of ticks."""
+        n, d = time.as_integer_ratio()
+        if self.ticks % d:
+            self._refine(d // gcd(self.ticks, d))
+        return n * self.ticks // d
+
+    def _refine(self, m):
+        """Make each tick m ticks."""
+        self.ticks *= m
+        self.applied_log[:] = [(rule, tick * m) for rule, tick in self.applied_log]
+
+    def record_application(self, rule, selection_time):
+        self.applied_log.append((rule, self._tick(selection_time)))
+
+    def _unkeyed(self, rule):
+        return self._initial_state
 
     def select(self, candidates):
         if len(candidates) < 2:
             return candidates[0] if candidates else None
-        get, initial, sign = self._states.get, self._initial_state, self._sign
+        get, unkeyed, sign = self._states.get, self._unkeyed, self._sign
         winner = None
         for candidate in candidates:
-            state = get(candidate.rule, initial)
+            state = get(candidate.rule) or unkeyed(candidate.rule)
             if winner is None or state[0] > best:  # a greater key: a greater utility
                 winner, best, held = candidate, state[0], state
             elif state[0] == best:  # n/d > wn/wd iff n wd > wn d, as d, wd > 0
@@ -175,7 +196,7 @@ class ExactStrategy(ConflictResolutionStrategy):
         return winner
 
     def utility(self, rule):
-        _, n, d = self._states.get(rule, self._initial_state)
+        _, n, d = self._states.get(rule) or self._unkeyed(rule)
         return Fraction(n, d)
 
 
@@ -186,6 +207,12 @@ class ReinforcementUtility(ExactStrategy):
     in chronological order with the time-discounted reward R - (t - t_sel),
     then empties the log. Utilities start at 0 and stay there for rules that
     never receive a reward.
+
+    _learned maps each rewarded rule to (n, c, p), its utility n / (c p):
+    c is the lcm of the denominators ad * ticks of the rewards an / ad it
+    learned from, and p = b**k after k updates at alpha = a / b. An update is
+    then products of a small int and a large one, with no large division; a
+    rule's key is computed when select() first compares it.
     """
 
     name = "reinforcement"
@@ -199,30 +226,47 @@ class ReinforcementUtility(ExactStrategy):
             raise ValueError("alpha must be in (0, 1]")
         self.alpha = alpha
         self._alpha = alpha.as_integer_ratio()
-        self._states: dict = {}
+        self._learned: dict = {}
+        self._states: dict = {}  # the keyed states of _learned, rule by rule
         self._initial_state = (0.0, 0, 1)
 
     @property
     def utilities(self):
         """Each rewarded rule's exact utility."""
-        return {rule: Fraction(n, d) for rule, (_, n, d) in self._states.items()}
+        return {rule: Fraction(n, c * p) for rule, (n, c, p) in self._learned.items()}
 
     def trigger_reward(self, amount, now):
         entries = self.applied_log
         if not entries:
             return
-        (an, ad), (nn, nd) = amount.as_integer_ratio(), now.as_integer_ratio()
-        bn, bd = an * nd - nn * ad, ad * nd  # base = amount - now
+        now = self._tick(now)
+        an, ad = amount.as_integer_ratio()
         a, b = self._alpha
-        states, initial = self._states, self._initial_state
-        for rule, selected in entries:  # its reward is base + selected
-            sn, sd = selected.as_integer_ratio()
-            rn, rd = bn * sd + sn * bd, bd * sd
-            g = gcd(rn, rd)  # of small ints: rewards sit on the clock's grid
-            _, un, ud = states.get(rule, initial)
-            n, d = _reinforce(un, ud, a, b, rn // g, rd // g)
-            states[rule] = _key(n, d), n, d
+        # each entry's reward is r / rd, r = an ticks - ad (now - selected)
+        rd = ad * self.ticks
+        base, slope, keep = a * (an * self.ticks - ad * now), a * ad, b - a
+        learned, unkey, fresh = self._learned, self._states.pop, (0, rd, 1)
+        for rule, selected in entries:
+            ar = base + slope * selected  # a r
+            n, c, p = learned.get(rule, fresh)
+            if c != rd:  # U = n / (c p) and R = r / rd over one c
+                if c % rd:
+                    m = rd // gcd(c, rd)
+                    n, c = n * m, c * m
+                ar *= c // rd
+            # (1 - a/b) U + (a/b) R = ((b - a) n + a r p) / (c p b)
+            learned[rule] = keep * n + ar * p, c, p * b
+            unkey(rule, None)
         entries.clear()
+
+    def _unkeyed(self, rule):
+        learned = self._learned.get(rule)
+        if learned is None:
+            return self._initial_state
+        n, c, p = learned
+        d = c * p
+        state = self._states[rule] = _key(n, d), n, d
+        return state
 
 
 class SuccessCostUtility(ExactStrategy):
@@ -239,7 +283,7 @@ class SuccessCostUtility(ExactStrategy):
     name = "success-cost"
     default_tiebreak = FIRST_DECLARED
 
-    INITIAL_COUNTERS = (1, 0, 1, 20)  # successes, failures, efforts as n, d
+    INITIAL_COUNTERS = (1, 0, Fraction(1, 20))  # successes, failures, efforts in seconds
 
     def __init__(self, goal_value=Fraction(20), tiebreak=None):
         super().__init__(tiebreak)
@@ -247,46 +291,50 @@ class SuccessCostUtility(ExactStrategy):
             raise TypeError(f"goal_value must be an int or a Fraction, not {goal_value!r}")
         self.goal_value = goal_value
         self._goal = goal_value.as_integer_ratio()
-        self._counters: dict[str, list] = {}  # rule -> [s, f, en, ed], en/ed reduced
+        self._counters: dict[str, list] = {}  # rule -> [s, f, efforts in ticks]
         self._states: dict = {}  # rule -> _state of its counters
-        self._initial_state = self._state(*self.INITIAL_COUNTERS)
+        self._initial_state = self._state(*self._initial_counters())
+
+    def _initial_counters(self):
+        s, f, efforts = self.INITIAL_COUNTERS
+        return [s, f, self._tick(efforts)]
+
+    def _refine(self, m):
+        super()._refine(m)
+        for entry in self._counters.values():
+            entry[2] *= m
 
     def counters(self, rule):
-        s, f, en, ed = self._counters.get(rule, self.INITIAL_COUNTERS)
-        return s, f, Fraction(en, ed)
+        s, f, efforts = self._counters.get(rule) or self._initial_counters()
+        return s, f, Fraction(efforts, self.ticks)
 
     def trigger_outcome(self, kind, now):
         index = _OUTCOME_COUNTER[kind]
         entries = self.applied_log
         if not entries:
             return
-        nn, nd = now.as_integer_ratio()
+        now = self._tick(now)
         counters, touched = self._counters, {}  # rule -> its counters
         for rule, selected in entries:
             entry = counters.get(rule)
             if entry is None:
-                entry = counters[rule] = [*self.INITIAL_COUNTERS]
+                entry = counters[rule] = self._initial_counters()
             touched[rule] = entry
             entry[index] += 1
-            _, _, en, ed = entry
-            sn, sd = selected.as_integer_ratio()
-            # efforts + (now - selected) over one common denominator
-            en, ed = (en * nd + nn * ed) * sd - sn * ed * nd, ed * nd * sd
-            g = gcd(en, ed)
-            entry[2], entry[3] = en // g, ed // g
+            entry[2] += now - selected
         states, state = self._states, self._state
         for rule, entry in touched.items():  # each distinct rule rescored once
             states[rule] = state(*entry)
         entries.clear()
 
-    def _state(self, s, f, en, ed):
+    def _state(self, s, f, efforts):
         """What select() and utility() read of a rule with these counters: U's key and pair."""
         gn, gd = self._goal
-        n, d = s * gn * ed - en * gd, (s + f) * gd * ed
+        n, d = s * gn * self.ticks - efforts * gd, (s + f) * gd * self.ticks
         return _key(n, d), n, d
 
     def success_probability(self, rule):
-        s, f, _, _ = self._counters.get(rule, self.INITIAL_COUNTERS)
+        s, f, _ = self._counters.get(rule, self.INITIAL_COUNTERS)
         return Fraction(s, s + f)
 
 
@@ -314,9 +362,9 @@ class RandomCostUtility(SuccessCostUtility):
             raise ValueError(
                 f"goal value about {_about(goal_value)} is beyond float range") from None
 
-    def _state(self, s, f, en, ed):
+    def _state(self, s, f, efforts):
         """What select() reads of a rule with these counters: float theta and P."""
-        return en / (ed * s), s / (s + f)
+        return efforts / (self.ticks * s), s / (s + f)
 
     def select(self, candidates):
         """Draw each candidate's utility and keep the best.

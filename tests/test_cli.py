@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -219,6 +220,29 @@ def test_a_write_that_fails_exits_2_with_at_most_one_line(monkeypatch, capsys, a
                    "actrsim: cannot write output: [Errno 28] No space left on device\n")
 
 
+def print_message_before_3_11(self, message, file=None):
+    """argparse's _print_message as Python 3.10 has it: a failed write raises."""
+    if message:
+        (file or sys.stderr).write(message)
+
+
+@pytest.mark.parametrize("argv, full", [
+    (["--help"], "stdout"),
+    (["run", "--help"], "stdout"),
+    (["bogus"], "stderr"),
+])
+def test_an_argparse_write_that_raises_exits_2_as_one_that_fails_quietly(
+        monkeypatch, capsys, argv, full):
+    monkeypatch.setattr(argparse.ArgumentParser, "_print_message", print_message_before_3_11)
+    monkeypatch.setattr(sys, full, FullStream())
+    assert main(argv) == 2
+    monkeypatch.undo()
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("" if full == "stderr" else  # then the status alone
+                   "actrsim: cannot write output: [Errno 28] No space left on device\n")
+
+
 needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 
 
@@ -357,6 +381,26 @@ def test_tie_path_tables_and_traces_equal_the_golden_files(tmp_path, capsys,
     )
     assert code == 0
     golden = GOLDEN / f"tiebreak-{tiebreak}-{strategy}-player1"
+    assert out == golden.with_suffix(".csv").read_text(encoding="utf-8")
+    assert trace_path.read_text(encoding="utf-8") == (
+        golden.with_suffix(".trace").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("reinforcement", ("--strategy", "reinforcement")),
+    ("reinforcement-alpha-1-3", ("--strategy", "reinforcement", "--alpha", "1/3")),
+    ("success-cost", ("--strategy", "success-cost")),
+])
+def test_fractional_reward_tables_and_traces_equal_the_golden_files(tmp_path, capsys,
+                                                                   name, argv):
+    # rewards such as 5/3 and -1/7 sit off the millisecond grid
+    trace_path = tmp_path / "run.trace"
+    code, out, _ = run_cli(
+        capsys, "run", "--model", str(GOLDEN / "fractional-rewards.model"), "--player", "2",
+        *argv, "--trace-file", str(trace_path),
+    )
+    assert code == 0
+    golden = GOLDEN / f"fractional-rewards-{name}-player2"
     assert out == golden.with_suffix(".csv").read_text(encoding="utf-8")
     assert trace_path.read_text(encoding="utf-8") == (
         golden.with_suffix(".trace").read_text(encoding="utf-8"))

@@ -330,7 +330,8 @@ def test_effects_apply_before_next_match(rps_model):
     assert event.payload.rule == "detect-defeat-scissors"
     engine.queue.schedule(event.time, 0, event.payload)  # put it back, then fire it
     engine.run(Fraction(1, 10))
-    assert strategy.applied_log[-1] == ("detect-defeat-scissors", Fraction(1, 20))
+    assert strategy.ticks == 1000  # the log counts milliseconds: selected at 0.05 s
+    assert strategy.applied_log[-1] == ("detect-defeat-scissors", 50)
 
 
 def test_provider_consumed_once_per_application(rps_model):

@@ -207,9 +207,9 @@ def rescorings(monkeypatch):
     calls = []
     state = SuccessCostUtility._state
 
-    def spy(self, s, f, en, ed):
-        calls.append((s, f, Fraction(en, ed)))
-        return state(self, s, f, en, ed)
+    def spy(self, s, f, efforts):
+        calls.append((s, f, Fraction(efforts, self.ticks)))
+        return state(self, s, f, efforts)
 
     monkeypatch.setattr(SuccessCostUtility, "_state", spy)
     return calls
@@ -534,14 +534,14 @@ def test_reinforcement_denominator_divides_b_to_the_k_times_1000(alpha, seed):
         if rng.random() < 0.5:
             tick += rng.randint(0, 200)
             reward, now = rng.randint(-20, 20), Fraction(tick, 1000)
-            for logged, selected in strategy.applied_log:
+            for logged, selected in logged_seconds(strategy):
                 updates[logged] += 1
                 reference[logged] = reinforcement_update(
                     reference.get(logged, 0), alpha, reward - (now - selected))
             strategy.trigger_reward(reward, now)
     assert strategy.utilities == reference
-    for rule, (_, n, d) in strategy._states.items():
-        assert (b ** updates[rule] * 1000) % d == 0
+    for rule, (n, c, p) in strategy._learned.items():  # the utility n / (c p)
+        assert (b ** updates[rule] * 1000) % (c * p) == 0
 
 
 def test_refraction_prune_removes_applied_identities():
@@ -584,11 +584,19 @@ OPERATIONS = st.lists(
 READERS = ("counters", "utility", "success_probability")  # theta is read off the counters
 
 
+def logged_seconds(strategy):
+    """The applied log with each time in seconds, whether it counts ticks or not."""
+    ticks = getattr(strategy, "ticks", None)
+    if ticks is None:  # a strategy on the base class logs seconds
+        return list(strategy.applied_log)
+    return [(rule, Fraction(tick, ticks)) for rule, tick in strategy.applied_log]
+
+
 def learning_state(strategy):
     """Everything a reader can ask a strategy about each rule."""
     readers = [getattr(strategy, name) for name in READERS if hasattr(strategy, name)]
     state = {r: tuple(read(r) for read in readers) for r in RULES}
-    return state, list(strategy.applied_log)
+    return state, logged_seconds(strategy)
 
 
 PAIRS = {

@@ -23,6 +23,7 @@ from oracle import (
 )
 from test_engine import two_buffer_model
 from test_model_parser import model_asts
+from test_strategies import logged_seconds
 from test_refraction import random_model
 
 MOVES = ("rock", "paper", "scissors")
@@ -62,7 +63,7 @@ def modifies_and_clears(production):
 
 def strategy_state(strategy, rules):
     """What a strategy holds: utilities, its log, and counters and draws if it has them."""
-    state = [[strategy.utility(r) for r in rules], list(strategy.applied_log)]
+    state = [[strategy.utility(r) for r in rules], logged_seconds(strategy)]
     if hasattr(strategy, "counters"):
         state.append([tuple(strategy.counters(r)) for r in rules])
     if hasattr(strategy, "rng"):
@@ -211,6 +212,41 @@ def test_stepped_runs_equal_one_reference_run_on_the_bundled_model(rps_model):
     firings, halted, at_inf = zip(*outcomes)
     assert sum(firings) > 8 * 3 * 40  # without refraction every run plays 20 rounds
     assert 0 < sum(halted) < len(outcomes) and any(at_inf)
+
+
+def logs_first_at(strategy, at, rule, time):
+    """Have strategy log (rule, time) just before the first application whose
+    selection time is at or after `at`: where a call made between run(at) and
+    the next run() call puts it in an engine's run."""
+    record, pending = strategy.record_application, [(rule, time)]
+
+    def record_application(applied, selected):
+        if pending and selected >= at:
+            record(*pending.pop())
+        record(applied, selected)
+
+    strategy.record_application = record_application
+
+
+def test_a_clock_refined_between_runs_equals_one_reference_run(rps_model):
+    # times off the millisecond grid refine the clock to 3,000 and then 21,000
+    # ticks a second; the engine reads the new rate at its next run() call
+    rng = random.Random(5050)
+    moves = [rng.choice(MOVES) for _ in range(31)]  # 30 rounds and 50 ms beyond
+    calls = ((1, "play-rock", Fraction(1, 3)), (2, "detect-win-paper", Fraction(9, 7)))
+    rules = [p.name for p in rps_model.productions]
+    for index in range(3):
+        ours, theirs = strategy_pair(index, index)
+        engine = Engine(rps_model, ours, {"next-move": iter(moves)})
+        for at, rule, time in calls:
+            engine.run(at)
+            ours.record_application(rule, time)
+            logs_first_at(theirs, at, rule, time)
+        engine.run(3)
+        assert ours.ticks == 21000
+        trace, _, _ = reference_run(rps_model, theirs, {"next-move": iter(moves)}, False, 3)
+        assert [(e.time, e.rule, e.bindings) for e in engine.trace] == trace
+        assert strategy_state(ours, rules) == strategy_state(theirs, rules)
 
 
 def test_stepped_runs_equal_one_reference_run_on_generated_models():
